@@ -18,7 +18,7 @@
 //! These engines deliberately do **not** implement
 //! `aqe_vm::backend::PipelineBackend`: that trait is the seam for
 //! *representations of the same generated worker function* (bytecode,
-//! threaded code, direct IR), which the adaptive controller may hot-swap
+//! machine code, direct IR), which the adaptive controller may hot-swap
 //! mid-pipeline. The baselines execute the plan tree by entirely different
 //! architectures and exist to be compared *against* the unified engine —
 //! the eval harness (`aqe-bench`) runs them side by side with every

@@ -1,9 +1,12 @@
 //! Criterion micro-benchmarks for the core mechanisms: VM dispatch vs the
-//! threaded-code backends, bytecode translation (liveness + regalloc), and
-//! the end-to-end mode comparison on a small Q6.
+//! two machine-code levels, bytecode translation (liveness + regalloc) vs
+//! machine-code compilation, and the end-to-end mode comparison on a small
+//! Q6. The machine-code rows need the x86-64 emitter.
 
 use aqe_engine::exec::{ExecMode, ExecOptions};
-use aqe_jit::compile::{compile, OptLevel};
+use aqe_jit::compile::OptLevel;
+use aqe_jit::native::compile_native_at;
+use aqe_vm::backend::PipelineBackend;
 use aqe_vm::interp::Frame;
 use aqe_vm::rt::Registry;
 use aqe_vm::translate::translate;
@@ -42,8 +45,8 @@ fn loop_function() -> aqe_ir::Function {
 fn bench_dispatch(c: &mut Criterion) {
     let f = loop_function();
     let bc = translate(&f, &[], Default::default()).unwrap();
-    let unopt = compile(&f, &[], OptLevel::Unoptimized).unwrap();
-    let opt = compile(&f, &[], OptLevel::Optimized).unwrap();
+    let unopt = compile_native_at(&f, &[], OptLevel::Unoptimized).unwrap();
+    let opt = compile_native_at(&f, &[], OptLevel::Optimized).unwrap();
     let rt = Registry::new();
     let mut frame = Frame::new();
     let n = 10_000u64;
@@ -54,13 +57,11 @@ fn bench_dispatch(c: &mut Criterion) {
     g.bench_function("bytecode_vm", |b| {
         b.iter(|| aqe_vm::interp::execute(&bc, black_box(&[n]), &rt, &mut frame).unwrap())
     });
-    g.bench_function("unoptimized", |b| {
-        b.iter(|| {
-            aqe_jit::exec::execute_compiled(&unopt, black_box(&[n]), &rt, &mut frame).unwrap()
-        })
+    g.bench_function("native_unopt", |b| {
+        b.iter(|| unopt.call(black_box(&[n]), &rt, &mut frame).unwrap())
     });
-    g.bench_function("optimized", |b| {
-        b.iter(|| aqe_jit::exec::execute_compiled(&opt, black_box(&[n]), &rt, &mut frame).unwrap())
+    g.bench_function("native_opt", |b| {
+        b.iter(|| opt.call(black_box(&[n]), &rt, &mut frame).unwrap())
     });
     g.finish();
 }
@@ -76,11 +77,13 @@ fn bench_translation(c: &mut Criterion) {
     g.bench_function("bytecode_translate", |b| {
         b.iter(|| translate(black_box(big), &module.externs, Default::default()).unwrap())
     });
-    g.bench_function("unoptimized_compile", |b| {
-        b.iter(|| compile(black_box(big), &module.externs, OptLevel::Unoptimized).unwrap())
+    g.bench_function("native_unopt_compile", |b| {
+        b.iter(|| {
+            compile_native_at(black_box(big), &module.externs, OptLevel::Unoptimized).unwrap()
+        })
     });
-    g.bench_function("optimized_compile", |b| {
-        b.iter(|| compile(black_box(big), &module.externs, OptLevel::Optimized).unwrap())
+    g.bench_function("native_opt_compile", |b| {
+        b.iter(|| compile_native_at(black_box(big), &module.externs, OptLevel::Optimized).unwrap())
     });
     g.finish();
 }
@@ -93,8 +96,8 @@ fn bench_q6_modes(c: &mut Criterion) {
     g.sample_size(10);
     for (mode, label) in [
         (ExecMode::Bytecode, "bytecode"),
-        (ExecMode::Unoptimized, "unoptimized"),
-        (ExecMode::Optimized, "optimized"),
+        (ExecMode::NativeUnopt, "native-unopt"),
+        (ExecMode::Native, "native-opt"),
         (ExecMode::Adaptive, "adaptive"),
     ] {
         g.bench_function(label, |b| {

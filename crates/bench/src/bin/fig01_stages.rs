@@ -1,9 +1,9 @@
 //! Fig. 1 / Fig. 3 — per-stage times of the compilation pipeline for a
 //! TPC-H-style query, from SQL text to the three execution-mode artifacts.
 
-use aqe_bench::{env_sf, fmt_ms, ms};
+use aqe_bench::{bytecode_translate_time, env_sf, fmt_ms, ms, native_compile_time};
 use aqe_engine::plan::decompose;
-use aqe_jit::compile::{compile, OptLevel};
+use aqe_jit::compile::OptLevel;
 use std::time::Instant;
 
 fn main() {
@@ -31,23 +31,16 @@ fn main() {
     let module = aqe_engine::codegen::generate(&phys, &cat);
     let cdg_t = t.elapsed();
 
-    let t = Instant::now();
-    let mut bc_len = 0usize;
-    for f in &module.functions {
-        bc_len +=
-            aqe_vm::translate::translate(f, &module.externs, Default::default()).unwrap().len();
-    }
-    let bc_t = t.elapsed();
-    let t = Instant::now();
-    for f in &module.functions {
-        compile(f, &module.externs, OptLevel::Unoptimized).unwrap();
-    }
-    let unopt_t = t.elapsed();
-    let t = Instant::now();
-    for f in &module.functions {
-        compile(f, &module.externs, OptLevel::Optimized).unwrap();
-    }
-    let opt_compile_t = t.elapsed();
+    let bc_len: usize = module
+        .functions
+        .iter()
+        .map(|f| {
+            aqe_vm::translate::translate(f, &module.externs, Default::default()).unwrap().len()
+        })
+        .sum();
+    let bc_t = bytecode_translate_time(&module);
+    let unopt_t = native_compile_time(&module, OptLevel::Unoptimized);
+    let opt_compile_t = native_compile_time(&module, OptLevel::Optimized);
 
     println!("# Fig. 1 / Fig. 3 — stage times (TPC-H Q1-style, SF {sf})");
     println!(

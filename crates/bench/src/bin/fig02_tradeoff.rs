@@ -1,6 +1,6 @@
 //! Fig. 2 — compilation vs execution time of TPC-H Q1 per execution mode
-//! (handwritten, native machine code, optimized, unoptimized, bytecode,
-//! naive IR interpretation).
+//! (handwritten, optimized and unoptimized machine code, bytecode, naive
+//! IR interpretation).
 
 use aqe_bench::{env_sf, fmt_ms, ms, physical, run_mode, threads_from_env};
 use aqe_engine::exec::ExecMode;
@@ -25,9 +25,8 @@ fn main() {
     assert!(!hw.is_empty());
 
     for (mode, label) in [
-        (ExecMode::Native, "native"),
-        (ExecMode::Optimized, "optimized"),
-        (ExecMode::Unoptimized, "unoptimized"),
+        (ExecMode::Native, "native-opt"),
+        (ExecMode::NativeUnopt, "native-unopt"),
         (ExecMode::Bytecode, "bytecode"),
         (ExecMode::NaiveIr, "naive-IR"),
     ] {

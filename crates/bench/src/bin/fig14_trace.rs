@@ -17,7 +17,7 @@ fn main() {
     let mut csv = String::from("mode,thread,pipeline,kind,start_us,end_us,tuples\n");
     for (mode, label) in [
         (ExecMode::Bytecode, "bytecode"),
-        (ExecMode::Unoptimized, "unoptimized"),
+        (ExecMode::NativeUnopt, "native-unopt"),
         (ExecMode::Adaptive, "adaptive"),
     ] {
         let (total, report, _) = run_mode(&cat, &phys, mode, threads, true);
@@ -33,8 +33,8 @@ fn main() {
                 let ch = match e.kind {
                     0 => b'b',
                     1 => b'u',
-                    2 => b'o',
-                    4 => b'n',
+                    4 => b'o',
+                    5 => b's',
                     _ => b'C',
                 };
                 for c in line.iter_mut().take(b + 1).skip(a) {
@@ -56,7 +56,7 @@ fn main() {
         .and_then(|mut f| f.write_all(csv.as_bytes()))
         .expect("write csv");
     println!(
-        "\n(legend: b=bytecode morsel, u=unoptimized, o=optimized, n=native, C=compile; \
-         CSV → fig14_trace.csv)"
+        "\n(legend: b=bytecode morsel, u=unoptimized machine code, o=optimized, s=simd kernel, \
+         C=compile; CSV → fig14_trace.csv)"
     );
 }

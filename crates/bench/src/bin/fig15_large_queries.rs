@@ -3,9 +3,8 @@
 //! approach for larger query sizes … the bytecode interpreter scales
 //! perfectly."
 
-use aqe_bench::ms;
-use aqe_jit::compile::{compile, OptLevel};
-use std::time::Instant;
+use aqe_bench::{bytecode_translate_time, ms, native_compile_time};
+use aqe_jit::compile::OptLevel;
 
 fn main() {
     let cat = aqe_storage::tpch::generate(0.001);
@@ -22,26 +21,15 @@ fn main() {
         let q = aqe_queries::synthetic::wide_agg(n);
         let phys = aqe_engine::plan::decompose(&cat, &q.root, vec![]);
         let module = aqe_engine::codegen::generate(&phys, &cat);
-        let t = Instant::now();
-        for f in &module.functions {
-            aqe_vm::translate::translate(f, &module.externs, Default::default()).unwrap();
-        }
-        let bc = t.elapsed();
-        let t = Instant::now();
-        for f in &module.functions {
-            compile(f, &module.externs, OptLevel::Unoptimized).unwrap();
-        }
-        let un = t.elapsed();
+        let bc = bytecode_translate_time(&module);
+        let un = native_compile_time(&module, OptLevel::Unoptimized);
         // Optimized compilation explodes super-linearly; skip monster sizes
-        // after it crosses 30 s (the paper also cut the curve off).
-        let t = Instant::now();
-        let mut opt_ms = f64::NAN;
-        if n <= 1900 {
-            for f in &module.functions {
-                compile(f, &module.externs, OptLevel::Optimized).unwrap();
-            }
-            opt_ms = ms(t.elapsed());
-        }
+        // (the paper also cut the curve off).
+        let opt_ms = if n <= 1900 {
+            ms(native_compile_time(&module, OptLevel::Optimized))
+        } else {
+            f64::NAN
+        };
         println!(
             "{:<8} {:>9} {:>12.2} {:>12.2} {:>12.2}",
             n,

@@ -1,10 +1,11 @@
 //! Table I — planning and compilation times (ms) for TPC-H queries:
 //! plan construction ("plan"), IR code generation ("cdg."), bytecode
-//! translation ("bc."), unoptimized and optimized compilation; plus the
-//! Volcano/vectorized baselines' planning time (they share the planner).
+//! translation ("bc."), unoptimized and optimized machine-code
+//! compilation; plus the Volcano/vectorized baselines' planning time (they
+//! share the planner).
 
-use aqe_bench::ms;
-use aqe_jit::compile::{compile, OptLevel};
+use aqe_bench::{bytecode_translate_time, ms, native_compile_time};
+use aqe_jit::compile::OptLevel;
 use std::time::Instant;
 
 fn main() {
@@ -23,21 +24,9 @@ fn main() {
         let t = Instant::now();
         let module = aqe_engine::codegen::generate(&phys, &cat);
         let cdg_t = ms(t.elapsed());
-        let t = Instant::now();
-        for f in &module.functions {
-            aqe_vm::translate::translate(f, &module.externs, Default::default()).unwrap();
-        }
-        let bc_t = ms(t.elapsed());
-        let t = Instant::now();
-        for f in &module.functions {
-            compile(f, &module.externs, OptLevel::Unoptimized).unwrap();
-        }
-        let un_t = ms(t.elapsed());
-        let t = Instant::now();
-        for f in &module.functions {
-            compile(f, &module.externs, OptLevel::Optimized).unwrap();
-        }
-        let op_t = ms(t.elapsed());
+        let bc_t = ms(bytecode_translate_time(&module));
+        let un_t = ms(native_compile_time(&module, OptLevel::Unoptimized));
+        let op_t = ms(native_compile_time(&module, OptLevel::Optimized));
         for (m, v) in maxima.iter_mut().zip([plan_t, cdg_t, bc_t, un_t, op_t]) {
             *m = m.max(v);
         }

@@ -1,6 +1,7 @@
 //! Table II — execution times (ms) of TPC-H queries at 1 and N threads for
 //! the Volcano baseline ("PG"), the vectorized baseline ("Monet"), and the
-//! three compiled-engine modes; plus the §V-D geometric-mean speedup ratios.
+//! three compiled-engine modes (bytecode, unoptimized and optimized machine
+//! code); plus the §V-D geometric-mean speedup ratios.
 
 use aqe_bench::{env_sf, geomean, ms, physical, run_mode, threads_from_env};
 use aqe_engine::exec::ExecMode;
@@ -28,11 +29,11 @@ fn main() {
         let vector = ms(t.elapsed());
         assert_eq!(v_rows.len(), m_rows.len(), "{} baselines disagree", q.name);
         let mut row = vec![volcano, vector];
-        for mode in [ExecMode::Bytecode, ExecMode::Unoptimized, ExecMode::Optimized] {
+        for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native] {
             let (_, report, _) = run_mode(&cat, &phys, mode, 1, false);
             row.push(ms(report.exec));
         }
-        for mode in [ExecMode::Bytecode, ExecMode::Unoptimized, ExecMode::Optimized] {
+        for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native] {
             let (_, report, _) = run_mode(&cat, &phys, mode, threads, false);
             row.push(ms(report.exec));
         }

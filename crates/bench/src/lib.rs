@@ -24,70 +24,12 @@ use aqe_engine::plan::{
     decompose, AggFunc, AggSpec, ArithOp, CmpOp, PExpr, PhysicalPlan, PlanNode,
 };
 use aqe_engine::session::Engine;
+use aqe_ir::Module;
+use aqe_jit::compile::OptLevel;
 use aqe_queries::Query;
 use aqe_storage::date::parse_date;
 use aqe_storage::Catalog;
 use std::time::{Duration, Instant};
-
-/// Allocation metering for harness binaries (`--features alloc-count`).
-///
-/// A binary installs the shim with
-/// `#[global_allocator] static A: CountingAlloc = CountingAlloc;` (itself
-/// behind the feature gate) and brackets a measured region with
-/// [`alloc_snapshot`]. Counters are process-wide relaxed atomics: exact for
-/// single-threaded measurement loops, still monotonic under threads.
-#[cfg(feature = "alloc-count")]
-pub mod allocmeter {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-
-    /// System allocator wrapper that counts allocation events and bytes.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Relaxed);
-            System.alloc(layout)
-        }
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Relaxed);
-            System.alloc_zeroed(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            // A grow is a fresh allocation event for the grown portion;
-            // shrinks move no memory worth counting.
-            ALLOCS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    pub fn snapshot() -> (u64, u64) {
-        (ALLOCS.load(Relaxed), BYTES.load(Relaxed))
-    }
-}
-
-/// Cumulative (allocation count, bytes allocated) since process start, or
-/// `None` when the binary was built without `alloc-count`. Callers subtract
-/// two snapshots around a measured region.
-pub fn alloc_snapshot() -> Option<(u64, u64)> {
-    #[cfg(feature = "alloc-count")]
-    {
-        Some(allocmeter::snapshot())
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    {
-        None
-    }
-}
 
 /// Scale factor from the environment (default given by the harness).
 pub fn env_sf(default: f64) -> f64 {
@@ -179,6 +121,29 @@ pub fn run_mode(
     (t0.elapsed(), report, rows)
 }
 
+/// Wall time to translate every worker function of `module` to bytecode.
+pub fn bytecode_translate_time(module: &Module) -> Duration {
+    let t = Instant::now();
+    for f in &module.functions {
+        aqe_vm::translate::translate(f, &module.externs, Default::default())
+            .expect("bytecode translation");
+    }
+    t.elapsed()
+}
+
+/// Wall time to compile every worker function of `module` to machine code
+/// at `level` (step-stream compile, lowering, executable mapping). The
+/// compile-time figures have nothing to measure without the emitter, so
+/// its absence is fatal here.
+pub fn native_compile_time(module: &Module, level: OptLevel) -> Duration {
+    let t = Instant::now();
+    for f in &module.functions {
+        aqe_jit::native::compile_native_at(f, &module.externs, level)
+            .expect("this figure needs the x86-64 emitter (unsupported target, or AQE_NATIVE=0)");
+    }
+    t.elapsed()
+}
+
 /// Geometric mean of positive samples.
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -202,25 +167,24 @@ pub fn fmt_ms(v: f64) -> String {
     }
 }
 
-/// Mode labels used in the standard reports (the four modes of Fig. 3 plus
-/// the native machine-code tier and its vectorized scan-kernel cap).
-pub const MODES: [(ExecMode, &str); 6] = [
+/// Mode labels used in the standard reports: the four modes of Fig. 3
+/// (bytecode, the two machine-code levels, adaptive) plus the vectorized
+/// scan-kernel cap.
+pub const MODES: [(ExecMode, &str); 5] = [
     (ExecMode::Bytecode, "bytecode"),
-    (ExecMode::Unoptimized, "unoptimized"),
-    (ExecMode::Optimized, "optimized"),
-    (ExecMode::Native, "native"),
+    (ExecMode::NativeUnopt, "native-unopt"),
+    (ExecMode::Native, "native-opt"),
     (ExecMode::Simd, "simd"),
     (ExecMode::Adaptive, "adaptive"),
 ];
 
 /// Every backend the engine can publish into a pipeline's hot-swap handle,
 /// including the slow naive-IR baseline (Fig. 2's full latency spectrum).
-pub const ALL_MODES: [(ExecMode, &str); 7] = [
+pub const ALL_MODES: [(ExecMode, &str); 6] = [
     (ExecMode::NaiveIr, "naive-ir"),
     (ExecMode::Bytecode, "bytecode"),
-    (ExecMode::Unoptimized, "unoptimized"),
-    (ExecMode::Optimized, "optimized"),
-    (ExecMode::Native, "native"),
+    (ExecMode::NativeUnopt, "native-unopt"),
+    (ExecMode::Native, "native-opt"),
     (ExecMode::Simd, "simd"),
     (ExecMode::Adaptive, "adaptive"),
 ];

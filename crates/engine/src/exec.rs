@@ -20,8 +20,7 @@ use crate::sched::{
     AdaptiveController, ControllerCtx, CostCalibrator, MorselDispenser, PipelineProgress,
     PipelineQuarantine,
 };
-use crate::simd::ScanKernel;
-use aqe_ir::{ExternDecl, Function};
+use crate::tiers::TierTable;
 use aqe_storage::CatalogSnapshot;
 use aqe_vm::interp::{ExecError, Frame};
 use aqe_vm::rt::Registry;
@@ -42,8 +41,7 @@ pub use aqe_vm::backend::{ExecMode, PipelineBackend};
 /// extrapolation, and the calibration/report vocabulary grew out of this
 /// module in PR 2 and keep their historical import paths.
 pub use crate::sched::{
-    extrapolate_pipeline_durations, CalibrationReport, CostModel, ExecLevel, ModeChoice,
-    PipelineSchedReport,
+    extrapolate_pipeline_durations, CalibrationReport, CostModel, ExecLevel, PipelineSchedReport,
 };
 
 // ---------------------------------------------------------------------------
@@ -137,60 +135,6 @@ impl FunctionHandle {
     }
 }
 
-/// A pipeline's *retained* backend slot: the best compiled representation
-/// any execution has published so far, kept alive across runs by the
-/// session layer's prepared-query state.
-///
-/// Same install/load discipline as [`FunctionHandle`] — a cached atomic
-/// rank for lock-free polling, an `RwLock`ed `Arc` held only for the
-/// duration of a pointer copy, and rank-monotonic installs — but the slot
-/// starts *empty* (rank 0) and is shared by every concurrent execution of
-/// one prepared query: warm runs seed their per-run handles from it
-/// without any coordination, and background compiles publish into it the
-/// moment they finish, so an execution starting mid-flight of another
-/// already benefits from the other's compile.
-///
-/// Only compiled backends (rank ≥ [`ExecMode::Unoptimized`]) are ever
-/// installed; interpretation tiers live in their own compile-once latches.
-#[derive(Default)]
-pub struct RetainedSlot {
-    slot: RwLock<Option<Arc<dyn PipelineBackend>>>,
-    /// Cached rank of the occupant; 0 = empty.
-    rank: AtomicU8,
-}
-
-impl RetainedSlot {
-    pub fn new() -> RetainedSlot {
-        RetainedSlot::default()
-    }
-
-    /// Rank of the retained backend (0 when empty) — lock-free.
-    pub fn rank(&self) -> u8 {
-        self.rank.load(Ordering::Acquire)
-    }
-
-    /// The retained backend, if any run has published one.
-    pub fn load(&self) -> Option<Arc<dyn PipelineBackend>> {
-        self.slot.read().clone()
-    }
-
-    /// Publish `backend` if it outranks the current occupant (an empty
-    /// slot ranks 0). Returns whether the slot changed. Safe to race:
-    /// the highest-ranked install wins regardless of arrival order.
-    pub fn install(&self, backend: Arc<dyn PipelineBackend>) -> bool {
-        let rank = backend.kind().rank();
-        let mut cur = self.slot.write();
-        let cur_rank = cur.as_ref().map_or(0, |b| b.kind().rank());
-        if rank > cur_rank {
-            *cur = Some(backend);
-            self.rank.store(rank, Ordering::Release);
-            true
-        } else {
-            false
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Tracing (Fig. 14)
 // ---------------------------------------------------------------------------
@@ -200,8 +144,10 @@ impl RetainedSlot {
 pub struct TraceEvent {
     pub thread: u16,
     pub pipeline: u16,
-    /// 0 = bytecode, 1 = unoptimized, 2 = optimized, 3 = naive IR,
-    /// 4 = native machine code, 255 = compilation.
+    /// [`ExecMode::trace_kind`] of the backend the morsel ran on —
+    /// 0 = bytecode, 1 = unoptimized machine code, 3 = naive IR,
+    /// 4 = optimized machine code, 5 = vectorized scan kernel — or
+    /// 255 for a background compilation.
     pub kind: u8,
     pub start_us: u64,
     pub end_us: u64,
@@ -416,27 +362,20 @@ impl Default for ExecOptions {
 // Pipeline-loop core (driven by the session layer)
 // ---------------------------------------------------------------------------
 
-/// Everything one query execution needs once its artifacts (functions,
-/// registry, per-pipeline handles with their initial backends) have been
-/// assembled by the session layer.
+/// Everything one query execution needs once its artifacts (registry,
+/// per-pipeline tier tables and handles with their initial backends) have
+/// been assembled by the session layer.
 pub(crate) struct QueryRun<'a> {
     pub plan: &'a PhysicalPlan,
     /// The immutable catalog epoch this execution is pinned to — cloned
     /// `Arc`s, never a lock held across the morsel loop.
     pub cat: &'a CatalogSnapshot,
-    pub functions: &'a [Arc<Function>],
-    pub externs: &'a Arc<Vec<ExternDecl>>,
     pub registry: &'a Arc<Registry>,
     pub handles: &'a [Arc<FunctionHandle>],
-    /// Per-pipeline retained slots of the prepared query's compiled
-    /// state: background compiles publish into these the moment they
-    /// finish, so concurrent executions warm-start mid-flight.
-    pub retained: &'a [Arc<RetainedSlot>],
-    /// Per-pipeline vectorized scan kernels extracted at prepare time
-    /// (`None` where the pipeline has no vectorizable filter); handed to
-    /// each pipeline's controller so the adaptive ladder can top out at
-    /// the SIMD tier.
-    pub kernels: &'a [Option<Arc<ScanKernel>>],
+    /// Per-pipeline tier tables of the prepared query's compiled state:
+    /// background compiles fill these, so concurrent executions warm-start
+    /// mid-flight.
+    pub tiers: &'a [Arc<TierTable>],
     /// Per-query calibrator, possibly seeded from the engine's
     /// cross-query `CalibrationStore`.
     pub calibrator: &'a Arc<CostCalibrator>,
@@ -444,8 +383,8 @@ pub(crate) struct QueryRun<'a> {
     /// Bind-variable values for this execution, one `u64` bit pattern per
     /// entry of `plan.params` (`f64` parameters as `to_bits`). Empty for
     /// non-parameterized plans. The slice is installed into the plan's
-    /// param state slot, so every tier — interpreted, threaded, native,
-    /// SIMD — reads the same block.
+    /// param state slot, so every tier — interpreted, machine code, SIMD —
+    /// reads the same block.
     pub params: &'a [u64],
     /// Per-pipeline quarantine views (one per pipeline, same indexing as
     /// `handles`): the controller skips tiers an earlier execution
@@ -462,20 +401,8 @@ pub(crate) fn run_pipelines(
     run: QueryRun<'_>,
     report: &mut Report,
 ) -> Result<ResultRows, ExecError> {
-    let QueryRun {
-        plan,
-        cat,
-        functions,
-        externs,
-        registry,
-        handles,
-        retained,
-        kernels,
-        calibrator,
-        opts,
-        params,
-        quarantine,
-    } = run;
+    let QueryRun { plan, cat, registry, handles, tiers, calibrator, opts, params, quarantine } =
+        run;
 
     // ---- state assembly ---------------------------------------------------
     let mut state = QueryState {
@@ -540,11 +467,8 @@ pub(crate) fn run_pipelines(
 
         let pipeline = PipelineRun {
             pid: p.id,
-            function: &functions[p.id],
-            externs,
             handle: &handles[p.id],
-            retained: &retained[p.id],
-            kernel: kernels.get(p.id).and_then(|k| k.clone()),
+            tiers: &tiers[p.id],
             registry,
             total_rows,
             plan,
@@ -589,11 +513,8 @@ fn plan_max_row_width(plan: &PhysicalPlan) -> usize {
 /// as: build scheduler, spawn workers, finalize controller, run the sink).
 struct PipelineRun<'a> {
     pid: usize,
-    function: &'a Arc<Function>,
-    externs: &'a Arc<Vec<ExternDecl>>,
     handle: &'a Arc<FunctionHandle>,
-    retained: &'a Arc<RetainedSlot>,
-    kernel: Option<Arc<ScanKernel>>,
+    tiers: &'a Arc<TierTable>,
     registry: &'a Arc<Registry>,
     total_rows: usize,
     plan: &'a PhysicalPlan,
@@ -628,11 +549,8 @@ impl PipelineRun<'_> {
         let controller = AdaptiveController::new(ControllerCtx {
             cancel: opts.cancel.clone(),
             pid: self.pid,
-            function: self.function.clone(),
-            externs: self.externs.clone(),
             handle: self.handle.clone(),
-            retained: Some(self.retained.clone()),
-            kernel: self.kernel.clone(),
+            tiers: self.tiers.clone(),
             progress: progress.clone(),
             calibrator: self.calibrator.clone(),
             compile_events: self.compile_events.clone(),
@@ -864,7 +782,9 @@ impl PipelineRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqe_jit::compile::{compile, OptLevel};
+    use aqe_ir::Function;
+    use aqe_jit::compile::OptLevel;
+    use aqe_jit::native::compile_native_at;
     use aqe_vm::naive::NaiveBackend;
     use aqe_vm::translate::{translate, TranslateOptions};
 
@@ -880,46 +800,36 @@ mod tests {
     fn handle_swaps_are_monotonic_upgrades() {
         let f = identity_function();
         let bc = translate(&f, &[], TranslateOptions::default()).unwrap();
-        let h = FunctionHandle::new(Arc::new(bc));
-        assert_eq!(h.kind(), ExecMode::Bytecode);
+        let h = FunctionHandle::new(Arc::new(NaiveBackend::new(Arc::new(f.clone()))));
+        assert_eq!(h.kind(), ExecMode::NaiveIr);
         assert!(h.try_begin_compile());
         assert!(!h.try_begin_compile(), "second compile attempt must be rejected");
         // A failed compile re-opens the slot instead of leaking it.
         h.cancel_compile();
         assert!(h.try_begin_compile(), "cancel must re-open the compile slot");
 
-        let unopt = compile(&f, &[], OptLevel::Unoptimized).unwrap();
-        assert!(h.install(Arc::new(unopt)));
-        assert_eq!(h.kind(), ExecMode::Unoptimized);
+        assert!(h.install(Arc::new(bc)));
+        assert_eq!(h.kind(), ExecMode::Bytecode);
         assert!(h.try_begin_compile(), "compiles allowed again after install");
 
         // Downgrades are refused: the handle only moves up the rank order.
-        let bc2 = translate(&f, &[], TranslateOptions::default()).unwrap();
-        assert!(!h.install(Arc::new(bc2)));
-        assert_eq!(h.kind(), ExecMode::Unoptimized);
+        assert!(!h.install(Arc::new(NaiveBackend::new(Arc::new(f.clone())))));
+        assert_eq!(h.kind(), ExecMode::Bytecode);
 
-        let opt = compile(&f, &[], OptLevel::Optimized).unwrap();
+        if !aqe_jit::native::enabled() {
+            return;
+        }
+        let unopt = compile_native_at(&f, &[], OptLevel::Unoptimized).unwrap();
+        assert!(h.install(Arc::new(unopt)));
+        assert_eq!(h.kind(), ExecMode::NativeUnopt);
+        let opt = compile_native_at(&f, &[], OptLevel::Optimized).unwrap();
         assert!(h.install(Arc::new(opt)));
-        assert_eq!(h.kind(), ExecMode::Optimized);
-        assert_eq!(h.rank(), ExecMode::Optimized.rank());
-    }
-
-    #[test]
-    fn retained_slot_installs_are_rank_monotonic_from_empty() {
-        let f = identity_function();
-        let slot = RetainedSlot::new();
-        assert_eq!(slot.rank(), 0, "a fresh slot is empty");
-        assert!(slot.load().is_none());
-
-        let opt = compile(&f, &[], OptLevel::Optimized).unwrap();
-        assert!(slot.install(Arc::new(opt)));
-        assert_eq!(slot.rank(), ExecMode::Optimized.rank());
-
-        // A lower-ranked late arrival (a racing unoptimized compile) is
-        // refused; the best published backend stays.
-        let unopt = compile(&f, &[], OptLevel::Unoptimized).unwrap();
-        assert!(!slot.install(Arc::new(unopt)));
-        assert_eq!(slot.load().unwrap().kind(), ExecMode::Optimized);
+        assert_eq!(h.kind(), ExecMode::Native);
+        assert_eq!(h.rank(), ExecMode::Native.rank());
+        // A racing unoptimized compile arriving late is refused.
+        let late = compile_native_at(&f, &[], OptLevel::Unoptimized).unwrap();
+        assert!(!h.install(Arc::new(late)));
+        assert_eq!(h.kind(), ExecMode::Native);
     }
 
     #[test]
@@ -929,12 +839,15 @@ mod tests {
         // installed into a FunctionHandle.
         let f = identity_function();
         let shared = Arc::new(f.clone());
-        let backends: Vec<Arc<dyn PipelineBackend>> = vec![
+        let mut backends: Vec<Arc<dyn PipelineBackend>> = vec![
             Arc::new(NaiveBackend::new(shared)),
             Arc::new(translate(&f, &[], TranslateOptions::default()).unwrap()),
-            Arc::new(compile(&f, &[], OptLevel::Unoptimized).unwrap()),
-            Arc::new(compile(&f, &[], OptLevel::Optimized).unwrap()),
         ];
+        if aqe_jit::native::enabled() {
+            for level in [OptLevel::Unoptimized, OptLevel::Optimized] {
+                backends.push(Arc::new(compile_native_at(&f, &[], level).unwrap()));
+            }
+        }
         let rt = Registry::new();
         let mut frame = Frame::new();
         for b in backends {

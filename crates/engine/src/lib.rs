@@ -14,6 +14,9 @@
 //!   [`sched::MorselDispenser`], lock-free [`sched::PipelineProgress`],
 //!   the Fig. 7 [`sched::AdaptiveController`], and per-query cost-model
 //!   calibration ([`sched::CostCalibrator`]);
+//! * [`tiers`] — the per-pipeline [`TierTable`]: one compile-once entry
+//!   per [`ExecLevel`], the single place a level's backend is built and
+//!   read (static modes, background compiles and warm starts alike);
 //! * [`session`] — the long-lived API: [`session::Engine`] (catalog
 //!   version, cross-query calibration store, versioned result cache),
 //!   [`session::Session`], and [`session::PreparedQuery`] (code reuse
@@ -38,11 +41,12 @@ pub mod runtime;
 pub mod sched;
 pub mod session;
 pub mod simd;
+pub mod tiers;
 
 pub use cancel::{CancelKind, CancelToken};
 pub use exec::{
     AdmissionReport, CostModel, ExecMode, ExecOptions, FunctionHandle, ParamValue, PipelineBackend,
-    Report, ResultRows, RetainedSlot, TraceEvent,
+    Report, ResultRows, TraceEvent,
 };
 pub use plan::{PhysicalPlan, PlanNode};
 pub use sched::{CalibrationReport, ExecLevel, PipelineSchedReport};
@@ -50,3 +54,4 @@ pub use session::{
     CacheStats, CalibrationStore, ConcurrencyStats, Engine, PreparedQuery, ServerCounters,
     ServerStats, Session, WorkloadShape,
 };
+pub use tiers::TierTable;

@@ -27,17 +27,14 @@ pub struct CostModel {
     pub unopt_per_instr_s: f64,
     pub opt_base_s: f64,
     pub opt_per_instr_s: f64,
-    pub native_base_s: f64,
-    pub native_per_instr_s: f64,
-    /// Reaching the SIMD tier costs a native compile plus the (cheap)
-    /// kernel wrap, so its constants sit just above the native ones.
+    /// Reaching the SIMD tier costs an optimized compile plus the (cheap)
+    /// kernel wrap, so its constants sit just above the optimized ones.
     pub simd_base_s: f64,
     pub simd_per_instr_s: f64,
-    /// Execution speedup of unoptimized / optimized threaded code, native
-    /// machine code, and kernel-fronted native code over bytecode.
+    /// Execution speedup of unoptimized and optimized machine code, and of
+    /// kernel-fronted optimized code, over bytecode.
     pub speedup_unopt: f64,
     pub speedup_opt: f64,
-    pub speedup_native: f64,
     /// Only meaningful on pipelines with a vectorizable filter — the
     /// controller never proposes the SIMD level elsewhere. Selective
     /// filters skip most scalar work, hence the distinctly higher default;
@@ -47,23 +44,22 @@ pub struct CostModel {
 
 impl Default for CostModel {
     fn default() -> Self {
-        // Defaults measured on this reproduction's backends (see
-        // EXPERIMENTS.md); recalibrated mid-query by `CostCalibrator`.
+        // Fitted once from `fig06_compile_scaling` (per-function least
+        // squares) and `table2_exec` (single-threaded geometric means);
+        // table and procedure in EXPERIMENTS.md. Recalibrated mid-query by
+        // `CostCalibrator`.
         CostModel {
-            unopt_base_s: 30e-6,
-            unopt_per_instr_s: 0.4e-6,
-            opt_base_s: 80e-6,
-            opt_per_instr_s: 4.0e-6,
-            // Native runs the whole optimized pipeline plus instruction
-            // emission and an mmap/mprotect round trip.
-            native_base_s: 150e-6,
-            native_per_instr_s: 5.0e-6,
-            simd_base_s: 160e-6,
-            simd_per_instr_s: 5.0e-6,
-            speedup_unopt: 1.5,
-            speedup_opt: 2.2,
-            speedup_native: 6.0,
-            speedup_simd: 9.0,
+            unopt_base_s: 6.9e-6,
+            unopt_per_instr_s: 0.13e-6,
+            opt_base_s: 8.8e-6,
+            opt_per_instr_s: 0.60e-6,
+            // An optimized compile plus 10 µs for the kernel wrap, and
+            // 1.5× the optimized speedup.
+            simd_base_s: 18.8e-6,
+            simd_per_instr_s: 0.60e-6,
+            speedup_unopt: 3.0,
+            speedup_opt: 3.3,
+            speedup_simd: 4.95,
         }
     }
 }
@@ -72,13 +68,13 @@ impl CostModel {
     /// Modelled compile time for reaching `level` (zero for the level the
     /// engine starts at — interpretation needs no compilation).
     pub fn ctime(&self, level: ExecLevel, instrs: usize) -> f64 {
-        match level {
-            ExecLevel::Interpreted => 0.0,
-            ExecLevel::Unoptimized => self.unopt_base_s + self.unopt_per_instr_s * instrs as f64,
-            ExecLevel::Optimized => self.opt_base_s + self.opt_per_instr_s * instrs as f64,
-            ExecLevel::Native => self.native_base_s + self.native_per_instr_s * instrs as f64,
-            ExecLevel::Simd => self.simd_base_s + self.simd_per_instr_s * instrs as f64,
-        }
+        let (base, per) = match level {
+            ExecLevel::Interpreted => return 0.0,
+            ExecLevel::Unoptimized => (self.unopt_base_s, self.unopt_per_instr_s),
+            ExecLevel::Optimized => (self.opt_base_s, self.opt_per_instr_s),
+            ExecLevel::Simd => (self.simd_base_s, self.simd_per_instr_s),
+        };
+        base + per * instrs as f64
     }
     /// Modelled execution speedup of `level` over bytecode.
     pub fn speedup(&self, level: ExecLevel) -> f64 {
@@ -86,7 +82,6 @@ impl CostModel {
             ExecLevel::Interpreted => 1.0,
             ExecLevel::Unoptimized => self.speedup_unopt,
             ExecLevel::Optimized => self.speedup_opt,
-            ExecLevel::Native => self.speedup_native,
             ExecLevel::Simd => self.speedup_simd,
         }
     }
@@ -182,7 +177,6 @@ impl CostCalibrator {
             ExecLevel::Interpreted => return, // nothing was compiled
             ExecLevel::Unoptimized => (g.model.unopt_base_s, &mut g.model.unopt_per_instr_s),
             ExecLevel::Optimized => (g.model.opt_base_s, &mut g.model.opt_per_instr_s),
-            ExecLevel::Native => (g.model.native_base_s, &mut g.model.native_per_instr_s),
             ExecLevel::Simd => (g.model.simd_base_s, &mut g.model.simd_per_instr_s),
         };
         let observed_per = (secs - base).max(0.0) / instrs as f64;
@@ -203,7 +197,6 @@ impl CostCalibrator {
                 g.model.speedup_unopt = blend(g.model.speedup_unopt, observed)
             }
             ExecLevel::Optimized => g.model.speedup_opt = blend(g.model.speedup_opt, observed),
-            ExecLevel::Native => g.model.speedup_native = blend(g.model.speedup_native, observed),
             ExecLevel::Simd => g.model.speedup_simd = blend(g.model.speedup_simd, observed),
         }
         g.speedup_obs += 1;
@@ -264,13 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn native_feedback_moves_native_constants_only() {
+    fn simd_feedback_moves_simd_constants_only() {
         let c = CostCalibrator::new(CostModel::default());
-        c.record_compile(ExecLevel::Native, 10_000, Duration::from_millis(200));
-        c.record_speedup(ExecLevel::Native, 10.0);
+        c.record_compile(ExecLevel::Simd, 10_000, Duration::from_millis(200));
+        c.record_speedup(ExecLevel::Simd, 20.0);
         let m = c.model();
-        assert!(m.native_per_instr_s > CostModel::default().native_per_instr_s);
-        assert!(m.speedup_native > CostModel::default().speedup_native);
+        assert!(m.simd_per_instr_s > CostModel::default().simd_per_instr_s);
+        assert!(m.speedup_simd > CostModel::default().speedup_simd);
         assert_eq!(m.opt_per_instr_s, CostModel::default().opt_per_instr_s);
         assert_eq!(m.speedup_opt, CostModel::default().speedup_opt);
         // Interpreted is not a compile target: both feedback kinds ignore it.

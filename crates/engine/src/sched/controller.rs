@@ -18,14 +18,12 @@
 //! [`finalize`]: AdaptiveController::finalize
 
 use crate::cancel::CancelToken;
-use crate::exec::{FunctionHandle, RetainedSlot, TraceEvent};
+use crate::exec::{FunctionHandle, TraceEvent};
 use crate::sched::calibrate::{CostCalibrator, CostModel};
 use crate::sched::morsel::MorselDispenser;
 use crate::sched::progress::PipelineProgress;
 use crate::sched::quarantine::PipelineQuarantine;
-use crate::simd::{self, ScanKernel, SimdScanBackend};
-use aqe_ir::{ExternDecl, Function};
-use aqe_jit::compile::{compile, OptLevel};
+use crate::tiers::TierTable;
 use aqe_vm::backend::ExecMode;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -33,81 +31,67 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The execution level a pipeline is currently running at, derived from
-/// the hot-swap handle's rank. This is the *typed* form of what PR 1
-/// passed to the extrapolation as a misleading `unopt_available: bool`
-/// (which actually meant "already at unoptimized rank or above").
+/// The rungs of the ladder (paper Fig. 3): what a pipeline is running at,
+/// what a compilation targets, and the index of a pipeline's
+/// [`TierTable`]. `Interpreted` is the bytecode VM (or the naive IR walker
+/// it degrades to); `Unoptimized` and `Optimized` are the two
+/// configurations of the native emitter; `Simd` is optimized code behind a
+/// vectorized scan-kernel pre-pass.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ExecLevel {
-    /// Bytecode or naive-IR interpretation (speedup factor 1).
     Interpreted,
     Unoptimized,
     Optimized,
-    /// Real machine code (`aqe_jit::native`, rank 4).
-    Native,
-    /// Native code behind a vectorized scan-kernel pre-pass (rank 5).
     Simd,
 }
 
 impl ExecLevel {
-    /// Classify a backend rank (see `ExecMode::rank`).
-    pub fn from_rank(rank: u8) -> ExecLevel {
-        if rank >= ExecMode::Simd.rank() {
-            ExecLevel::Simd
-        } else if rank >= ExecMode::Native.rank() {
-            ExecLevel::Native
-        } else if rank >= ExecMode::Optimized.rank() {
-            ExecLevel::Optimized
-        } else if rank >= ExecMode::Unoptimized.rank() {
-            ExecLevel::Unoptimized
-        } else {
-            ExecLevel::Interpreted
+    /// The levels a compilation can target, in rank order.
+    pub const COMPILED: [ExecLevel; 3] =
+        [ExecLevel::Unoptimized, ExecLevel::Optimized, ExecLevel::Simd];
+
+    /// Number of levels (the size of a tier table).
+    pub const COUNT: usize = Self::COMPILED.len() + 1;
+
+    /// The level with discriminant `i` (`Simd` for anything larger).
+    pub fn from_index(i: u8) -> ExecLevel {
+        match i {
+            0 => ExecLevel::Interpreted,
+            1 => ExecLevel::Unoptimized,
+            2 => ExecLevel::Optimized,
+            _ => ExecLevel::Simd,
         }
+    }
+
+    /// Classify a backend rank (see `ExecMode::rank`): the two
+    /// interpreters are one level, every rank above is a level of its own.
+    pub fn from_rank(rank: u8) -> ExecLevel {
+        ExecLevel::from_index(rank.saturating_sub(ExecMode::Bytecode.rank()))
+    }
+
+    /// The next rung down (`None` below `Interpreted`): where a pipeline
+    /// degrades to when this level cannot be compiled.
+    pub fn below(self) -> Option<ExecLevel> {
+        (self as u8).checked_sub(1).map(ExecLevel::from_index)
     }
 
     /// Modelled speedup over bytecode at this level.
     pub fn speedup(self, model: &CostModel) -> f64 {
         model.speedup(self)
     }
-
-    /// The levels a compilation can target, in rank order.
-    pub const COMPILED: [ExecLevel; 4] =
-        [ExecLevel::Unoptimized, ExecLevel::Optimized, ExecLevel::Native, ExecLevel::Simd];
-}
-
-/// Fig. 7's decision outcome.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ModeChoice {
-    DoNothing,
-    Unoptimized,
-    Optimized,
-    Native,
-    Simd,
-}
-
-impl ModeChoice {
-    fn of(level: ExecLevel) -> ModeChoice {
-        match level {
-            ExecLevel::Interpreted => ModeChoice::DoNothing,
-            ExecLevel::Unoptimized => ModeChoice::Unoptimized,
-            ExecLevel::Optimized => ModeChoice::Optimized,
-            ExecLevel::Native => ModeChoice::Native,
-            ExecLevel::Simd => ModeChoice::Simd,
-        }
-    }
 }
 
 /// `extrapolatePipelineDurations` (Fig. 7, verbatim structure): given the
 /// remaining tuples `n`, the number of active workers `w`, the observed
 /// current processing rate `r0` (tuples/s per thread), the model, and the
-/// level the pipeline is *currently* executing at, pick the cheapest plan.
+/// level the pipeline is *currently* executing at, pick the level to
+/// compile to — or `None` to keep going as is.
 ///
 /// A compilation level is only a candidate when it lies strictly above
 /// `current` — the hot-swap handle refuses downgrades, so proposing the
 /// current level or below would waste the (single) compile slot — and at
-/// or below `ceiling`, the highest level this process can actually
-/// compile (`Native` only where `aqe_jit::native` has an emitter and
-/// `AQE_NATIVE` does not force the fallback).
+/// or below `ceiling`, the highest level the pipeline can reach in this
+/// process ([`TierTable::ceiling`]).
 pub fn extrapolate_pipeline_durations(
     model: &CostModel,
     instrs: usize,
@@ -116,13 +100,13 @@ pub fn extrapolate_pipeline_durations(
     r0: f64,
     current: ExecLevel,
     ceiling: ExecLevel,
-) -> ModeChoice {
+) -> Option<ExecLevel> {
     if r0 <= 0.0 || n <= 0.0 {
-        return ModeChoice::DoNothing;
+        return None;
     }
     let cur_speedup = current.speedup(model);
     let t0 = n / r0 / w;
-    let mut best = (t0, ModeChoice::DoNothing);
+    let mut best = (t0, None);
     for cand in ExecLevel::COMPILED {
         if cand <= current || cand > ceiling {
             continue;
@@ -132,7 +116,7 @@ pub fn extrapolate_pipeline_durations(
         // While compiling, w-1 workers keep processing at the current rate.
         let t = c + (n - (w - 1.0) * r0 * c).max(0.0) / r / w;
         if t < best.0 && r > r0 {
-            best = (t, ModeChoice::of(cand));
+            best = (t, Some(cand));
         }
     }
     best.1
@@ -177,24 +161,17 @@ pub struct ControllerCtx {
     /// compilations — and every tracked background `CompileJob`
     /// re-checks it before compiling, so a cancelled query also stops
     /// paying for compiles that have not started yet. (A compile that
-    /// already ran to completion is still published into the retained
-    /// slot: it is paid for, valid, and keeps the next execution warm.)
+    /// already ran to completion stays in the tier table: it is paid
+    /// for, valid, and keeps the next execution warm.)
     pub cancel: CancelToken,
     pub pid: usize,
-    pub function: Arc<Function>,
-    pub externs: Arc<Vec<ExternDecl>>,
     pub handle: Arc<FunctionHandle>,
-    /// The prepared query's retained slot for this pipeline, when one
-    /// exists: a finished background compile publishes here *in addition
-    /// to* the per-run handle, so concurrent executions of the same
-    /// prepared query warm-start from it mid-flight instead of waiting
-    /// for this run's end-of-query harvest.
-    pub retained: Option<Arc<RetainedSlot>>,
-    /// The pipeline's vectorized filter pre-pass, when one was extracted
-    /// from the plan: its presence is what raises the controller's
-    /// ceiling from `Native` to `Simd`, and the background compile wraps
-    /// the freshly compiled scalar backend in it.
-    pub kernel: Option<Arc<ScanKernel>>,
+    /// The prepared query's tier table for this pipeline. Background
+    /// compiles go through it, so a level another execution of the same
+    /// prepared query already compiled — or is compiling right now — is
+    /// never compiled a second time, and what this run compiles is there
+    /// for every concurrent and later execution the moment it finishes.
+    pub tiers: Arc<TierTable>,
     pub progress: Arc<PipelineProgress>,
     pub calibrator: Arc<CostCalibrator>,
     pub compile_events: Arc<Mutex<Vec<TraceEvent>>>,
@@ -237,8 +214,9 @@ pub struct AdaptiveController {
     calibrated: bool,
     /// Backend level installed when the controller was constructed.
     start_level: ExecLevel,
-    /// Highest level this process can compile to (snapshotted once: the
-    /// `AQE_NATIVE` gate is not re-read on the per-morsel decision path).
+    /// Highest level the pipeline can reach (snapshotted once: the
+    /// `AQE_NATIVE`/`AQE_SIMD` gates are not re-read on the per-morsel
+    /// decision path).
     ceiling: ExecLevel,
     instrs: usize,
     pipeline_start: Instant,
@@ -259,15 +237,9 @@ impl AdaptiveController {
         let model = ctx.calibrator.model();
         let calibrated = ctx.calibrator.is_calibrated();
         let start_level = ExecLevel::from_rank(ctx.handle.rank());
-        let instrs = ctx.function.instruction_count();
+        let instrs = ctx.tiers.function().instruction_count();
         let first_us = ctx.first_eval.as_micros() as u64;
-        let ceiling = if ctx.kernel.is_some() && simd::enabled() {
-            ExecLevel::Simd
-        } else if aqe_jit::native::enabled() {
-            ExecLevel::Native
-        } else {
-            ExecLevel::Optimized
-        };
+        let ceiling = ctx.tiers.ceiling();
         AdaptiveController {
             model,
             calibrated,
@@ -328,7 +300,7 @@ impl AdaptiveController {
         // Lock-free poll of the current backend via the cached rank — the
         // decision path never touches the handle's lock.
         let current = ExecLevel::from_rank(self.ctx.handle.rank());
-        let choice = extrapolate_pipeline_durations(
+        let target = extrapolate_pipeline_durations(
             &self.model,
             self.instrs,
             n,
@@ -337,16 +309,6 @@ impl AdaptiveController {
             current,
             self.ceiling,
         );
-        let target = match choice {
-            ModeChoice::DoNothing => None,
-            ModeChoice::Unoptimized if current < ExecLevel::Unoptimized => {
-                Some(ExecLevel::Unoptimized)
-            }
-            ModeChoice::Optimized if current < ExecLevel::Optimized => Some(ExecLevel::Optimized),
-            ModeChoice::Native if current < ExecLevel::Native => Some(ExecLevel::Native),
-            ModeChoice::Simd if current < ExecLevel::Simd => Some(ExecLevel::Simd),
-            _ => None,
-        };
         let Some(mut level) = target else { return };
         // Ladder degradation: a tier whose compile failed recently is
         // quarantined — fall to the next-lower rung that is still an
@@ -354,38 +316,23 @@ impl AdaptiveController {
         // the skip budget is spent probes the tier again).
         if let Some(q) = &self.ctx.quarantine {
             while q.blocked(level) {
-                level = match level {
-                    ExecLevel::Simd => ExecLevel::Native,
-                    ExecLevel::Native => ExecLevel::Optimized,
-                    ExecLevel::Optimized => ExecLevel::Unoptimized,
+                match level.below() {
+                    Some(lower) if lower > current => level = lower,
                     _ => return,
-                };
-                if level <= current {
-                    return;
                 }
             }
         }
         // A concurrent execution of the same prepared query may already
-        // have compiled this pipeline at (or above) the target level and
-        // published it into the shared retained slot — install that for
-        // free instead of burning a background thread on an identical
-        // compile. Rate bookkeeping mirrors a compile install: reset the
-        // window so the post-switch rate is measured at the new level.
-        if let Some(retained) = &self.ctx.retained {
-            let needed = match level {
-                ExecLevel::Interpreted => ExecMode::Bytecode.rank(),
-                ExecLevel::Unoptimized => ExecMode::Unoptimized.rank(),
-                ExecLevel::Optimized => ExecMode::Optimized.rank(),
-                ExecLevel::Native => ExecMode::Native.rank(),
-                ExecLevel::Simd => ExecMode::Simd.rank(),
-            };
-            if retained.rank() >= needed {
-                if let Some(b) = retained.load() {
-                    if self.ctx.handle.install(b) {
-                        progress.reset_window();
-                    }
-                    return;
+        // have compiled this pipeline at (or above) the target level —
+        // install that for free instead of burning a background thread.
+        // Rate bookkeeping mirrors a compile install: reset the window so
+        // the post-switch rate is measured at the new level.
+        if self.ctx.tiers.best_level() >= level {
+            if let Some(b) = self.ctx.tiers.best() {
+                if self.ctx.handle.install(b) {
+                    progress.reset_window();
                 }
+                return;
             }
         }
         if !self.ctx.handle.try_begin_compile() {
@@ -412,11 +359,8 @@ impl AdaptiveController {
         }
         let job = CompileJob {
             cancel: self.ctx.cancel.clone(),
-            function: self.ctx.function.clone(),
-            externs: self.ctx.externs.clone(),
             handle: self.ctx.handle.clone(),
-            retained: self.ctx.retained.clone(),
-            kernel: self.ctx.kernel.clone(),
+            tiers: self.ctx.tiers.clone(),
             progress: progress.clone(),
             calibrator: self.ctx.calibrator.clone(),
             events: self.ctx.compile_events.clone(),
@@ -497,11 +441,8 @@ struct CompileJob {
     /// closing the race where the query is cancelled between the
     /// controller's claim and the thread actually starting.
     cancel: CancelToken,
-    function: Arc<Function>,
-    externs: Arc<Vec<ExternDecl>>,
     handle: Arc<FunctionHandle>,
-    retained: Option<Arc<RetainedSlot>>,
-    kernel: Option<Arc<ScanKernel>>,
+    tiers: Arc<TierTable>,
     progress: Arc<PipelineProgress>,
     calibrator: Arc<CostCalibrator>,
     events: Arc<Mutex<Vec<TraceEvent>>>,
@@ -519,57 +460,6 @@ struct CompileJob {
 }
 
 impl CompileJob {
-    /// Compile to the claimed level. `Native` goes through the machine-code
-    /// emitter; the threaded levels through the classic driver. Returns
-    /// the backend plus its measured compile wall time.
-    fn compile_to_level(
-        &self,
-    ) -> Result<(Arc<dyn aqe_vm::backend::PipelineBackend>, std::time::Duration), String> {
-        match self.level {
-            ExecLevel::Interpreted => Err("interpretation is not a compile target".to_string()),
-            ExecLevel::Unoptimized | ExecLevel::Optimized => {
-                let level = if self.level == ExecLevel::Unoptimized {
-                    OptLevel::Unoptimized
-                } else {
-                    OptLevel::Optimized
-                };
-                let cf =
-                    compile(&self.function, &self.externs, level).map_err(|e| e.to_string())?;
-                let t = cf.stats.compile_time;
-                Ok((Arc::new(cf), t))
-            }
-            ExecLevel::Native => {
-                let nf = aqe_jit::native::compile_native(&self.function, &self.externs)
-                    .map_err(|e| e.to_string())?;
-                let t = nf.stats.compile_time;
-                Ok((Arc::new(nf), t))
-            }
-            ExecLevel::Simd => {
-                aqe_fault::failpoint("simd_compile")?;
-                let kernel =
-                    self.kernel.clone().ok_or("simd claimed without a scan kernel".to_string())?;
-                // The scalar code under the kernel: native where the
-                // emitter works, optimized threaded code otherwise — the
-                // kernel only pre-filters, so any scalar backend is a
-                // correct inner.
-                let (inner, t): (Arc<dyn aqe_vm::backend::PipelineBackend>, Duration) =
-                    match aqe_jit::native::compile_native(&self.function, &self.externs) {
-                        Ok(nf) => {
-                            let t = nf.stats.compile_time;
-                            (Arc::new(nf), t)
-                        }
-                        Err(_) => {
-                            let cf = compile(&self.function, &self.externs, OptLevel::Optimized)
-                                .map_err(|e| e.to_string())?;
-                            let t = cf.stats.compile_time;
-                            (Arc::new(cf), t)
-                        }
-                    };
-                Ok((Arc::new(SimdScanBackend::new(inner, kernel)), t))
-            }
-        }
-    }
-
     fn run(self) {
         // The unified cancel path for compilation: a query cancelled
         // while this thread was being spawned abandons the compile the
@@ -587,12 +477,12 @@ impl CompileJob {
         // slot re-opens, the tier is quarantined, the query keeps
         // running at its current level.
         let compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            aqe_fault::failpoint("compile_job")?;
-            self.compile_to_level()
+            aqe_fault::failpoint("compile_job").map_err(|_| self.level)?;
+            self.tiers.get_or_compile(self.level).map_err(|e| e.level)
         }))
-        .unwrap_or_else(|_| Err("background compile thread panicked".to_string()));
+        .unwrap_or(Err(self.level));
         match compiled {
-            Ok((backend, compile_time)) => {
+            Ok(claimed) => {
                 let t_c1 = self.exec_start.elapsed().as_micros() as u64;
                 self.events.lock().push(TraceEvent {
                     thread: u16::MAX,
@@ -603,17 +493,15 @@ impl CompileJob {
                     tuples: 0,
                 });
                 // Actual ctime feedback: measured wall time per IR
-                // instruction.
-                self.calibrator.record_compile(self.level, self.instrs, compile_time);
+                // instruction (nothing to feed back when a concurrent
+                // execution had already paid for the compile).
+                if let Some(t) = claimed.compiled_in {
+                    self.calibrator.record_compile(self.level, self.instrs, t);
+                }
                 // Publish into the handle: all workers switch on their next
                 // morsel. Reset the rate window so the post-switch rate is
-                // measured at the new level only. The retained slot gets
-                // the backend either way — even when this *run* already
-                // outranks it, a slower concurrent execution may not.
-                if let Some(retained) = &self.retained {
-                    retained.install(backend.clone());
-                }
-                if self.handle.install(backend) {
+                // measured at the new level only.
+                if self.handle.install(claimed.backend) {
                     self.counter.fetch_add(1, Ordering::Relaxed);
                     self.installed.store(true, Ordering::Release);
                     self.progress.reset_window();
@@ -624,15 +512,16 @@ impl CompileJob {
                     q.record_success(self.level);
                 }
             }
-            Err(_) => {
+            Err(failed_level) => {
                 // Re-open the compile slot: leaving `compiling` set would
                 // permanently disable upgrades for this pipeline. The
-                // failure degrades, never surfaces: quarantine the tier
-                // and count it.
+                // failure degrades, never surfaces: quarantine the level
+                // that did not compile — for a `Simd` job that can be the
+                // `Optimized` code it wraps — and count it.
                 self.handle.cancel_compile();
                 self.degraded.fetch_add(1, Ordering::Relaxed);
                 if let Some(q) = &self.quarantine {
-                    q.record_failure(self.level);
+                    q.record_failure(failed_level);
                 }
             }
         }
@@ -647,26 +536,22 @@ mod tests {
     #[test]
     fn cancelled_compile_job_publishes_nothing_and_reopens_the_slot() {
         use aqe_ir::{FunctionBuilder, Type};
-        use aqe_vm::translate::{translate, TranslateOptions};
 
         let mut b = FunctionBuilder::new("f", &[Type::I64], Some(Type::I64));
         let p = b.param(0);
         b.ret(Some(p.into()));
         let f = b.finish().unwrap();
-        let bc = translate(&f, &[], TranslateOptions::default()).unwrap();
-        let handle = Arc::new(FunctionHandle::new(Arc::new(bc)));
-        let retained = Arc::new(RetainedSlot::new());
+        let tiers = Arc::new(TierTable::new(Arc::new(f), Arc::new(Vec::new()), None));
+        let bc = tiers.get_or_compile(ExecLevel::Interpreted).unwrap().backend;
+        let handle = Arc::new(FunctionHandle::new(bc));
         assert!(handle.try_begin_compile());
 
         let cancel = CancelToken::new();
         cancel.cancel(CancelKind::Client);
         let job = CompileJob {
             cancel,
-            function: Arc::new(f),
-            externs: Arc::new(Vec::new()),
             handle: handle.clone(),
-            retained: Some(retained.clone()),
-            kernel: None,
+            tiers: tiers.clone(),
             progress: Arc::new(PipelineProgress::new(1)),
             calibrator: Arc::new(CostCalibrator::new(CostModel::default())),
             events: Arc::new(Mutex::new(Vec::new())),
@@ -683,7 +568,11 @@ mod tests {
         // Nothing published anywhere — the query stopped paying — and the
         // compile claim is re-opened (same discipline as a failed compile).
         assert_eq!(handle.kind(), ExecMode::Bytecode);
-        assert_eq!(retained.rank(), 0, "a cancelled compile must not warm the retained slot");
+        assert_eq!(
+            tiers.best_level(),
+            ExecLevel::Interpreted,
+            "a cancelled compile must not fill the tier table"
+        );
         assert!(handle.try_begin_compile(), "cancelled job must re-open the compile slot");
     }
 
@@ -691,132 +580,95 @@ mod tests {
     fn exec_level_classifies_ranks() {
         assert_eq!(ExecLevel::from_rank(ExecMode::NaiveIr.rank()), ExecLevel::Interpreted);
         assert_eq!(ExecLevel::from_rank(ExecMode::Bytecode.rank()), ExecLevel::Interpreted);
-        assert_eq!(ExecLevel::from_rank(ExecMode::Unoptimized.rank()), ExecLevel::Unoptimized);
-        assert_eq!(ExecLevel::from_rank(ExecMode::Optimized.rank()), ExecLevel::Optimized);
-        assert_eq!(ExecLevel::from_rank(ExecMode::Native.rank()), ExecLevel::Native);
+        assert_eq!(ExecLevel::from_rank(ExecMode::NativeUnopt.rank()), ExecLevel::Unoptimized);
+        assert_eq!(ExecLevel::from_rank(ExecMode::Native.rank()), ExecLevel::Optimized);
         assert_eq!(ExecLevel::from_rank(ExecMode::Simd.rank()), ExecLevel::Simd);
         assert!(ExecLevel::Interpreted < ExecLevel::Unoptimized);
         assert!(ExecLevel::Unoptimized < ExecLevel::Optimized);
-        assert!(ExecLevel::Optimized < ExecLevel::Native);
-        assert!(ExecLevel::Native < ExecLevel::Simd);
+        assert!(ExecLevel::Optimized < ExecLevel::Simd);
+        for (i, level) in
+            [ExecLevel::Interpreted].into_iter().chain(ExecLevel::COMPILED).enumerate()
+        {
+            assert_eq!(level as usize, i);
+            assert_eq!(ExecLevel::from_index(i as u8), level);
+        }
+        assert_eq!(ExecLevel::Simd.below(), Some(ExecLevel::Optimized));
+        assert_eq!(ExecLevel::Interpreted.below(), None);
+    }
+
+    /// `extrapolate_pipeline_durations` with the default model on a
+    /// 4-worker pipeline of `instrs` IR instructions.
+    fn choose(
+        instrs: usize,
+        n: f64,
+        r0: f64,
+        current: ExecLevel,
+        ceiling: ExecLevel,
+    ) -> Option<ExecLevel> {
+        extrapolate_pipeline_durations(&CostModel::default(), instrs, n, 4.0, r0, current, ceiling)
     }
 
     #[test]
     fn extrapolation_prefers_interpretation_for_tiny_work() {
-        let m = CostModel::default();
-        // 1k remaining tuples at 1M tuples/s: finishes in 1ms — never worth
-        // hundreds of µs of compilation.
-        let c = extrapolate_pipeline_durations(
-            &m,
-            5000,
-            1e3,
-            4.0,
-            1e6,
-            ExecLevel::Interpreted,
-            ExecLevel::Native,
-        );
-        assert_eq!(c, ModeChoice::DoNothing);
+        // 100 remaining tuples at 1M tuples/s/thread: done in 25 µs — less
+        // than the cheapest compile.
+        let c = choose(5000, 1e2, 1e6, ExecLevel::Interpreted, ExecLevel::Optimized);
+        assert_eq!(c, None);
     }
 
     #[test]
     fn extrapolation_compiles_for_large_work() {
-        let m = CostModel::default();
         // 100M tuples at 10M tuples/s/thread: worth compiling.
-        let c = extrapolate_pipeline_durations(
-            &m,
-            5000,
-            1e8,
-            4.0,
-            1e7,
-            ExecLevel::Interpreted,
-            ExecLevel::Native,
-        );
-        assert_ne!(c, ModeChoice::DoNothing);
+        let c = choose(5000, 1e8, 1e7, ExecLevel::Interpreted, ExecLevel::Optimized);
+        assert!(c.is_some());
+    }
+
+    #[test]
+    fn extrapolation_picks_the_cheap_level_for_middling_work() {
+        // Work that outlasts an unoptimized compile but not the optimized
+        // one's extra cost: the frontier has a middle point.
+        let m = CostModel::default();
+        let instrs = 20_000;
+        let r0 = 1e6;
+        // Remaining bytecode time per worker ≈ twice the unoptimized
+        // compile, well under the optimized one.
+        let n = 2.0 * m.ctime(ExecLevel::Unoptimized, instrs) * r0 * 4.0;
+        let c = choose(instrs, n, r0, ExecLevel::Interpreted, ExecLevel::Optimized);
+        assert_eq!(c, Some(ExecLevel::Unoptimized));
     }
 
     #[test]
     fn extrapolation_upgrades_from_unopt_to_opt() {
-        let m = CostModel::default();
         // Already running unoptimized code; for huge remaining work the
-        // optimized mode should still win — and unoptimized must never be
+        // optimized level should still win — and unoptimized must never be
         // re-proposed.
-        let c = extrapolate_pipeline_durations(
-            &m,
-            2000,
-            1e9,
-            4.0,
-            2e7,
-            ExecLevel::Unoptimized,
-            ExecLevel::Optimized,
-        );
-        assert_eq!(c, ModeChoice::Optimized);
+        let c = choose(2000, 1e9, 2e7, ExecLevel::Unoptimized, ExecLevel::Optimized);
+        assert_eq!(c, Some(ExecLevel::Optimized));
     }
 
     #[test]
-    fn extrapolation_never_downgrades_from_optimized() {
-        let m = CostModel::default();
-        let c = extrapolate_pipeline_durations(
-            &m,
-            2000,
-            1e9,
-            4.0,
-            2e7,
-            ExecLevel::Optimized,
-            ExecLevel::Optimized,
-        );
-        assert_eq!(c, ModeChoice::DoNothing);
+    fn extrapolation_never_downgrades_from_the_ceiling() {
+        let c = choose(2000, 1e9, 2e7, ExecLevel::Optimized, ExecLevel::Optimized);
+        assert_eq!(c, None);
     }
 
     #[test]
-    fn extrapolation_reaches_native_for_huge_work() {
-        let m = CostModel::default();
-        // Enormous remaining work: the native tier's higher compile cost
-        // amortizes and its higher speedup wins outright.
-        let c = extrapolate_pipeline_durations(
-            &m,
-            2000,
-            1e9,
-            4.0,
-            2e7,
-            ExecLevel::Interpreted,
-            ExecLevel::Native,
-        );
-        assert_eq!(c, ModeChoice::Native);
-        // From optimized code the only remaining upgrade is native.
-        let c = extrapolate_pipeline_durations(
-            &m,
-            2000,
-            1e9,
-            4.0,
-            5e7,
-            ExecLevel::Optimized,
-            ExecLevel::Native,
-        );
-        assert_eq!(c, ModeChoice::Native);
+    fn extrapolation_reaches_the_top_for_huge_work() {
+        // Enormous remaining work: the higher compile cost amortizes and
+        // the higher speedup wins outright.
+        let c = choose(2000, 1e9, 2e7, ExecLevel::Interpreted, ExecLevel::Optimized);
+        assert_eq!(c, Some(ExecLevel::Optimized));
+        let c = choose(2000, 1e9, 2e7, ExecLevel::Interpreted, ExecLevel::Simd);
+        assert_eq!(c, Some(ExecLevel::Simd));
+        // From optimized code the only remaining upgrade is the kernel.
+        let c = choose(2000, 1e9, 5e7, ExecLevel::Optimized, ExecLevel::Simd);
+        assert_eq!(c, Some(ExecLevel::Simd));
     }
 
     #[test]
-    fn ceiling_caps_the_choice_below_native() {
-        let m = CostModel::default();
-        let c = extrapolate_pipeline_durations(
-            &m,
-            2000,
-            1e9,
-            4.0,
-            2e7,
-            ExecLevel::Interpreted,
-            ExecLevel::Optimized,
-        );
-        assert_ne!(c, ModeChoice::Native, "the fallback ceiling must exclude native");
-        let c = extrapolate_pipeline_durations(
-            &m,
-            2000,
-            1e9,
-            4.0,
-            2e7,
-            ExecLevel::Optimized,
-            ExecLevel::Optimized,
-        );
-        assert_eq!(c, ModeChoice::DoNothing);
+    fn an_interpreted_ceiling_means_bytecode_only() {
+        // No emitter: whatever the remaining work, nothing is proposed.
+        let c = choose(2000, 1e9, 2e7, ExecLevel::Interpreted, ExecLevel::Interpreted);
+        assert_eq!(c, None);
     }
 }

@@ -37,7 +37,7 @@ pub mod quarantine;
 
 pub use calibrate::{CalibrationReport, CostCalibrator, CostModel};
 pub use controller::{
-    extrapolate_pipeline_durations, AdaptiveController, ControllerCtx, ExecLevel, ModeChoice,
+    extrapolate_pipeline_durations, AdaptiveController, ControllerCtx, ExecLevel,
     PipelineSchedReport,
 };
 pub use morsel::{Morsel, MorselDispenser};

@@ -2,7 +2,7 @@
 //! failed for which pipeline, skip them for a while, then probe again.
 //!
 //! Graceful ladder degradation (DESIGN.md §14) means a failed
-//! Native/SIMD/threaded compile never surfaces to the caller — the
+//! machine-code or SIMD compile never surfaces to the caller — the
 //! execution continues one rung down. But retrying a broken tier on
 //! *every* execution would pay the doomed compile each time, so the
 //! engine-wide [`QuarantineStore`] records each failure keyed by
@@ -95,7 +95,7 @@ struct PqInner {
     /// Verdict cache, indexed by compiled level (see `idx`): consulting
     /// the store decrements the skip budget, so each execution must ask
     /// at most once per tier.
-    cached: [OnceLock<bool>; 4],
+    cached: [OnceLock<bool>; ExecLevel::COMPILED.len()],
 }
 
 /// One execution's quarantine view of one pipeline. Cheap to clone
@@ -107,29 +107,27 @@ pub struct PipelineQuarantine {
 }
 
 impl PipelineQuarantine {
+    /// Position among the compiled levels; `Interpreted` has none.
     fn idx(level: ExecLevel) -> Option<usize> {
-        match level {
-            ExecLevel::Interpreted => None,
-            ExecLevel::Unoptimized => Some(0),
-            ExecLevel::Optimized => Some(1),
-            ExecLevel::Native => Some(2),
-            ExecLevel::Simd => Some(3),
-        }
+        (level as usize).checked_sub(1)
     }
 
     fn key(&self, level: ExecLevel) -> (u64, usize, ExecLevel) {
         (self.inner.fingerprint, self.inner.pipeline, level)
     }
 
-    /// Is `level` quarantined for this execution? The first call per
-    /// level consults the store (spending one skip if quarantined);
-    /// repeats return the cached verdict. `Interpreted` is never
-    /// blocked — the ladder always has a floor.
+    /// Is compiling `level` off limits for this execution? The first
+    /// call per level consults the store (spending one skip if
+    /// quarantined); repeats return the cached verdict. `Interpreted` is
+    /// never blocked — the ladder always has a floor. `Simd` wraps
+    /// `Optimized` code, so it is also blocked while `Optimized` is: a
+    /// quarantine must not be bypassed by asking for the level above.
     pub fn blocked(&self, level: ExecLevel) -> bool {
         let Some(i) = Self::idx(level) else {
             return false;
         };
         *self.inner.cached[i].get_or_init(|| self.inner.store.consult(self.key(level)))
+            || (level == ExecLevel::Simd && self.blocked(ExecLevel::Optimized))
     }
 
     /// Distinct tiers this execution skipped because of quarantine.
@@ -167,22 +165,22 @@ mod tests {
     #[test]
     fn unknown_key_is_not_blocked() {
         let s = store();
-        assert!(!s.pipeline(1, 0).blocked(ExecLevel::Native));
+        assert!(!s.pipeline(1, 0).blocked(ExecLevel::Optimized));
         assert!(!s.pipeline(1, 0).blocked(ExecLevel::Interpreted));
     }
 
     #[test]
     fn failure_blocks_for_n_executions_then_probes() {
         let s = store();
-        s.pipeline(7, 2).record_failure(ExecLevel::Native);
+        s.pipeline(7, 2).record_failure(ExecLevel::Optimized);
         for _ in 0..QUARANTINE_SKIPS {
-            assert!(s.pipeline(7, 2).blocked(ExecLevel::Native));
+            assert!(s.pipeline(7, 2).blocked(ExecLevel::Optimized));
         }
         // Budget spent: the next execution probes.
-        assert!(!s.pipeline(7, 2).blocked(ExecLevel::Native));
+        assert!(!s.pipeline(7, 2).blocked(ExecLevel::Optimized));
         // Other keys were never affected.
-        assert!(!s.pipeline(7, 1).blocked(ExecLevel::Native));
-        assert!(!s.pipeline(8, 2).blocked(ExecLevel::Native));
+        assert!(!s.pipeline(7, 1).blocked(ExecLevel::Optimized));
+        assert!(!s.pipeline(8, 2).blocked(ExecLevel::Optimized));
         assert!(!s.pipeline(7, 2).blocked(ExecLevel::Simd));
     }
 
@@ -199,6 +197,16 @@ mod tests {
             assert!(s.pipeline(7, 0).blocked(ExecLevel::Simd));
         }
         assert!(!s.pipeline(7, 0).blocked(ExecLevel::Simd));
+    }
+
+    #[test]
+    fn simd_is_blocked_while_the_code_it_wraps_is() {
+        let s = store();
+        s.pipeline(3, 0).record_failure(ExecLevel::Optimized);
+        let view = s.pipeline(3, 0);
+        assert!(view.blocked(ExecLevel::Simd));
+        assert!(!view.blocked(ExecLevel::Unoptimized));
+        assert_eq!(view.skips(), 1, "one tier (optimized) was skipped");
     }
 
     #[test]

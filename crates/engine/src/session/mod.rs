@@ -15,17 +15,17 @@
 //!   version)`;
 //! * [`Session`] — a per-client handle: `prepare` / `execute` plus the
 //!   session's [`ExecOptions`] defaults;
-//! * [`PreparedQuery`] — retains the generated module, the translated
-//!   bytecode, and every backend a prior run already compiled, so a
-//!   re-execution skips codegen and translation entirely and starts at
-//!   the highest [`ExecLevel`] previously reached. First runs are still
+//! * [`PreparedQuery`] — retains the generated module and, per pipeline,
+//!   a [`TierTable`] of every backend a prior run already translated or
+//!   compiled, so a re-execution skips codegen and translation entirely
+//!   and starts at the highest [`ExecLevel`] previously reached. First runs are still
 //!   governed by the Fig. 7 controller — the ladder is only ever climbed
 //!   once per (prepared query, catalog version).
 //!
 //! The concurrency discipline is uniform: an execution pins its epoch
 //! (two `Arc` clones) at start and never holds an engine-wide lock across
 //! the morsel loop; the only mutex a warm execution can block on is a
-//! per-slot latch held for the duration of a pointer copy. Invalidation
+//! tier-table entry's latch held for the duration of a pointer copy. Invalidation
 //! is by construction, not by scanning: every cache key embeds
 //! [`CatalogSnapshot::version`], which every mutation bumps.
 
@@ -40,18 +40,17 @@ use crate::cancel::CancelKind;
 use crate::codegen;
 use crate::exec::{
     run_pipelines, ExecMode, ExecOptions, FunctionHandle, ParamValue, PipelineBackend, QueryRun,
-    Report, ResultRows, RetainedSlot,
+    Report, ResultRows,
 };
 use crate::plan::{decompose, DictTable, FieldTy, PhysicalPlan, PlanNode, Source};
 use crate::sched::{CostCalibrator, CostModel, ExecLevel, PipelineQuarantine, QuarantineStore};
-use crate::simd::{self, ScanKernel, SimdScanBackend};
+use crate::simd::ScanKernel;
+use crate::tiers::TierTable;
 use aqe_ir::{ExternDecl, Function, Module};
-use aqe_jit::compile::{compile, OptLevel};
 use aqe_storage::{Catalog, CatalogSnapshot, DataType};
 use aqe_vm::interp::ExecError;
 use aqe_vm::naive::NaiveBackend;
 use aqe_vm::rt::Registry;
-use aqe_vm::translate::{translate, TranslateOptions};
 use cache::ResultCache;
 use epoch::EpochCell;
 use parking_lot::Mutex;
@@ -509,9 +508,9 @@ impl Session {
     /// bc_translate}` are zero) and start every pipeline at the highest
     /// level a prior run reached — **without blocking concurrent warm
     /// executions of the same query**: the compiled state is read through
-    /// an epoch cell and the per-pipeline backends through hot-swap
-    /// slots, so the only serialization left is the one-time cold-compile
-    /// latch. With `opts.cache_results`, an identical plan over an
+    /// an epoch cell and the per-pipeline backends through their tier
+    /// tables, so the only serialization left is the one-time
+    /// cold-compile latch. With `opts.cache_results`, an identical plan over an
     /// unchanged catalog returns straight from the sharded result cache
     /// (`Report::result_cache_hit`) without running a single morsel.
     pub fn execute_with(
@@ -651,8 +650,9 @@ impl Session {
         // Every mode goes through the same hot-swap handles; they differ
         // only in what is installed before execution starts. A warm
         // adaptive run starts from the best backend any prior (or
-        // concurrent!) run published; the static modes pin their exact
-        // level, compiling it under the per-slot latch only if no run did.
+        // concurrent!) run compiled; the static modes pin their exact
+        // level, compiling it under the tier-table entry's latch only if
+        // no run did.
         // Per-pipeline quarantine views for this execution: tiers whose
         // compiles failed recently are skipped (static modes degrade in
         // `handles_for`; adaptive mode in the controller), and this
@@ -660,8 +660,7 @@ impl Session {
         let quarantine: Vec<PipelineQuarantine> = (0..plan.pipelines.len())
             .map(|pid| self.shared.quarantine.pipeline(query.fingerprint, pid))
             .collect();
-        let handles = state.handles_for(opts.mode, &quarantine, &mut report)?;
-        let retained: Vec<Arc<RetainedSlot>> = state.slots.iter().map(|s| s.best.clone()).collect();
+        let handles = state.handles_for(opts.mode, &quarantine, &mut report);
 
         // ---- calibration seed --------------------------------------------
         // An explicitly customized cost model is an instruction, not a
@@ -686,12 +685,9 @@ impl Session {
             QueryRun {
                 plan,
                 cat: &snap,
-                functions: &state.functions,
-                externs: &state.externs,
                 registry: &state.registry,
                 handles: &handles,
-                retained: &retained,
-                kernels: &state.kernels,
+                tiers: &state.tiers,
                 calibrator: &calibrator,
                 opts,
                 params,
@@ -706,27 +702,26 @@ impl Session {
             Ok(rows) => rows,
             Err(e) => {
                 // A cancelled execution is still a *clean* one: count it,
-                // but leave the prepared state, retained backends, and
-                // result cache exactly as the run left them — the next
-                // execution of this statement runs warm.
+                // but leave the prepared state, tier tables, and result
+                // cache exactly as the run left them — the next execution
+                // of this statement runs warm.
                 if matches!(e, ExecError::Cancelled { .. }) {
                     if let Some(kind) = opts.cancel.kind() {
                         self.shared.server.note_cancelled(kind);
                     }
-                    state.harvest(&handles);
                 }
                 return Err(e);
             }
         };
         report.cancelled = opts.cancel.kind().map(|k| k.reason().to_string());
 
-        // ---- persistence: code, calibration, results ----------------------
-        // Retain the backends this run published into the slots of *this*
-        // state object. A concurrent catalog mutation may have published a
-        // newer state in the meantime — backends compiled from the old
-        // module land in the old state, which dies with its last `Arc`,
-        // so they can never leak across versions.
-        state.harvest(&handles);
+        // ---- persistence: calibration, results ----------------------------
+        // (Code needs no step of its own: every compile of this run went
+        // through *this* state object's tier tables. A concurrent catalog
+        // mutation may have published a newer state in the meantime —
+        // backends compiled from the old module sit in the old state,
+        // which dies with its last `Arc`, so they can never leak across
+        // versions.)
         if default_model {
             self.shared.calibration.absorb(shape, &report.calibration);
         }
@@ -783,8 +778,28 @@ impl PreparedQuery {
     pub fn levels(&self) -> Vec<ExecLevel> {
         match self.state.get() {
             None => vec![ExecLevel::Interpreted; self.plan.pipelines.len()],
-            Some(s) => s.slots.iter().map(|sl| ExecLevel::from_rank(sl.best.rank())).collect(),
+            Some(s) => s.tiers.iter().map(|t| t.best_level()).collect(),
         }
+    }
+
+    /// Pipeline `pipeline`'s backend at `level` in the current compiled
+    /// state, if any execution has translated or compiled it. Every
+    /// execution that runs the pipeline at that level runs exactly this
+    /// `Arc` (`Interpreted` is the bytecode backend).
+    pub fn backend_at(
+        &self,
+        pipeline: usize,
+        level: ExecLevel,
+    ) -> Option<Arc<dyn PipelineBackend>> {
+        self.state.get()?.tiers.get(pipeline)?.get(level)
+    }
+
+    /// Backends translated or compiled so far for the current compiled
+    /// state, over all pipelines and levels. A level compiles at most once
+    /// per state, so this never exceeds pipelines × levels however many
+    /// executions raced.
+    pub fn backends_built(&self) -> u64 {
+        self.state.get().map_or(0, |s| s.tiers.iter().map(|t| t.builds()).sum())
     }
 
     /// The compiled state for `snap`'s catalog version: the published one
@@ -825,57 +840,18 @@ impl PreparedQuery {
     }
 }
 
-/// Per-pipeline backend slots of one compiled state: the wait-free warm
-/// path. `best` is the rank-monotonic hot-swap slot adaptive runs seed
-/// from and background compiles publish into mid-flight; the four
-/// per-level latches hold the exact representation a static mode pins,
-/// each a compile-once mutex held across its (cold) compile so racing
-/// executions of the same level compile once, and held for a pointer copy
-/// on every later (warm) read.
-pub(crate) struct PipelineSlots {
-    best: Arc<RetainedSlot>,
-    bytecode: Mutex<Option<Arc<dyn PipelineBackend>>>,
-    unopt: Mutex<Option<Arc<dyn PipelineBackend>>>,
-    opt: Mutex<Option<Arc<dyn PipelineBackend>>>,
-    /// Native machine-code backend (rank 4). On targets without the
-    /// emitter this slot stays `None` and `ExecMode::Native` aliases to
-    /// the optimized threaded level.
-    native: Mutex<Option<Arc<dyn PipelineBackend>>>,
-    /// Vectorized scan-kernel backend (rank 5): the native (or fallback)
-    /// backend wrapped in a packed-compare filter pre-pass. Stays `None`
-    /// on pipelines without a vectorizable filter and `ExecMode::Simd`
-    /// aliases to `Native` there.
-    simd: Mutex<Option<Arc<dyn PipelineBackend>>>,
-}
-
-impl PipelineSlots {
-    fn new() -> PipelineSlots {
-        PipelineSlots {
-            best: Arc::new(RetainedSlot::new()),
-            bytecode: Mutex::new(None),
-            unopt: Mutex::new(None),
-            opt: Mutex::new(None),
-            native: Mutex::new(None),
-            simd: Mutex::new(None),
-        }
-    }
-}
-
 /// The retained compilation artifacts of one prepared query at one
-/// catalog version: an immutable core (functions, externs, registry)
-/// shared by reference, plus interior-mutable per-pipeline backend slots.
+/// catalog version: the runtime registry plus one [`TierTable`] per
+/// pipeline (worker function, externs, scan kernel, and every backend
+/// built from them so far).
 struct PreparedState {
     catalog_version: u64,
     instrs: usize,
-    functions: Vec<Arc<Function>>,
-    externs: Arc<Vec<ExternDecl>>,
     registry: Arc<Registry>,
-    slots: Vec<PipelineSlots>,
-    /// Per-pipeline vectorized filter pre-passes extracted from the plan
-    /// against this catalog version (`None` where the pipeline has no
-    /// vectorizable filter). Column element widths come from the catalog,
-    /// so kernels are rebuilt with the rest of the state on version bumps.
-    kernels: Vec<Option<Arc<ScanKernel>>>,
+    /// Scan kernels inside are extracted from the plan against this
+    /// catalog version (column element widths come from the catalog), so
+    /// the tables are rebuilt with the rest of the state on version bumps.
+    tiers: Vec<Arc<TierTable>>,
 }
 
 /// The plan's table scans must still line up with the (possibly mutated)
@@ -936,294 +912,119 @@ impl PreparedState {
             })
             .map_err(|e| ExecError::Setup(e.to_string()))?,
         );
-        let functions: Vec<Arc<Function>> =
-            module.functions.iter().map(|f| Arc::new(f.clone())).collect();
         let externs: Arc<Vec<ExternDecl>> = Arc::new(module.externs.clone());
-
-        let n = functions.len();
-        let kernels = plan
-            .pipelines
+        let tiers = module
+            .functions
             .iter()
-            .map(|p| ScanKernel::extract(p, cat, plan.param_slot).map(Arc::new))
-            .chain(std::iter::repeat(None))
-            .take(n)
+            .enumerate()
+            .map(|(i, f)| {
+                let kernel = plan
+                    .pipelines
+                    .get(i)
+                    .and_then(|p| ScanKernel::extract(p, cat, plan.param_slot))
+                    .map(Arc::new);
+                Arc::new(TierTable::new(Arc::new(Function::clone(f)), externs.clone(), kernel))
+            })
             .collect();
         Ok(PreparedState {
             catalog_version: cat.version(),
             instrs: module.instruction_count(),
-            functions,
-            externs,
             registry,
-            slots: (0..n).map(|_| PipelineSlots::new()).collect(),
-            kernels,
+            tiers,
         })
     }
 
-    /// Pipeline `i`'s bytecode backend, translating under the slot's
-    /// compile-once latch if no prior execution paid for it (timed in
-    /// `Report::bc_translate`). Concurrent cold executions dedup: the
-    /// second waits on the latch and finds the slot filled.
-    fn bytecode_backend(
-        &self,
-        i: usize,
-        report: &mut Report,
-    ) -> Result<Arc<dyn PipelineBackend>, ExecError> {
-        let mut slot = self.slots[i].bytecode.lock();
-        if let Some(b) = &*slot {
-            return Ok(b.clone());
-        }
-        let t0 = Instant::now();
-        aqe_fault::failpoint("bc_translate").map_err(ExecError::Translate)?;
-        let bc = translate(&self.functions[i], &self.externs, TranslateOptions::default())
-            .map_err(|e| ExecError::Translate(e.to_string()))?;
-        let b: Arc<dyn PipelineBackend> = Arc::new(bc);
-        *slot = Some(b.clone());
-        report.bc_translate += t0.elapsed();
-        Ok(b)
-    }
-
-    /// The ladder's floor for pipeline `i`: bytecode, degrading to the
-    /// naive IR walker if translation itself fails (the walker interprets
-    /// the module directly and cannot fail to build) — the bottom rung is
+    /// The ladder's floor for pipeline `i`: bytecode (translated once,
+    /// timed in `Report::bc_translate`), degrading to the naive IR walker
+    /// if translation itself fails (the walker interprets the module
+    /// directly and cannot fail to build) — the bottom rung is
     /// unconditional, so no execution ever dies on a broken translator.
     fn base_backend(&self, i: usize, report: &mut Report) -> Arc<dyn PipelineBackend> {
-        match self.bytecode_backend(i, report) {
-            Ok(b) => b,
+        match self.tiers[i].get_or_compile(ExecLevel::Interpreted) {
+            Ok(bc) => {
+                report.bc_translate += bc.compiled_in.unwrap_or_default();
+                bc.backend
+            }
             Err(_) => {
                 report.degraded += 1;
-                Arc::new(NaiveBackend::new(self.functions[i].clone()))
+                Arc::new(NaiveBackend::new(self.tiers[i].function().clone()))
             }
         }
     }
 
     /// Fresh per-run hot-swap handles holding each pipeline's initial
-    /// backend for `mode`. Static compiled modes reuse a prior run's
-    /// backend at their exact level or compile it now (timed in
-    /// `Report::upfront_compile`). A compile failure never surfaces: the
-    /// pipeline degrades to the next-lower rung, the broken tier is
-    /// quarantined via this execution's `quarantine` views, and
-    /// `Report::degraded` counts it.
+    /// backend for `mode`: the naive walker, the level a static mode pins
+    /// ([`static_backend`](Self::static_backend)), or — adaptive — the best
+    /// backend any prior or concurrently running execution compiled, on
+    /// top of the interpreted floor.
     fn handles_for(
         &self,
         mode: ExecMode,
         quarantine: &[PipelineQuarantine],
         report: &mut Report,
-    ) -> Result<Vec<Arc<FunctionHandle>>, ExecError> {
-        let n = self.functions.len();
-        let handles = match mode {
-            ExecMode::NaiveIr => self
-                .functions
-                .iter()
-                .map(|f| {
-                    let b: Arc<dyn PipelineBackend> = Arc::new(NaiveBackend::new(f.clone()));
-                    Arc::new(FunctionHandle::new(b))
-                })
-                .collect(),
-            ExecMode::Bytecode => (0..n)
-                .map(|i| Arc::new(FunctionHandle::new(self.base_backend(i, report))))
-                .collect(),
-            ExecMode::Unoptimized | ExecMode::Optimized => {
-                let level = match mode {
-                    ExecMode::Unoptimized => OptLevel::Unoptimized,
-                    _ => OptLevel::Optimized,
+    ) -> Vec<Arc<FunctionHandle>> {
+        (0..self.tiers.len())
+            .map(|i| {
+                let pin = |level, report: &mut Report| {
+                    self.static_backend(i, level, &quarantine[i], report)
                 };
-                let t0 = Instant::now();
-                let mut hs = Vec::with_capacity(n);
-                for (i, q) in quarantine.iter().enumerate() {
-                    let backend = self.threaded_backend(i, level, q, report);
-                    hs.push(Arc::new(FunctionHandle::new(backend)));
-                }
-                report.upfront_compile = t0.elapsed();
-                hs
-            }
-            ExecMode::Native => {
-                let t0 = Instant::now();
-                let mut hs = Vec::with_capacity(n);
-                for (i, q) in quarantine.iter().enumerate() {
-                    let backend = self.native_backend(i, q, report);
-                    hs.push(Arc::new(FunctionHandle::new(backend)));
-                }
-                report.upfront_compile = t0.elapsed();
-                hs
-            }
-            ExecMode::Simd => {
-                let t0 = Instant::now();
-                let mut hs = Vec::with_capacity(n);
-                for (i, q) in quarantine.iter().enumerate() {
-                    let backend = self.simd_backend(i, q, report);
-                    hs.push(Arc::new(FunctionHandle::new(backend)));
-                }
-                report.upfront_compile = t0.elapsed();
-                hs
-            }
-            ExecMode::Adaptive => {
-                // The ladder's base rank: even a warm run needs an
-                // interpreted fallback for pipelines nothing upgraded yet.
-                let mut hs = Vec::with_capacity(n);
-                for i in 0..n {
-                    // Best backend any prior — or concurrently running
-                    // — execution published; rank-monotonic, so this
-                    // can only ever improve on the interpreted floor.
-                    let best = match self.slots[i].best.load() {
-                        Some(b) => b,
+                let backend = match mode {
+                    ExecMode::NaiveIr => {
+                        Arc::new(NaiveBackend::new(self.tiers[i].function().clone()))
+                    }
+                    ExecMode::Bytecode => pin(ExecLevel::Interpreted, report),
+                    ExecMode::NativeUnopt => pin(ExecLevel::Unoptimized, report),
+                    ExecMode::Native => pin(ExecLevel::Optimized, report),
+                    ExecMode::Simd => pin(ExecLevel::Simd, report),
+                    ExecMode::Adaptive => match self.tiers[i].best() {
+                        Some(best) => best,
                         None => self.base_backend(i, report),
-                    };
-                    hs.push(Arc::new(FunctionHandle::new(best)));
-                }
-                hs
-            }
-        };
-        Ok(handles)
+                    },
+                };
+                Arc::new(FunctionHandle::new(backend))
+            })
+            .collect()
     }
 
-    /// Pipeline `i`'s threaded-code backend at `level`, compiling and
-    /// retaining it if no prior run already did (the slot latch is held
-    /// across the compile, so racing executions compile once). A compile
-    /// failure — or a live quarantine on the tier — degrades to the next
-    /// rung down (`Optimized` → `Unoptimized` → bytecode/naive).
-    fn threaded_backend(
+    /// Pipeline `i`'s backend for a static mode pinning `level`: the
+    /// highest level at or below it that the pipeline can reach here
+    /// ([`TierTable::ceiling`] — bytecode without an emitter, `Optimized`
+    /// under `Simd` without a scan kernel; neither counts as a
+    /// degradation), read from the tier table or compiled into it now
+    /// (timed in `Report::upfront_compile`). A compile failure never
+    /// surfaces: the level that failed is quarantined via this
+    /// execution's view, `Report::degraded` counts it, and the pipeline
+    /// takes the next rung down; a live quarantine skips the compile the
+    /// same way. A backend some run already paid for is always reused —
+    /// the quarantine only gates fresh compile attempts.
+    fn static_backend(
         &self,
         i: usize,
-        level: OptLevel,
+        level: ExecLevel,
         q: &PipelineQuarantine,
         report: &mut Report,
     ) -> Arc<dyn PipelineBackend> {
-        let (slot, elevel) = match level {
-            OptLevel::Unoptimized => (&self.slots[i].unopt, ExecLevel::Unoptimized),
-            OptLevel::Optimized => (&self.slots[i].opt, ExecLevel::Optimized),
-        };
-        {
-            let mut guard = slot.lock();
-            // A backend a prior run already paid for is always safe to
-            // reuse — the quarantine only gates fresh compile attempts.
-            if let Some(b) = &*guard {
-                return b.clone();
+        let tiers = &self.tiers[i];
+        let mut level = level.min(tiers.ceiling());
+        while level > ExecLevel::Interpreted {
+            if let Some(b) = tiers.get(level) {
+                return b;
             }
-            if !q.blocked(elevel) {
-                match compile(&self.functions[i], &self.externs, level) {
-                    Ok(cf) => {
-                        let b: Arc<dyn PipelineBackend> = Arc::new(cf);
-                        *guard = Some(b.clone());
-                        self.slots[i].best.install(b.clone());
-                        q.record_success(elevel);
-                        return b;
+            if !q.blocked(level) {
+                match tiers.get_or_compile(level) {
+                    Ok(claimed) => {
+                        report.upfront_compile += claimed.compiled_in.unwrap_or_default();
+                        q.record_success(level);
+                        return claimed.backend;
                     }
-                    Err(_) => {
-                        q.record_failure(elevel);
+                    Err(failure) => {
+                        q.record_failure(failure.level);
                         report.degraded += 1;
                     }
                 }
             }
-            // Degrade below, with the latch released so the fallback
-            // compile cannot nest slot locks.
+            level = level.below().unwrap_or(ExecLevel::Interpreted);
         }
-        match level {
-            OptLevel::Optimized => self.threaded_backend(i, OptLevel::Unoptimized, q, report),
-            OptLevel::Unoptimized => self.base_backend(i, report),
-        }
-    }
-
-    /// Pipeline `i`'s native machine-code backend — or, where the emitter
-    /// is unavailable (non-x86-64 targets, `AQE_NATIVE=0`), the clean
-    /// fallback alias: the optimized threaded backend. A genuine compile
-    /// *failure* (as opposed to unavailability) degrades the same way but
-    /// is counted and quarantines the tier — `Optimized` is semantically
-    /// equivalent, so the query still answers correctly.
-    fn native_backend(
-        &self,
-        i: usize,
-        q: &PipelineQuarantine,
-        report: &mut Report,
-    ) -> Arc<dyn PipelineBackend> {
-        {
-            let mut guard = self.slots[i].native.lock();
-            if let Some(b) = &*guard {
-                return b.clone();
-            }
-            if aqe_jit::native::enabled() && !q.blocked(ExecLevel::Native) {
-                match aqe_jit::native::compile_native(&self.functions[i], &self.externs) {
-                    Ok(nf) => {
-                        let b: Arc<dyn PipelineBackend> = Arc::new(nf);
-                        *guard = Some(b.clone());
-                        self.slots[i].best.install(b.clone());
-                        q.record_success(ExecLevel::Native);
-                        return b;
-                    }
-                    // Unavailability is an alias by design, not a fault.
-                    Err(aqe_jit::native::NativeError::Unavailable(_)) => {}
-                    Err(_) => {
-                        q.record_failure(ExecLevel::Native);
-                        report.degraded += 1;
-                    }
-                }
-            }
-            // Fall back below — with the native latch released, so the
-            // fallback compile cannot nest slot locks.
-        }
-        self.threaded_backend(i, OptLevel::Optimized, q, report)
-    }
-
-    /// Pipeline `i`'s vectorized scan-kernel backend — the native (or its
-    /// fallback) backend wrapped in the pipeline's [`ScanKernel`] — or,
-    /// where no kernel was extracted or `AQE_SIMD=0`, the clean alias:
-    /// the native backend itself. Lock order is simd → native (the inner
-    /// compile takes the native latch); nothing takes them reversed.
-    fn simd_backend(
-        &self,
-        i: usize,
-        q: &PipelineQuarantine,
-        report: &mut Report,
-    ) -> Arc<dyn PipelineBackend> {
-        let Some(kernel) = self.kernels.get(i).and_then(|k| k.clone()) else {
-            return self.native_backend(i, q, report);
-        };
-        if !simd::enabled() {
-            return self.native_backend(i, q, report);
-        }
-        {
-            let mut guard = self.slots[i].simd.lock();
-            if let Some(b) = &*guard {
-                return b.clone();
-            }
-            if !q.blocked(ExecLevel::Simd) {
-                // The assembly itself is a wrap and cannot fail, so the
-                // injectable fault site is the only failure source here;
-                // the inner backend is built by the (already contained)
-                // native path.
-                if aqe_fault::failpoint("simd_compile").is_ok() {
-                    let inner = self.native_backend(i, q, report);
-                    let b: Arc<dyn PipelineBackend> = Arc::new(SimdScanBackend::new(inner, kernel));
-                    *guard = Some(b.clone());
-                    self.slots[i].best.install(b.clone());
-                    q.record_success(ExecLevel::Simd);
-                    return b;
-                }
-                q.record_failure(ExecLevel::Simd);
-                report.degraded += 1;
-            }
-        }
-        self.native_backend(i, q, report)
-    }
-
-    /// After a run: retain whatever backends the controller published, so
-    /// the next execution starts where this one ended. (Mid-run, finished
-    /// background compiles already installed into `best`; this sweep
-    /// backfills the exact-level latches for the static modes.)
-    fn harvest(&self, handles: &[Arc<FunctionHandle>]) {
-        for (slots, h) in self.slots.iter().zip(handles) {
-            let b = h.load();
-            let slot = match b.kind() {
-                ExecMode::Unoptimized => &slots.unopt,
-                ExecMode::Optimized => &slots.opt,
-                ExecMode::Native => &slots.native,
-                ExecMode::Simd => &slots.simd,
-                _ => continue,
-            };
-            slots.best.install(b.clone());
-            let mut guard = slot.lock();
-            if guard.is_none() {
-                *guard = Some(b);
-            }
-        }
+        self.base_backend(i, report)
     }
 }

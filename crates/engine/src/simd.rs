@@ -1,4 +1,4 @@
-//! Vectorized scan kernels (`ExecMode::Simd`, rank 5).
+//! Vectorized scan kernels (`ExecMode::Simd`, the top rank).
 //!
 //! A scan pipeline whose first operator is a filter of simple comparisons
 //! (`col < const AND …`) spends most of its scalar time computing a
@@ -47,8 +47,8 @@ use aqe_vm::interp::{ExecError, Frame};
 use aqe_vm::rt::Registry;
 use std::sync::Arc;
 
-/// Whether the SIMD scan-kernel mode is enabled (`AQE_SIMD=0` forces the
-/// engine to alias `ExecMode::Simd` to `Native`, mirroring `AQE_NATIVE`).
+/// Whether the SIMD scan-kernel mode is enabled (`AQE_SIMD=0` makes
+/// `ExecMode::Simd` run plain `Native` and caps the adaptive ladder there).
 pub fn enabled() -> bool {
     std::env::var("AQE_SIMD").map_or(true, |v| v != "0")
 }
@@ -626,7 +626,7 @@ mod avx2 {
 }
 
 /// A compiled scalar backend wrapped with a [`ScanKernel`] pre-pass: the
-/// rank-5 backend the adaptive ladder tops out at on vectorizable scans.
+/// backend the adaptive ladder tops out at on vectorizable scans.
 pub struct SimdScanBackend {
     inner: Arc<dyn PipelineBackend>,
     kernel: Arc<ScanKernel>,
@@ -637,7 +637,7 @@ impl SimdScanBackend {
         SimdScanBackend { inner, kernel }
     }
 
-    /// The wrapped scalar backend (`Native` where available).
+    /// The wrapped scalar backend (`Native` in the engine).
     pub fn inner_kind(&self) -> ExecMode {
         self.inner.kind()
     }

@@ -37,12 +37,11 @@ fn quiet_injected_panics() {
     });
 }
 
-fn all_modes() -> [ExecMode; 7] {
+fn all_modes() -> [ExecMode; 6] {
     [
         ExecMode::NaiveIr,
         ExecMode::Bytecode,
-        ExecMode::Unoptimized,
-        ExecMode::Optimized,
+        ExecMode::NativeUnopt,
         ExecMode::Native,
         ExecMode::Simd,
         ExecMode::Adaptive,
@@ -88,8 +87,8 @@ fn oracle(cat: &Catalog, plan: &PlanNode) -> Vec<u64> {
     run_once(cat, plan, ExecMode::Bytecode, 1).expect("clean oracle run").0
 }
 
-/// Every Native and SIMD compile fails, including the W^X map: all
-/// seven modes still answer, bit-identical, through degraded ladders.
+/// Every machine-code and SIMD compile fails, including the W^X map: all
+/// six modes still answer, bit-identical, through degraded ladders.
 #[test]
 fn forced_compile_failures_degrade_not_error() {
     let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -104,10 +103,12 @@ fn forced_compile_failures_degrade_not_error() {
             let (rows, report) = run_once(&cat, &plan, mode, threads)
                 .unwrap_or_else(|e| panic!("{mode:?}/{threads} must degrade, got {e}"));
             assert_eq!(rows, expect, "{mode:?}/{threads} degraded result mismatch");
-            // The pinned top tiers must have recorded their fall — when
-            // the native emitter is live at all (otherwise the modes
-            // alias downward and nothing failed).
-            if aqe_jit::native::enabled() && matches!(mode, ExecMode::Native | ExecMode::Simd) {
+            // The pinned compiled tiers must have recorded their fall —
+            // when the native emitter is live at all (otherwise they run
+            // bytecode by design and nothing failed).
+            let compiled =
+                matches!(mode, ExecMode::NativeUnopt | ExecMode::Native | ExecMode::Simd);
+            if aqe_jit::native::enabled() && compiled {
                 assert!(report.degraded > 0, "{mode:?}/{threads} should count its degradation");
             }
         }
@@ -122,7 +123,7 @@ fn quarantine_skips_broken_tier_then_probe_recovers() {
     let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     quiet_injected_panics();
     if !aqe_jit::native::enabled() {
-        return; // Native aliases downward: nothing to quarantine.
+        return; // Bytecode only: nothing compiles, nothing to quarantine.
     }
     let cat = tpch::generate(0.005);
     let plan = q6_plan();
@@ -171,7 +172,7 @@ fn quarantine_skips_broken_tier_then_probe_recovers() {
     assert_eq!(report.degraded, 0, "the probe compile succeeds");
     assert_eq!(engine.quarantine_active(), 0, "success clears the quarantine entry");
 
-    // And the recovered backend serves warm from the retained slot.
+    // And the recovered backend serves warm from the tier table.
     let (res, report) = session.execute_with(&prepared, &opts).unwrap();
     assert_eq!(res.rows, expect);
     assert_eq!(report.quarantine_skips, 0);
@@ -205,7 +206,7 @@ fn worker_panics_are_contained_as_typed_errors() {
 
 /// An injected worker *error* (not panic) takes the same typed path,
 /// and the very next execution on the same warm session succeeds —
-/// prepared state and retained backends survive the failure.
+/// prepared state and tier tables survive the failure.
 #[test]
 fn worker_error_fails_one_query_then_session_recovers() {
     let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -218,7 +219,7 @@ fn worker_error_fails_one_query_then_session_recovers() {
     let session = engine.session();
     let prepared = session.prepare(&plan, vec![]);
     let opts = ExecOptions {
-        mode: ExecMode::Optimized,
+        mode: ExecMode::Native,
         threads: 2,
         cache_results: false,
         ..Default::default()
@@ -302,5 +303,54 @@ fn adaptive_survives_panicking_compile_jobs() {
         let prepared = session.prepare(&plan, vec![]);
         let (res, _report) = session.execute_with(&prepared, &opts).expect("adaptive completes");
         assert_eq!(res.rows, expect);
+    }
+}
+
+/// A background compile whose *inner* compile fails must fail the job:
+/// the adaptive controller aims a kernel pipeline at the SIMD tier, the
+/// optimized machine code under the kernel does not compile, and nothing
+/// may paper over that — the failure is counted, the level that broke
+/// (`Optimized`, not `Simd`) is quarantined, and the pipeline finishes
+/// on the tier it holds with exact rows.
+#[test]
+fn adaptive_counts_and_quarantines_a_failed_inner_compile() {
+    let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    quiet_injected_panics();
+    let cat = tpch::generate(0.05);
+    let plan = q6_plan();
+    let expect = oracle(&cat, &plan);
+
+    let _armed = aqe_fault::arm("native_compile=err", 1).unwrap();
+    // Free compiles and a huge modelled kernel speedup: the controller
+    // claims the SIMD tier at its first evaluation.
+    let mut opts = ExecOptions {
+        mode: ExecMode::Adaptive,
+        threads: 2,
+        cache_results: false,
+        first_eval: std::time::Duration::from_micros(50),
+        min_morsel: 256,
+        ..Default::default()
+    };
+    opts.model.simd_base_s = 0.0;
+    opts.model.simd_per_instr_s = 0.0;
+    opts.model.speedup_simd = 200.0;
+
+    let engine = Engine::new(cat.clone());
+    let session = engine.session();
+    let prepared = session.prepare(&plan, vec![]);
+    let (res, report) = session.execute_with(&prepared, &opts).expect("adaptive completes");
+    assert_eq!(res.rows, expect);
+    assert_eq!(report.background_compiles, 0, "nothing compiled, nothing installed");
+    if aqe_jit::native::enabled() {
+        assert!(report.sched[0].compiles_started >= 1, "the controller must have tried");
+        assert!(report.degraded >= 1, "a failed inner compile fails the job");
+        assert!(engine.quarantine_active() >= 1, "the level that broke is quarantined");
+        // The very next static run finds `Optimized` quarantined.
+        let native = ExecOptions { mode: ExecMode::Native, ..opts.clone() };
+        let (res, report) = session.execute_with(&prepared, &native).unwrap();
+        assert_eq!(res.rows, expect);
+        assert!(report.quarantine_skips >= 1, "the quarantine is on the optimized level");
+    } else {
+        assert_eq!(report.degraded, 0, "bytecode only: nothing was attempted");
     }
 }

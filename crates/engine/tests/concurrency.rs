@@ -15,21 +15,31 @@
 //!   data instead of crashing on a dangling base pointer;
 //! * **one cold build** — racing cold executions produce one compiled
 //!   state under the latch, the rest reuse it;
+//! * **one compile per level** — whichever mix of static and adaptive
+//!   executions asks for a pipeline's level, its tier-table entry is
+//!   compiled once and every later execution gets that same backend;
 //! * **eager invalidation** — a mutation purges every result cached for
 //!   older versions.
 
-use aqe_engine::exec::{ExecMode, ExecOptions, ParamValue};
+use aqe_engine::exec::{ExecMode, ExecOptions, ParamValue, PipelineBackend};
 use aqe_engine::plan::{AggFunc, AggSpec, ArithOp, CmpOp, FieldTy, PExpr, PlanNode};
-use aqe_engine::session::Engine;
+use aqe_engine::session::{Engine, PreparedQuery};
+use aqe_engine::ExecLevel;
 use aqe_storage::{tpch, Column, DataType, Table};
 use aqe_vm::interp::ExecError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// A deterministic single-row aggregation over lineitem, expensive enough
 /// per tuple that executions overlap under outer-thread concurrency.
 fn agg_plan(aggs: usize) -> PlanNode {
+    agg_plan_over(aggs, None)
+}
+
+/// [`agg_plan`] with a scan filter over (l_quantity, l_extendedprice,
+/// l_discount).
+fn agg_plan_over(aggs: usize, filter: Option<PExpr>) -> PlanNode {
     let specs = (0..aggs)
         .map(|k| AggSpec {
             func: AggFunc::SumI,
@@ -49,11 +59,7 @@ fn agg_plan(aggs: usize) -> PlanNode {
         })
         .collect();
     PlanNode::HashAgg {
-        input: Box::new(PlanNode::Scan {
-            table: "lineitem".into(),
-            cols: vec![4, 5, 6],
-            filter: None,
-        }),
+        input: Box::new(PlanNode::Scan { table: "lineitem".into(), cols: vec![4, 5, 6], filter }),
         group_by: vec![],
         aggs: specs,
     }
@@ -103,6 +109,120 @@ fn racing_cold_executions_build_the_compiled_state_once() {
     assert!(stats.warm_executions >= 7, "losers of the build race reuse the published state");
     assert_eq!(stats.in_flight, 0);
     assert_eq!(stats.executions_started, stats.executions_completed);
+}
+
+const LEVELS: [ExecLevel; 4] =
+    [ExecLevel::Interpreted, ExecLevel::Unoptimized, ExecLevel::Optimized, ExecLevel::Simd];
+
+/// Every `(pipeline, level)` tier-table entry of `query` that is filled.
+fn filled_entries(query: &PreparedQuery) -> Vec<((usize, ExecLevel), Arc<dyn PipelineBackend>)> {
+    (0..query.plan().pipelines.len())
+        .flat_map(|p| LEVELS.map(|l| (p, l)))
+        .filter_map(|(p, l)| query.backend_at(p, l).map(|b| ((p, l), b)))
+        .collect()
+}
+
+/// Static optimized, static unoptimized and (eagerly compiling) adaptive
+/// executions race on one *cold* prepared query. Whoever asks first for a
+/// pipeline's level compiles it; everyone else — during the race and
+/// after it — must get that same backend.
+#[test]
+fn racing_modes_compile_each_tier_table_entry_once() {
+    const RACERS: usize = 8;
+    const ROUNDS: usize = 3;
+    let engine = Arc::new(Engine::new(tpch::generate(0.01)));
+    // A filtered scan (so the pipeline has a scan kernel and with it a
+    // `Simd` entry) feeding a single-row aggregation.
+    let plan = || {
+        let filter = PExpr::cmp(CmpOp::Lt, false, PExpr::Col(0), PExpr::ConstI(2400));
+        agg_plan_over(8, Some(filter))
+    };
+    let opts = |mode| {
+        // Free compiles and large modelled speedups: every adaptive racer
+        // goes for the top of the ladder at its first evaluation.
+        let mut o = ExecOptions {
+            mode,
+            threads: 2,
+            cache_results: false,
+            first_eval: Duration::from_micros(50),
+            min_morsel: 256,
+            ..Default::default()
+        };
+        o.model.unopt_base_s = 0.0;
+        o.model.unopt_per_instr_s = 0.0;
+        o.model.opt_base_s = 0.0;
+        o.model.opt_per_instr_s = 0.0;
+        o.model.simd_base_s = 0.0;
+        o.model.simd_per_instr_s = 0.0;
+        o
+    };
+    // The single-threaded bytecode reference, on a twin prepared query so
+    // the shared one stays cold.
+    let reference = {
+        let session = engine.session();
+        let bytecode = ExecOptions { threads: 1, ..opts(ExecMode::Bytecode) };
+        session
+            .execute_with(&session.prepare(&plan(), vec![]), &bytecode)
+            .expect("reference")
+            .0
+            .rows
+    };
+
+    let prepared = Arc::new(engine.session().prepare(&plan(), vec![]));
+    let start = Barrier::new(RACERS);
+    std::thread::scope(|scope| {
+        for i in 0..RACERS {
+            let mode = [ExecMode::Native, ExecMode::NativeUnopt, ExecMode::Adaptive][i % 3];
+            let (engine, prepared, reference, start) = (&engine, &prepared, &reference, &start);
+            let opts = opts(mode);
+            scope.spawn(move || {
+                let session = engine.session();
+                start.wait();
+                for round in 0..ROUNDS {
+                    let (rows, _) = session.execute_with(prepared, &opts).expect("racing run");
+                    assert_eq!(&rows.rows, reference, "{mode:?} racer {i} round {round}");
+                }
+            });
+        }
+    });
+
+    let after_race = filled_entries(&prepared);
+    assert_eq!(
+        prepared.backends_built(),
+        after_race.len() as u64,
+        "every filled entry was built exactly once, however many racers asked"
+    );
+    let pipelines = prepared.plan().pipelines.len();
+    let filled = |level| after_race.iter().filter(|((_, l), _)| *l == level).count();
+    if aqe_jit::native::enabled() {
+        assert_eq!(filled(ExecLevel::Optimized), pipelines, "the static Native racers ran");
+        assert_eq!(filled(ExecLevel::Unoptimized), pipelines, "the static unopt racers ran");
+    } else {
+        // Bytecode only: one translation per pipeline served all racers.
+        assert_eq!(filled(ExecLevel::Interpreted), pipelines);
+        assert_eq!(after_race.len(), pipelines);
+    }
+
+    // Later executions in every mode receive the racers' backends: each
+    // entry still holds the very same `Arc`, and whatever a mode filled in
+    // addition was again built once.
+    let session = engine.session();
+    for mode in [
+        ExecMode::Bytecode,
+        ExecMode::NativeUnopt,
+        ExecMode::Native,
+        ExecMode::Simd,
+        ExecMode::Adaptive,
+    ] {
+        let (rows, _) = session.execute_with(&prepared, &opts(mode)).expect("later run");
+        assert_eq!(rows.rows, reference, "later {mode:?} run");
+    }
+    let later = filled_entries(&prepared);
+    for (key, backend) in &after_race {
+        let (_, now) = later.iter().find(|(k, _)| k == key).expect("entries are never cleared");
+        assert!(Arc::ptr_eq(backend, now), "entry {key:?} was replaced by a later execution");
+    }
+    assert_eq!(prepared.backends_built(), later.len() as u64);
 }
 
 #[test]

@@ -1,4 +1,6 @@
-//! The compilation driver: the two "machine code" modes of Fig. 3.
+//! The front half of compilation: a worker function to a packed step
+//! stream, at the two levels of Fig. 3 ([`crate::native`] lowers the
+//! stream to machine code).
 //!
 //! * [`OptLevel::Unoptimized`] — "enables fast instruction selection, does
 //!   not execute any IR optimization passes, and uses a low backend
@@ -8,9 +10,7 @@
 //!   passes": the pass pipeline, lowering, interference-based slot
 //!   coalescing, and packing.
 //!
-//! Compilation time is measured and returned; the engine's adaptive
-//! controller calibrates its `ctime(f)` model (Fig. 7) from these
-//! measurements.
+//! Compilation time is measured and returned.
 
 use crate::coalesce::{coalesce, CoalesceStats};
 use crate::emit::{pack, PackStats, Step};
@@ -37,7 +37,8 @@ pub struct CompileStats {
     pub coalesce: Option<CoalesceStats>,
 }
 
-/// A function compiled to threaded code.
+/// A function compiled to a step stream: the input of the native lowerer
+/// and of the reference step interpreter ([`crate::exec`]).
 #[derive(Clone, Debug)]
 pub struct CompiledFunction {
     pub name: String,

@@ -1,9 +1,10 @@
-//! Threaded-code emission with superinstruction packing.
+//! Step streams: pre-decoded bytecode with superinstruction packing.
 //!
-//! "Machine code" in this reproduction is a sequence of pre-decoded steps;
-//! the packer fuses frequent instruction sequences into single-dispatch
-//! superinstructions (the generalisation of §IV-F the paper proposes as
-//! future work: "In general, it would make sense to translate a large corpus
+//! The form [`crate::native`] lowers to machine code (and [`crate::exec`]
+//! interprets for the differential suites). The packer fuses frequent
+//! instruction sequences into single superinstructions, which lower to
+//! exactly their semantic cores (the generalisation of §IV-F the paper
+//! proposes as future work: "In general, it would make sense to translate a large corpus
 //! of queries, and to check for frequently occurring sequences of
 //! instructions in order to replace them by macro instructions"). Patterns:
 //!
@@ -15,7 +16,7 @@
 //!
 //! Every superinstruction performs *all* the register and memory writes of
 //! the sequence it replaces, so packing is unconditionally
-//! semantics-preserving — only dispatch count changes.
+//! semantics-preserving — only the step count changes.
 
 use aqe_vm::bytecode::{BcFunction, BcInstr, Op};
 
@@ -63,7 +64,7 @@ fn is_cmp_writing_flag(op: Op) -> bool {
     (Op::CmpEqI8 as u16..=Op::CmpImmUgeI64 as u16).contains(&o)
 }
 
-/// Pack a lowered function into threaded steps.
+/// Pack a translated function into steps.
 pub fn pack(bc: &BcFunction) -> (Vec<Step>, PackStats) {
     let n = bc.code.len();
     // Instructions that are branch targets cannot be fused into a

@@ -1,6 +1,12 @@
-//! Threaded-code executor for compiled functions.
+//! Reference interpreter for step streams.
 //!
-//! Executes the pre-decoded step sequence produced by [`crate::emit`].
+//! Executes the pre-decoded step sequence produced by [`crate::emit`] —
+//! the same stream [`crate::native`] lowers to machine code. The
+//! differential suites run it beside the lowered code: a divergence
+//! between this interpreter and the bytecode VM is a pass or packing bug,
+//! one between it and the machine code is a lowering bug. It is not a
+//! [`PipelineBackend`](aqe_vm::backend::PipelineBackend); the engine never
+//! executes it.
 //! Plain steps delegate to the shared single-instruction dispatch of the VM
 //! (`aqe_vm::interp::exec_one`); superinstructions have dedicated arms that
 //! replace two or three dispatches with one.
@@ -130,27 +136,6 @@ fn run(
                 }
                 pc += 1;
             }
-        }
-    }
-}
-
-/// Threaded code as a uniform execution backend: background compilations
-/// produce a `CompiledFunction` that the engine publishes straight into a
-/// pipeline's hot-swap handle.
-impl aqe_vm::backend::PipelineBackend for CompiledFunction {
-    fn call(
-        &self,
-        args: &[u64],
-        rt: &Registry,
-        frame: &mut Frame,
-    ) -> Result<Option<u64>, ExecError> {
-        execute_compiled(self, args, rt, frame)
-    }
-
-    fn kind(&self) -> aqe_vm::backend::ExecMode {
-        match self.level {
-            crate::compile::OptLevel::Unoptimized => aqe_vm::backend::ExecMode::Unoptimized,
-            crate::compile::OptLevel::Optimized => aqe_vm::backend::ExecMode::Optimized,
         }
     }
 }

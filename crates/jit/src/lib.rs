@@ -3,33 +3,33 @@
 //! The paper compiles worker functions to machine code with LLVM at two
 //! levels: **unoptimized** ("fast instruction selection, no IR optimization
 //! passes, low backend optimization level") and **optimized** (hand-picked
-//! IR passes + full backend optimization). This crate provides three
-//! compiled tiers above the bytecode VM (see DESIGN.md §2 and §7):
+//! IR passes + full backend optimization). Here both levels are two
+//! configurations of one x86-64 emitter ([`mod@native`], DESIGN.md §2/§7):
 //!
-//! * the two threaded-code levels ([`compile()`] at [`OptLevel`]):
-//!   translation to *pre-decoded threaded code* executed with
-//!   superinstruction packing — the portable stand-ins for the paper's two
-//!   LLVM levels;
-//! * [`mod@native`] — a real x86-64 machine-code tier ([`compile_native`],
-//!   `ExecMode::Native`, rank 4): the optimized step stream lowered to
-//!   actual instructions in executable pages, `cfg`-gated to x86-64 Linux
-//!   with a clean fallback alias to `Optimized` elsewhere.
+//! * [`compile()`] turns a worker function into a packed [`emit::Step`]
+//!   stream at an [`OptLevel`] — `Unoptimized` is linear translation plus
+//!   superinstruction packing, `Optimized` adds the IR pass pipeline and
+//!   interference-graph slot coalescing;
+//! * [`native::compile_native_at`] lowers that stream to real instructions
+//!   in executable pages — with every slot in the frame at `Unoptimized`,
+//!   with linear-scan register allocation at `Optimized`
+//!   ([`compile_native`] is the optimized configuration).
 //!
-//! The tiers preserve the three properties the paper's evaluation depends
-//! on:
+//! [`exec`] interprets a step stream directly. It is the reference the
+//! differential suites compare lowered code against (it tells a pass bug
+//! from a lowering bug); the engine never runs it.
+//!
+//! The two levels preserve the three properties the paper's evaluation
+//! depends on:
 //!
 //! 1. **Cost ordering & scaling** — unoptimized compilation is a strictly
-//!    linear pipeline (lowering + packing), while optimized compilation runs
-//!    a real optimization pass pipeline plus an interference-graph register
-//!    coalescer whose super-linear cost reproduces why LLVM `-O2` explodes
-//!    on huge machine-generated queries (§V-E, Fig. 15); native compilation
-//!    adds instruction emission on top of the optimized pipeline and is the
-//!    most expensive level.
-//! 2. **Speed ordering** — native machine code eliminates dispatch
-//!    entirely and outruns optimized threaded code, which executes fewer,
-//!    fatter steps than unoptimized code, which executes fewer dispatches
-//!    than the bytecode VM (measured ratios in EXPERIMENTS.md and
-//!    `BENCH_PR4.json`).
+//!    linear pipeline (translate, pack, emit), while optimized compilation
+//!    runs a real optimization pass pipeline plus an interference-graph
+//!    register coalescer whose super-linear cost reproduces why LLVM `-O2`
+//!    explodes on huge machine-generated queries (§V-E, Fig. 15).
+//! 2. **Speed ordering** — both levels eliminate dispatch and outrun the
+//!    bytecode VM; optimized code executes fewer instructions and keeps
+//!    hot slots in registers (measured ratios in EXPERIMENTS.md).
 //! 3. **Identical semantics** — all backends execute the same IR with the
 //!    same traps, so the adaptive engine can switch a pipeline mid-flight
 //!    without losing work (§III-B).
@@ -43,5 +43,5 @@ pub mod passes;
 
 pub use compile::{compile, CompileStats, CompiledFunction, OptLevel};
 pub use exec::execute_compiled;
-pub use native::{compile_native, NativeError, NativeFunction, NativeStats};
+pub use native::{compile_native, compile_native_at, NativeError, NativeFunction, NativeStats};
 pub use passes::{optimize, PassStats};

@@ -1,22 +1,24 @@
-//! The native x86-64 machine-code backend (`ExecMode::Native`, rank 4).
+//! The native x86-64 machine-code backend: both compiled levels of the
+//! ladder (`ExecMode::NativeUnopt`, `ExecMode::Native`).
 //!
-//! Where the two threaded-code levels of this crate still *dispatch* over
-//! pre-decoded steps, this backend removes the interpreter entirely: a
-//! worker function is compiled through the full `Optimized` pipeline
-//! (passes, slot coalescing, superinstruction packing) and the resulting
-//! step stream is then lowered to real x86-64 instructions (the private
-//! `lower` module), mapped into executable pages (`execmem`, raw
-//! mmap/mprotect), and called through a `extern "C"` entry point. Runtime
-//! calls (hash tables, output writers, string ops) go back into the shared
-//! [`Registry`] through a Rust-compiled trampoline.
+//! A worker function is compiled to a step stream by [`compile`] at an
+//! [`OptLevel`], the stream is lowered to real x86-64 instructions (the
+//! private `lower` module), mapped into executable pages (`execmem`, raw
+//! mmap/mprotect), and called through a `extern "C"` entry point. The
+//! level decides the whole configuration: `Unoptimized` is linear
+//! translation and packing lowered with every slot in the frame;
+//! `Optimized` adds the pass pipeline, slot coalescing and linear-scan
+//! register allocation. Runtime calls (hash tables, output writers, string
+//! ops) go back into the shared [`Registry`] through a Rust-compiled
+//! trampoline.
 //!
 //! # Portability
 //! The emitter is `cfg(all(target_arch = "x86_64", target_os = "linux"))`.
-//! On any other target [`compile_native`] returns
-//! [`NativeError::Unavailable`] and the engine aliases `ExecMode::Native`
-//! to the `Optimized` threaded-code backend — every mode keeps working,
-//! only the top speed differs. Setting `AQE_NATIVE=0` forces the same
-//! fallback on x86-64 Linux (the CI runs the whole suite both ways).
+//! On any other target [`compile_native_at`] returns
+//! [`NativeError::Unavailable`] and the engine runs bytecode only — every
+//! mode keeps answering, none of them compiles. Setting `AQE_NATIVE=0`
+//! forces the same on x86-64 Linux (the CI runs the whole suite both
+//! ways).
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod asm;
@@ -39,25 +41,18 @@ use std::time::Duration;
 pub const HAVE_EMITTER: bool = cfg!(all(target_arch = "x86_64", target_os = "linux"));
 
 /// Whether native compilation is available right now: the emitter is
-/// compiled in and `AQE_NATIVE=0` has not forced the fallback path.
+/// compiled in and `AQE_NATIVE=0` has not switched it off.
 pub fn enabled() -> bool {
     HAVE_EMITTER && std::env::var("AQE_NATIVE").map_or(true, |v| v != "0")
-}
-
-/// Whether lowering runs the linear-scan register allocator. Defaults on;
-/// `AQE_NATIVE_REGALLOC=0` falls back to the PR 4 template behaviour
-/// (every slot in the frame) — the ablation knob used by the benchmarks
-/// and the differential suite.
-pub fn regalloc_enabled() -> bool {
-    std::env::var("AQE_NATIVE_REGALLOC").map_or(true, |v| v != "0")
 }
 
 /// Why a native compilation did not produce machine code.
 #[derive(Clone, Debug, PartialEq)]
 pub enum NativeError {
-    /// No emitter on this target, or `AQE_NATIVE=0`: alias to `Optimized`.
+    /// No emitter on this target, or `AQE_NATIVE=0`: nothing compiles, the
+    /// caller stays on bytecode.
     Unavailable(&'static str),
-    /// The underlying threaded-code compilation failed.
+    /// Compiling the function to a step stream failed.
     Compile(String),
     /// Lowering or mapping rejected the function.
     Lower(String),
@@ -78,29 +73,29 @@ impl std::error::Error for NativeError {}
 /// Everything measured about one native compilation.
 #[derive(Clone, Debug, Default)]
 pub struct NativeStats {
-    /// Total wall time including the underlying optimized compile.
+    /// Total wall time: step-stream compile, lowering and mapping.
     pub compile_time: Duration,
     /// Emitted machine-code bytes (before page rounding).
     pub code_bytes: usize,
     /// Steps lowered.
     pub steps: usize,
-    /// Stats of the optimized threaded-code compile this was lowered from.
-    pub threaded: CompileStats,
+    /// Stats of the step-stream compile this was lowered from.
+    pub stream: CompileStats,
 }
 
 /// A function compiled to executable x86-64 machine code.
 ///
-/// Implements [`PipelineBackend`] with `kind() == ExecMode::Native`
-/// (rank 4): installable into the engine's hot-swap handles above every
-/// other backend.
+/// Implements [`PipelineBackend`]; `kind()` is `ExecMode::NativeUnopt` or
+/// `ExecMode::Native` after the [`OptLevel`] it was compiled at.
 pub struct NativeFunction {
     pub name: String,
+    pub level: OptLevel,
     pub frame_size: u32,
     pub param_slots: Vec<u16>,
     pub has_ret: bool,
     pub stats: NativeStats,
     /// The executable mapping — private on every target so the struct can
-    /// only be built by [`compile_native`] (on fallback targets nothing
+    /// only be built by [`compile_native_at`] (without the emitter nothing
     /// constructs it at all, keeping the `call` path unreachable).
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     code: execmem::ExecMem,
@@ -113,6 +108,7 @@ impl fmt::Debug for NativeFunction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NativeFunction")
             .field("name", &self.name)
+            .field("level", &self.level)
             .field("frame_size", &self.frame_size)
             .field("code_bytes", &self.stats.code_bytes)
             .finish()
@@ -167,43 +163,55 @@ mod imp {
     }
 }
 
-/// Compile `f` to native machine code (via the full optimized threaded
-/// pipeline, then lowering). Fails with [`NativeError::Unavailable`] when
-/// the emitter is not usable — callers fall back to `Optimized`.
+/// Compile `f` to optimized native machine code: [`compile_native_at`] at
+/// [`OptLevel::Optimized`].
 pub fn compile_native(f: &Function, externs: &[ExternDecl]) -> Result<NativeFunction, NativeError> {
+    compile_native_at(f, externs, OptLevel::Optimized)
+}
+
+/// Compile `f` to native machine code at `level`. Fails with
+/// [`NativeError::Unavailable`] when the emitter is not usable.
+pub fn compile_native_at(
+    f: &Function,
+    externs: &[ExternDecl],
+    level: OptLevel,
+) -> Result<NativeFunction, NativeError> {
     if !enabled() {
         return Err(NativeError::Unavailable(if HAVE_EMITTER {
             "AQE_NATIVE=0"
         } else {
-            "no x86-64 Linux emitter on this target"
+            NO_EMITTER
         }));
     }
     aqe_fault::failpoint("native_compile").map_err(NativeError::Compile)?;
-    compile_native_impl(f, externs)
+    compile_native_impl(f, externs, level)
 }
+
+const NO_EMITTER: &str = "no x86-64 Linux emitter on this target";
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn compile_native_impl(
     f: &Function,
     externs: &[ExternDecl],
+    level: OptLevel,
 ) -> Result<NativeFunction, NativeError> {
     let start = std::time::Instant::now();
-    let cf = compile(f, externs, OptLevel::Optimized)
-        .map_err(|e| NativeError::Compile(e.to_string()))?;
+    let cf = compile(f, externs, level).map_err(|e| NativeError::Compile(e.to_string()))?;
     let code = lower::lower(&cf, externs, imp::helpers()).map_err(NativeError::Lower)?;
     let code_bytes = code.len();
     let mem = execmem::ExecMem::map(&code).map_err(NativeError::Lower)?;
     Ok(NativeFunction {
-        name: cf.name.clone(),
+        level,
         frame_size: cf.frame_size,
-        param_slots: cf.param_slots.clone(),
         has_ret: cf.has_ret,
         stats: NativeStats {
             compile_time: start.elapsed(),
             code_bytes,
             steps: cf.steps.len(),
-            threaded: cf.stats,
+            stream: cf.stats,
         },
+        name: cf.name,
+        param_slots: cf.param_slots,
         code: mem,
     })
 }
@@ -212,20 +220,25 @@ fn compile_native_impl(
 fn compile_native_impl(
     _f: &Function,
     _externs: &[ExternDecl],
+    _level: OptLevel,
 ) -> Result<NativeFunction, NativeError> {
-    Err(NativeError::Unavailable("no x86-64 Linux emitter on this target"))
+    Err(NativeError::Unavailable(NO_EMITTER))
 }
 
-/// Lower `f` to its raw machine-code byte stream with *pinned* helper
-/// addresses, without mapping or executing anything. Helper call targets are
-/// normally absolute process addresses, which would make the bytes differ
-/// between runs; pinning them makes the stream a stable function of the
-/// input alone — the form the corpus oracle fingerprints ("bit-identical
-/// codegen" is asserted against digests of exactly these bytes).
+/// Lower `f` at `level` to its raw machine-code byte stream with *pinned*
+/// helper addresses, without mapping or executing anything. Helper call
+/// targets are normally absolute process addresses, which would make the
+/// bytes differ between runs; pinning them makes the stream a stable
+/// function of the input alone — the form the corpus oracle fingerprints
+/// ("bit-identical codegen" is asserted against digests of exactly these
+/// bytes).
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-pub fn lower_to_bytes_pinned(f: &Function, externs: &[ExternDecl]) -> Result<Vec<u8>, NativeError> {
-    let cf = compile(f, externs, OptLevel::Optimized)
-        .map_err(|e| NativeError::Compile(e.to_string()))?;
+pub fn lower_to_bytes_pinned(
+    f: &Function,
+    externs: &[ExternDecl],
+    level: OptLevel,
+) -> Result<Vec<u8>, NativeError> {
+    let cf = compile(f, externs, level).map_err(|e| NativeError::Compile(e.to_string()))?;
     let helpers = lower::Helpers {
         rt_tramp: 0x7f00_0000_0000_1000,
         f2i32: 0x7f00_0000_0000_2000,
@@ -238,8 +251,9 @@ pub fn lower_to_bytes_pinned(f: &Function, externs: &[ExternDecl]) -> Result<Vec
 pub fn lower_to_bytes_pinned(
     _f: &Function,
     _externs: &[ExternDecl],
+    _level: OptLevel,
 ) -> Result<Vec<u8>, NativeError> {
-    Err(NativeError::Unavailable("no x86-64 Linux emitter on this target"))
+    Err(NativeError::Unavailable(NO_EMITTER))
 }
 
 /// Execute a native function (same calling convention as
@@ -312,7 +326,10 @@ impl PipelineBackend for NativeFunction {
     }
 
     fn kind(&self) -> ExecMode {
-        ExecMode::Native
+        match self.level {
+            OptLevel::Unoptimized => ExecMode::NativeUnopt,
+            OptLevel::Optimized => ExecMode::Native,
+        }
     }
 }
 
@@ -321,8 +338,8 @@ mod tests {
     use super::*;
     use aqe_ir::{BinOp, CmpPred, Constant, FunctionBuilder, OvfOp, Type};
 
-    /// Skip the test body when `AQE_NATIVE=0` forces the fallback (the CI
-    /// dimension that runs the suite without the emitter).
+    /// Skip the test body when `AQE_NATIVE=0` switches the emitter off
+    /// (the CI cell that runs the suite on bytecode only).
     macro_rules! require_native {
         () => {
             if !enabled() {
@@ -332,11 +349,17 @@ mod tests {
         };
     }
 
+    /// Run `f` at both levels; they must agree, and the shared answer is
+    /// what every test below asserts on.
     fn run_native(f: &aqe_ir::Function, args: &[u64]) -> Result<Option<u64>, ExecError> {
-        let nf = compile_native(f, &[]).expect("native compile");
         let rt = Registry::new();
         let mut frame = Frame::new();
-        execute_native(&nf, args, &rt, &mut frame)
+        let [unopt, opt] = [OptLevel::Unoptimized, OptLevel::Optimized].map(|level| {
+            let nf = compile_native_at(f, &[], level).expect("native compile");
+            execute_native(&nf, args, &rt, &mut frame)
+        });
+        assert_eq!(unopt, opt, "unopt and opt configurations disagree");
+        opt
     }
 
     fn sum_fn() -> aqe_ir::Function {
@@ -373,13 +396,15 @@ mod tests {
     }
 
     #[test]
-    fn native_kind_is_rank_four() {
+    fn kind_follows_the_level() {
         require_native!();
         let f = sum_fn();
-        let nf = compile_native(&f, &[]).unwrap();
-        assert_eq!(nf.kind(), ExecMode::Native);
-        assert_eq!(nf.kind().rank(), 4);
-        assert!(nf.stats.code_bytes > 0);
+        let opt = compile_native(&f, &[]).unwrap();
+        assert_eq!(opt.kind(), ExecMode::Native);
+        let unopt = compile_native_at(&f, &[], OptLevel::Unoptimized).unwrap();
+        assert_eq!(unopt.kind(), ExecMode::NativeUnopt);
+        assert!(unopt.kind().rank() < opt.kind().rank());
+        assert!(opt.stats.code_bytes > 0 && unopt.stats.code_bytes > 0);
     }
 
     #[test]
@@ -479,20 +504,22 @@ mod tests {
         );
         b.ret(Some(r.into()));
         let f = b.finish().unwrap();
-        let nf = compile_native(&f, &m.externs).expect("native compile");
         let mut rt = Registry::new();
         rt.register(m.externs[0].clone(), rt_add3);
         let mut frame = Frame::new();
-        assert_eq!(execute_native(&nf, &[1], &rt, &mut frame).unwrap(), Some(111));
+        for level in [OptLevel::Unoptimized, OptLevel::Optimized] {
+            let nf = compile_native_at(&f, &m.externs, level).expect("native compile");
+            assert_eq!(execute_native(&nf, &[1], &rt, &mut frame).unwrap(), Some(111));
+        }
     }
 
     #[test]
     fn emitter_gate_matches_target_and_env() {
         // This test module only builds on x86-64 Linux, where the emitter
         // exists; whether it is enabled follows AQE_NATIVE (the CI runs
-        // the whole suite with AQE_NATIVE=0 to exercise the forced
-        // fallback — the env var is process-wide, so tests never flip it
-        // in place).
+        // the whole suite with AQE_NATIVE=0 to exercise the bytecode-only
+        // configuration — the env var is process-wide, so tests never
+        // flip it in place).
         let forced_off = std::env::var("AQE_NATIVE").is_ok_and(|v| v == "0");
         assert_eq!(enabled(), !forced_off);
         if forced_off {

@@ -1,20 +1,80 @@
-//! Differential tests: compiled code (both threaded levels *and* the
-//! native machine-code tier) must behave identically to the naive IR
-//! interpreter — the §III-B requirement that lets the adaptive engine
-//! hot-swap execution modes mid-pipeline. Native coverage runs only where
-//! the emitter exists (x86-64 Linux, `AQE_NATIVE` not forcing fallback);
-//! elsewhere the same properties hold vacuously through the alias.
+//! Differential tests: every executable form of a function — the bytecode
+//! VM, the step stream at both levels (run by the reference step
+//! interpreter), and the machine code lowered from each stream — must
+//! behave identically to the naive IR walker, traps included. That is the
+//! §III-B requirement that lets the adaptive engine hot-swap execution
+//! modes mid-pipeline. Comparing the step interpreter and the lowered code
+//! separately tells a pass or packing bug from a lowering bug. Machine-code
+//! coverage runs only where the emitter exists (x86-64 Linux, `AQE_NATIVE`
+//! not `0`); elsewhere only the portable forms are compared.
 
-use aqe_ir::{BinOp, CmpPred, Constant, Function, FunctionBuilder, Operand, OvfOp, Type, ValueId};
+use aqe_ir::testgen::{gen_module, is_pure_seed};
+use aqe_ir::{
+    BinOp, CmpPred, Constant, ExternDecl, Function, FunctionBuilder, Operand, OvfOp, Type, ValueId,
+};
 use aqe_jit::compile::{compile, OptLevel};
 use aqe_jit::exec::execute_compiled;
+use aqe_jit::native::compile_native_at;
 use aqe_jit::passes::optimize;
 use aqe_vm::backend::{ExecMode, PipelineBackend};
-use aqe_vm::interp::Frame;
+use aqe_vm::interp::{ExecError, Frame};
 use aqe_vm::naive;
 use aqe_vm::rt::Registry;
+use aqe_vm::translate::{translate, TranslateOptions};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+const LEVELS: [OptLevel; 2] = [OptLevel::Unoptimized, OptLevel::Optimized];
+
+/// What one execution produced: a return value or a trap.
+type Outcome = Result<Option<u64>, ExecError>;
+
+/// Run a pure function in every executable form; the error is the first
+/// form that disagrees with the naive walker on `args`, with what it
+/// produced and what the walker did.
+fn first_divergence(
+    f: &Function,
+    externs: &[ExternDecl],
+    args: &[u64],
+) -> Result<(), (String, Outcome, Outcome)> {
+    let expect = naive::interpret_pure(f, args);
+    let rt = Registry::new();
+    let mut frame = Frame::new();
+    let check = |form: String, got| {
+        if got == expect {
+            Ok(())
+        } else {
+            Err((form, got, expect.clone()))
+        }
+    };
+    let bc = translate(f, externs, TranslateOptions::default()).expect("translate");
+    check("bytecode".to_string(), aqe_vm::interp::execute(&bc, args, &rt, &mut frame))?;
+    for level in LEVELS {
+        let cf = compile(f, externs, level).expect("compile");
+        check(format!("steps {level:?}"), execute_compiled(&cf, args, &rt, &mut frame))?;
+        if aqe_jit::native::enabled() {
+            let nf = compile_native_at(f, externs, level).expect("native compile");
+            check(format!("native {level:?}"), nf.call(args, &rt, &mut frame))?;
+        }
+    }
+    Ok(())
+}
+
+fn assert_all_forms_agree(f: &Function, externs: &[ExternDecl], args: &[u64]) {
+    if let Err((form, got, expect)) = first_divergence(f, externs, args) {
+        panic!("{} {form} on {args:?}: got {got:?}, naive walker says {expect:?}", f.name);
+    }
+}
+
+/// Boundary inputs: zero, sign flips, and the i32/i64 extremes.
+const BOUNDARY_INPUTS: [(i64, i64); 6] = [
+    (0, 0),
+    (1, -1),
+    (i64::MAX, 2),
+    (i64::MIN, -1),
+    (i32::MAX as i64, i32::MIN as i64),
+    (-7, i64::MAX),
+];
 
 #[derive(Clone, Debug)]
 enum Stmt {
@@ -33,19 +93,23 @@ enum Stmt {
     Div(u8, i16),
 }
 
-/// Literal pool biased toward encoding boundaries: values around the
-/// i8/i32 immediate limits, the i32/i64 type extremes, and sign flips.
+/// Literals on encoding boundaries: the i32/i64 type extremes, one past
+/// the i32 immediate range on both sides, and the all-ones pattern.
+const BOUNDARY_CONSTS: [i64; 7] = [
+    i64::MIN,
+    i64::MAX,
+    i32::MIN as i64,
+    i32::MAX as i64,
+    i32::MIN as i64 - 1,
+    i32::MAX as i64 + 1,
+    -1,
+];
+
+/// Literal pool biased toward [`BOUNDARY_CONSTS`]: each of them one time
+/// in eight, otherwise a value around the i8 immediate limit.
 fn const_strategy() -> impl Strategy<Value = i64> {
-    prop_oneof![
-        any::<i16>().prop_map(i64::from),
-        Just(i64::MIN),
-        Just(i64::MAX),
-        Just(i32::MIN as i64),
-        Just(i32::MAX as i64),
-        Just(i32::MIN as i64 - 1),
-        Just(i32::MAX as i64 + 1),
-        Just(-1i64),
-    ]
+    (any::<i16>(), 0..=BOUNDARY_CONSTS.len())
+        .prop_map(|(small, pick)| pick.checked_sub(1).map_or(small.into(), |i| BOUNDARY_CONSTS[i]))
 }
 
 fn stmt_strategy() -> impl Strategy<Value = Stmt> {
@@ -170,34 +234,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn compiled_matches_naive(
+    fn every_form_matches_naive(
         stmts in prop::collection::vec(stmt_strategy(), 1..20),
         x in any::<i64>(),
         y in any::<i64>(),
     ) {
         let f = lower(&stmts);
-        let args = [x as u64, y as u64];
-        let expect = naive::interpret_pure(&f, &args);
-        let rt = Registry::new();
-        let mut frame = Frame::new();
-        for level in [OptLevel::Unoptimized, OptLevel::Optimized] {
-            let cf = compile(&f, &[], level).expect("compilation");
-            let got = execute_compiled(&cf, &args, &rt, &mut frame);
-            prop_assert_eq!(expect, got, "level {:?}", level);
-        }
-        if aqe_jit::native::enabled() {
-            let nf = aqe_jit::native::compile_native(&f, &[]).expect("native compilation");
-            let got = nf.call(&args, &rt, &mut frame);
-            prop_assert_eq!(expect, got, "native");
-        }
+        let diverged = first_divergence(&f, &[], &[x as u64, y as u64]);
+        prop_assert!(diverged.is_ok(), "{:?}", diverged);
     }
 
-    /// Compiled functions are pipeline backends: dispatched uniformly
+    /// Every rung of the ladder is a pipeline backend: dispatched uniformly
     /// through `Arc<dyn PipelineBackend>` (the handle the engine swaps
-    /// mid-query), both levels still agree with the naive oracle and
-    /// advertise the right kind.
+    /// mid-query), bytecode and both machine-code levels still agree with
+    /// the naive oracle and advertise the right kind.
     #[test]
-    fn compiled_backends_agree_through_trait_dispatch(
+    fn backends_agree_through_trait_dispatch(
         stmts in prop::collection::vec(stmt_strategy(), 1..16),
         x in any::<i64>(),
         y in any::<i64>(),
@@ -207,21 +259,15 @@ proptest! {
         let expect = naive::interpret_pure(&f, &args);
         let rt = Registry::new();
         let mut frame = Frame::new();
-        let mut backends: Vec<(Arc<dyn PipelineBackend>, ExecMode)> = vec![
-            (
-                Arc::new(compile(&f, &[], OptLevel::Unoptimized).expect("compilation")),
-                ExecMode::Unoptimized,
-            ),
-            (
-                Arc::new(compile(&f, &[], OptLevel::Optimized).expect("compilation")),
-                ExecMode::Optimized,
-            ),
-        ];
+        let mut backends: Vec<(Arc<dyn PipelineBackend>, ExecMode)> = vec![(
+            Arc::new(translate(&f, &[], TranslateOptions::default()).expect("translate")),
+            ExecMode::Bytecode,
+        )];
         if aqe_jit::native::enabled() {
-            backends.push((
-                Arc::new(aqe_jit::native::compile_native(&f, &[]).expect("native compilation")),
-                ExecMode::Native,
-            ));
+            for (level, kind) in LEVELS.into_iter().zip([ExecMode::NativeUnopt, ExecMode::Native]) {
+                let nf = compile_native_at(&f, &[], level).expect("native compilation");
+                backends.push((Arc::new(nf), kind));
+            }
         }
         for (backend, kind) in backends {
             prop_assert_eq!(backend.kind(), kind);
@@ -273,72 +319,76 @@ fn range_accum_fn() -> Function {
     b.finish().unwrap()
 }
 
+/// One case of the ladder-switch property: `0..total` cut at two
+/// percentages into three parts, run bytecode → unoptimized → optimized
+/// machine code, against all three parts on the bytecode VM.
+fn switch_up_the_ladder(total: u64, cut_a: u64, cut_b: u64, seed: i64) {
+    let f = range_accum_fn();
+    let rt = Registry::new();
+    let mut frame = Frame::new();
+    let (lo, hi) = (cut_a.min(cut_b), cut_a.max(cut_b));
+    let cuts = [0, total * lo / 100, total * hi / 100, total];
+
+    let bc = translate(&f, &[], TranslateOptions::default()).expect("translate");
+    let unopt = compile_native_at(&f, &[], OptLevel::Unoptimized).expect("compile unopt");
+    let opt = compile_native_at(&f, &[], OptLevel::Optimized).expect("compile opt");
+    // Statuses of the parts (a part after a trap never runs) and the
+    // accumulated state.
+    let mut run = |parts: [&dyn PipelineBackend; 3]| {
+        let mut acc = [seed as u64];
+        let p = acc.as_mut_ptr() as u64;
+        let mut statuses = Vec::new();
+        for (backend, range) in parts.into_iter().zip(cuts.windows(2)) {
+            let r = backend.call(&[p, range[0], range[1]], &rt, &mut frame);
+            let trapped = r.is_err();
+            statuses.push(r);
+            if trapped {
+                break;
+            }
+        }
+        (statuses, acc[0])
+    };
+    let reference = run([&bc, &bc, &bc]);
+    let switched = run([&bc, &unopt, &opt]);
+    assert_eq!(switched.0, reference.0, "per-part status");
+    assert_eq!(switched.1, reference.1, "accumulated state");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The §III-B hot-swap contract at the top of the ladder: running the
-    /// first part of a range on `Optimized` threaded code and the rest on
-    /// `Native` machine code must produce exactly the state and trap
-    /// behaviour of any single backend — including seeds chosen to
-    /// overflow mid-range, where *which half traps* must also agree.
+    /// The §III-B hot-swap contract along the whole ladder: running the
+    /// first part of a range on the bytecode VM, the middle on unoptimized
+    /// and the rest on optimized machine code must produce exactly the
+    /// state and trap behaviour of a single backend — including seeds
+    /// chosen to overflow mid-range, where *which part traps* must also
+    /// agree. Without the emitter there is nothing to switch to.
     #[test]
-    fn mid_morsel_switch_optimized_to_native_preserves_results_and_traps(
+    fn mid_range_switches_up_the_ladder_preserve_results_and_traps(
         total in 0u64..400,
-        split_frac in 0u64..=100,
+        cut_a in 0u64..=100,
+        cut_b in 0u64..=100,
         seed in prop_oneof![
             Just(0i64),
             any::<i64>(),
             (0i64..1 << 20).prop_map(|d| i64::MAX - d), // near-overflow seeds
         ],
     ) {
-        let f = range_accum_fn();
-        let rt = Registry::new();
-        let mut frame = Frame::new();
-        let split = total * split_frac / 100;
-
-        // Reference: the whole split executed on the bytecode VM.
-        let bc = aqe_vm::translate::translate(&f, &[], aqe_vm::translate::TranslateOptions::default())
-            .expect("translate");
-        let mut run_pair = |first: &dyn PipelineBackend, second: &dyn PipelineBackend| {
-            let mut acc = [seed as u64];
-            let p = acc.as_mut_ptr() as u64;
-            let r1 = first.call(&[p, 0, split], &rt, &mut frame);
-            let r2 = match &r1 {
-                Ok(_) => Some(second.call(&[p, split, total], &rt, &mut frame)),
-                Err(_) => None, // the first half already trapped
-            };
-            (r1, r2, acc[0])
-        };
-        let reference = run_pair(&bc, &bc);
-
-        let opt = compile(&f, &[], OptLevel::Optimized).expect("compile optimized");
         if aqe_jit::native::enabled() {
-            let nat = aqe_jit::native::compile_native(&f, &[]).expect("compile native");
-            let switched = run_pair(&opt, &nat);
-            prop_assert_eq!(&switched.0, &reference.0, "first-half status");
-            prop_assert_eq!(&switched.1, &reference.1, "second-half status");
-            prop_assert_eq!(switched.2, reference.2, "accumulated state");
-        } else {
-            // Fallback platforms: the alias pair (optimized → optimized)
-            // must satisfy the same contract.
-            let opt2 = compile(&f, &[], OptLevel::Optimized).expect("compile optimized");
-            let switched = run_pair(&opt, &opt2);
-            prop_assert_eq!(&switched.0, &reference.0, "first-half status");
-            prop_assert_eq!(&switched.1, &reference.1, "second-half status");
-            prop_assert_eq!(switched.2, reference.2, "accumulated state");
+            switch_up_the_ladder(total, cut_a, cut_b, seed);
         }
     }
 }
 
 /// Deterministic register-pressure corpus for the linear-scan allocator:
-/// more simultaneously loop-crossing values than the native tier has
-/// allocatable registers (4 callee-saved + 4 caller-saved), so some hulls
-/// are promoted, some evicted, and some stay in memory — and the final
-/// XOR fold keeps every value live to the end. The register-allocated
-/// native code must agree with the naive interpreter bit-for-bit,
+/// more simultaneously loop-crossing values than the emitter has
+/// allocatable registers (4 callee-saved + 4 caller-saved), so at the
+/// optimized level some hulls are promoted, some evicted, and some stay in
+/// memory — and the final XOR fold keeps every value live to the end. Both
+/// configurations must agree with the naive interpreter bit-for-bit,
 /// boundary inputs included.
 #[test]
-fn native_regalloc_under_pressure_matches_naive() {
+fn register_pressure_corpus_matches_naive_in_every_form() {
     use Stmt::*;
     // 12 long-lived values defined before three nested-pressure loops.
     let mut stmts: Vec<Stmt> = (0..12i64)
@@ -354,20 +404,52 @@ fn native_regalloc_under_pressure_matches_naive() {
         Div(6, 257),
     ]);
     let f = lower(&stmts);
-    let rt = Registry::new();
-    let mut frame = Frame::new();
-    for &(x, y) in
-        &[(0i64, 0i64), (1, -1), (i64::MAX, 2), (i64::MIN, -1), (i32::MAX as i64, i32::MIN as i64)]
-    {
-        let args = [x as u64, y as u64];
-        let expect = naive::interpret_pure(&f, &args);
-        for level in [OptLevel::Unoptimized, OptLevel::Optimized] {
-            let cf = compile(&f, &[], level).expect("compile");
-            assert_eq!(expect, execute_compiled(&cf, &args, &rt, &mut frame), "{level:?} {x} {y}");
+    for (x, y) in BOUNDARY_INPUTS {
+        assert_all_forms_agree(&f, &[], &[x as u64, y as u64]);
+    }
+}
+
+/// The shared testgen corpus, seeds 1..=24: pure seeds run in every form
+/// over a grid of small and boundary inputs; full seeds (calls, loads,
+/// stores — compile-only by the generator's contract) must lower in both
+/// configurations.
+#[test]
+fn testgen_corpus_matches_naive_in_every_form() {
+    for seed in 1..=24u64 {
+        let m = gen_module(seed);
+        let f = &m.functions[0];
+        if is_pure_seed(seed) {
+            let grid = (-2i64..=2).flat_map(|x| (-2i64..=2).map(move |y| (x, y)));
+            for (x, y) in grid.chain(BOUNDARY_INPUTS) {
+                assert_all_forms_agree(f, &m.externs, &[x as u64, y as u64]);
+            }
+        } else if aqe_jit::native::enabled() {
+            for level in LEVELS {
+                compile_native_at(f, &m.externs, level)
+                    .unwrap_or_else(|e| panic!("seed {seed} at {level:?}: {e}"));
+            }
         }
-        if aqe_jit::native::enabled() {
-            let nf = aqe_jit::native::compile_native(&f, &[]).expect("native compile");
-            assert_eq!(expect, nf.call(&args, &rt, &mut frame), "native {x} {y}");
+    }
+}
+
+/// Every boundary literal through every immediate-taking shape (binary op,
+/// compare-and-select, checked add against the other input), in every
+/// form: the emitter widens an immediate differently on each side of the
+/// i32 range, and the unoptimized configuration sees the literals the
+/// optimizer would otherwise fold.
+#[test]
+fn boundary_constants_match_naive_in_every_form() {
+    use Stmt::*;
+    let bin_ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::And, BinOp::Or, BinOp::Xor];
+    let preds = [CmpPred::Eq, CmpPred::SLt, CmpPred::SGe, CmpPred::UGt];
+    for k in BOUNDARY_CONSTS {
+        for (i, op) in bin_ops.into_iter().enumerate() {
+            let pred = preds[i % preds.len()];
+            let f =
+                lower(&[BinConst(op, 0, k), CmpConst(pred, 2, k, 0, 1), Checked(OvfOp::Add, 2, 3)]);
+            for (x, y) in BOUNDARY_INPUTS {
+                assert_all_forms_agree(&f, &[], &[x as u64, y as u64]);
+            }
         }
     }
 }

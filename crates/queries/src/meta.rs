@@ -124,7 +124,7 @@ mod tests {
         for q in startup_batch() {
             let prepared = session.prepare(&q.root, q.dicts.clone());
             let mut last = None;
-            for mode in [ExecMode::Bytecode, ExecMode::Unoptimized, ExecMode::Adaptive] {
+            for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Adaptive] {
                 let opts =
                     ExecOptions { mode, threads: 1, cache_results: false, ..Default::default() };
                 let (res, _) = session

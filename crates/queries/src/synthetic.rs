@@ -85,7 +85,7 @@ mod tests {
             session.execute_with(&prepared, &opts).unwrap().0
         };
         let bc = run(ExecMode::Bytecode);
-        let un = run(ExecMode::Unoptimized);
+        let un = run(ExecMode::NativeUnopt);
         assert_eq!(bc.rows, un.rows);
         assert_eq!(bc.row_count(), 1);
     }

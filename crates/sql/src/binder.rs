@@ -917,7 +917,7 @@ mod tests {
                    JOIN nation ON s_nationkey = n_nationkey \
                    WHERE s_acctbal > 0 GROUP BY n_name ORDER BY cnt DESC, n_name LIMIT 5";
         let reference = run_sql(&cat, sql, ExecMode::Bytecode);
-        for mode in [ExecMode::Unoptimized, ExecMode::Optimized, ExecMode::Adaptive] {
+        for mode in [ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive] {
             assert_eq!(run_sql(&cat, sql, mode), reference, "{mode:?}");
         }
         assert!(!reference.is_empty());

@@ -1,13 +1,11 @@
 //! The unified execution-backend seam (paper Fig. 5).
 //!
 //! Every way of running a worker function — direct IR walking, the
-//! bytecode VM, and the threaded-code levels of `aqe-jit` — implements
-//! [`PipelineBackend`]. The engine's morsel loop calls through a single
+//! bytecode VM, and the two configurations of `aqe-jit`'s native emitter —
+//! implements [`PipelineBackend`]. The engine's morsel loop calls through a single
 //! `Arc<dyn PipelineBackend>` handle and never branches on the mode; the
 //! adaptive controller switches a pipeline mid-flight by atomically
-//! publishing a different backend into that handle. The native x86-64
-//! machine-code tier (`aqe-jit`'s `native` module) plugged in exactly
-//! this way; future backends (remote execution) would too.
+//! publishing a different backend into that handle.
 //!
 //! The trait lives here, at the bottom of the crate stack, because its
 //! vocabulary types ([`Frame`], [`Registry`], [`ExecError`]) do and because
@@ -16,28 +14,30 @@
 use crate::interp::{ExecError, Frame};
 use crate::rt::Registry;
 
-/// How to execute a query (Fig. 3's modes plus the two interpreter
-/// baselines of Fig. 2). The first five name concrete backends; `Adaptive`
+/// How to execute a query (Fig. 3's modes plus the naive interpreter
+/// baseline of Fig. 2). The first five name concrete backends; `Adaptive`
 /// is the engine policy that starts at `Bytecode` and upgrades at runtime.
+/// Where `aqe-jit` has no emitter (off x86-64 Linux, or `AQE_NATIVE=0`)
+/// the three compiled modes run the bytecode backend.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ExecMode {
     /// Direct IR interpretation (the "LLVM interpreter" stand-in).
     NaiveIr,
     /// Bytecode VM for every morsel.
     Bytecode,
-    /// Compile every pipeline without optimization up front.
-    Unoptimized,
-    /// Compile every pipeline with optimization up front.
-    Optimized,
-    /// Real machine code: the x86-64 emitter in `aqe-jit`'s `native`
-    /// module. On targets without the emitter the engine aliases this
-    /// mode to `Optimized` threaded code.
+    /// Compile every pipeline to machine code without optimization up
+    /// front (the paper's *unoptimized* level): linear translation and
+    /// packing, no IR passes, no slot coalescing, no register allocation.
+    NativeUnopt,
+    /// Compile every pipeline to optimized machine code up front (the
+    /// paper's *optimized* level): pass pipeline, slot coalescing,
+    /// linear-scan register allocation.
     Native,
-    /// Vectorized scan kernels layered over a compiled scalar worker: a
+    /// Vectorized scan kernels layered over the optimized machine code: a
     /// packed-compare filter pre-pass (SSE2/AVX2) produces a selection
     /// bitmask and only the surviving row runs enter the scalar code. On
     /// pipelines without a vectorizable filter — or with `AQE_SIMD=0` —
-    /// the engine aliases this mode to `Native`.
+    /// this mode runs plain `Native`.
     Simd,
     /// The paper's contribution: start in bytecode, switch adaptively.
     Adaptive,
@@ -51,22 +51,20 @@ impl ExecMode {
         match self {
             ExecMode::NaiveIr => 0,
             ExecMode::Bytecode | ExecMode::Adaptive => 1,
-            ExecMode::Unoptimized => 2,
-            ExecMode::Optimized => 3,
-            ExecMode::Native => 4,
-            ExecMode::Simd => 5,
+            ExecMode::NativeUnopt => 2,
+            ExecMode::Native => 3,
+            ExecMode::Simd => 4,
         }
     }
 
     /// Compact code used in execution traces (Fig. 14): 0 = bytecode,
-    /// 1 = unoptimized, 2 = optimized, 3 = naive IR, 4 = native machine
-    /// code, 5 = vectorized scan kernel. (255 marks a compilation event
-    /// and never names a backend.)
+    /// 1 = unoptimized machine code, 3 = naive IR, 4 = optimized machine
+    /// code, 5 = vectorized scan kernel. (2 is unassigned; 255 marks a
+    /// compilation event and never names a backend.)
     pub fn trace_kind(self) -> u8 {
         match self {
             ExecMode::Bytecode | ExecMode::Adaptive => 0,
-            ExecMode::Unoptimized => 1,
-            ExecMode::Optimized => 2,
+            ExecMode::NativeUnopt => 1,
             ExecMode::NaiveIr => 3,
             ExecMode::Native => 4,
             ExecMode::Simd => 5,
@@ -106,9 +104,8 @@ mod tests {
     #[test]
     fn ranks_are_ordered_and_adaptive_starts_at_bytecode() {
         assert!(ExecMode::NaiveIr.rank() < ExecMode::Bytecode.rank());
-        assert!(ExecMode::Bytecode.rank() < ExecMode::Unoptimized.rank());
-        assert!(ExecMode::Unoptimized.rank() < ExecMode::Optimized.rank());
-        assert!(ExecMode::Optimized.rank() < ExecMode::Native.rank());
+        assert!(ExecMode::Bytecode.rank() < ExecMode::NativeUnopt.rank());
+        assert!(ExecMode::NativeUnopt.rank() < ExecMode::Native.rank());
         assert!(ExecMode::Native.rank() < ExecMode::Simd.rank());
         assert_eq!(ExecMode::Adaptive.rank(), ExecMode::Bytecode.rank());
     }
@@ -116,8 +113,7 @@ mod tests {
     #[test]
     fn trace_kinds_match_fig14_legend() {
         assert_eq!(ExecMode::Bytecode.trace_kind(), 0);
-        assert_eq!(ExecMode::Unoptimized.trace_kind(), 1);
-        assert_eq!(ExecMode::Optimized.trace_kind(), 2);
+        assert_eq!(ExecMode::NativeUnopt.trace_kind(), 1);
         assert_eq!(ExecMode::NaiveIr.trace_kind(), 3);
         assert_eq!(ExecMode::Native.trace_kind(), 4);
         assert_eq!(ExecMode::Simd.trace_kind(), 5);

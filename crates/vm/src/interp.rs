@@ -97,7 +97,7 @@ impl Frame {
     }
 
     /// Pointer to a heap register file of at least `bytes` bytes (public
-    /// for the threaded-code executor in `aqe-jit`).
+    /// for the executors in `aqe-jit`).
     pub fn heap_ptr_pub(&mut self, bytes: usize) -> *mut u8 {
         self.heap_ptr(bytes)
     }
@@ -188,7 +188,7 @@ fn run(
 
 /// Execute one instruction against the register file. This is the body of
 /// the paper's Fig. 8 switch; it is shared between the VM loop above and the
-/// threaded-code executor in `aqe-jit` (plain, non-fused steps).
+/// reference step interpreter in `aqe-jit` (plain, non-fused steps).
 ///
 /// # Safety
 /// See the module docs: `i` must come from validated translator output and

@@ -9,7 +9,7 @@
 //! * [`backend`] — the [`backend::PipelineBackend`] trait: the uniform,
 //!   hot-swappable seam through which the engine invokes *any* executable
 //!   representation of a worker function (VM bytecode, direct IR walking,
-//!   or `aqe-jit`'s threaded code), plus the [`backend::ExecMode`]
+//!   or `aqe-jit`'s machine code), plus the [`backend::ExecMode`]
 //!   vocabulary shared by all of them;
 //! * [`bytecode`] — the fixed-length, statically-typed instruction format
 //!   (16 bytes per instruction: opcode + three register byte-offsets + a
@@ -29,7 +29,7 @@
 //! * [`naive`] — a direct IR-walking interpreter standing in for the
 //!   LLVM interpreter of Fig. 2 (no translation step, much slower);
 //! * [`rt`] — the runtime-call ABI shared with the engine and the
-//!   threaded-code backends: every callable helper is registered with its
+//!   machine-code backends: every callable helper is registered with its
 //!   signature up front, so unsupported signatures are a translation-time
 //!   error, not a runtime surprise (§IV-E).
 

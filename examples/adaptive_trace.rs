@@ -22,7 +22,7 @@ fn main() {
     let mut opts =
         ExecOptions { mode: ExecMode::Adaptive, threads: 4, trace: true, ..Default::default() };
     // Nudge the model so the demo compiles even at small scale factors.
-    opts.model.speedup_opt = 3.0;
+    opts.model.speedup_opt *= 2.0;
     let (result, report) = session.execute_with(&prepared, &opts).expect("query ok");
 
     println!("\npipelines:");
@@ -48,10 +48,10 @@ fn main() {
     for ((p, k), (morsels, tuples)) in counts {
         let mode = match k {
             0 => "bytecode",
-            1 => "unoptimized",
-            2 => "optimized",
+            1 => "native-unopt",
             3 => "naive-ir",
-            4 => "native",
+            4 => "native-opt",
+            5 => "simd",
             _ => "?",
         };
         println!("  p{p} {mode:<12} {morsels:>6} morsels {tuples:>12} tuples");

@@ -20,8 +20,8 @@ fn main() {
     println!("{:<12} {:>12} {:>16}", "mode", "total[ms]", "compiles");
 
     for (mode, label) in [
-        (ExecMode::Optimized, "optimized"),
-        (ExecMode::Unoptimized, "unoptimized"),
+        (ExecMode::Native, "native-opt"),
+        (ExecMode::NativeUnopt, "native-unopt"),
         (ExecMode::Bytecode, "bytecode"),
         (ExecMode::Adaptive, "adaptive"),
     ] {
@@ -35,7 +35,7 @@ fn main() {
             let opts = ExecOptions { mode, threads: 1, ..Default::default() };
             let (_, report) = session.execute_with(&prepared, &opts).expect("query ok");
             compiles += report.background_compiles
-                + if matches!(mode, ExecMode::Optimized | ExecMode::Unoptimized) {
+                + if matches!(mode, ExecMode::Native | ExecMode::NativeUnopt) {
                     report.pipeline_labels.len()
                 } else {
                     0

@@ -6,8 +6,9 @@
 //!
 //! * [`ir`] — SSA intermediate representation ("LLVM IR" substrate)
 //! * [`vm`] — bytecode virtual machine with linear-time translation (§IV)
-//! * [`jit`] — compiled backends: threaded code (unoptimized / optimized)
-//!   and real x86-64 machine code (`ExecMode::Native`) (§II–III)
+//! * [`jit`] — the compiled backend: real x86-64 machine code at the
+//!   paper's two levels, unoptimized (`ExecMode::NativeUnopt`) and
+//!   optimized (`ExecMode::Native`) (§II–III)
 //! * [`storage`] — columnar storage, TPC-H / TPC-DS-lite data generators
 //! * [`engine`] — the adaptive execution framework itself (§III)
 //! * [`sql`] — SQL frontend (parser, binder, optimizer)
@@ -20,11 +21,11 @@
 //! All execution backends plug into one seam: the object-safe
 //! [`vm::backend::PipelineBackend`] trait (re-exported here as
 //! [`PipelineBackend`]), implemented by the bytecode VM, the naive IR
-//! interpreter, both threaded-code levels, and the native machine-code
-//! tier. The engine's morsel loop calls through a hot-swappable
+//! interpreter, both machine-code levels, and the SIMD scan-kernel
+//! wrapper. The engine's morsel loop calls through a hot-swappable
 //! `Arc<dyn PipelineBackend>` handle per pipeline, which is what lets a
-//! query switch representation mid-flight — all the way to rank-4 native
-//! code.
+//! query switch representation mid-flight — from bytecode to optimized
+//! machine code.
 //!
 //! The public execution API is the long-lived session layer
 //! ([`Engine`] → [`Session`] → [`PreparedQuery`], re-exported here):

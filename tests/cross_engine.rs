@@ -1,6 +1,6 @@
 //! Workspace-level integration tests: the whole TPC-H corpus must produce
 //! identical results across the compiling engine's six execution modes
-//! (native machine code included — or its fallback alias on targets
+//! (both machine-code levels included — bytecode in their place on targets
 //! without the emitter) and both baseline engines, single- and
 //! multi-threaded.
 
@@ -43,9 +43,9 @@ fn tpch_corpus_agrees_across_all_engines_and_modes() {
         let prepared = session.prepare_plan(phys.clone());
         for mode in [
             ExecMode::Bytecode,
-            ExecMode::Unoptimized,
-            ExecMode::Optimized,
+            ExecMode::NativeUnopt,
             ExecMode::Native,
+            ExecMode::Simd,
             ExecMode::Adaptive,
         ] {
             for threads in [1, 4] {
@@ -72,7 +72,8 @@ fn tpcds_corpus_agrees() {
         let engine = Engine::new(cat.clone());
         let session = engine.session();
         let prepared = session.prepare_plan(phys.clone());
-        for mode in [ExecMode::Bytecode, ExecMode::Optimized, ExecMode::Native, ExecMode::Adaptive]
+        for mode in
+            [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive]
         {
             let opts = ExecOptions { mode, threads: 2, cache_results: false, ..Default::default() };
             let (res, _) = session.execute_with(&prepared, &opts).unwrap();
@@ -96,9 +97,7 @@ fn wide_aggregate_queries_agree_at_scale() {
         let session = engine.session();
         let prepared = session.prepare_plan(phys);
         let mut results = Vec::new();
-        for mode in
-            [ExecMode::Bytecode, ExecMode::Unoptimized, ExecMode::Optimized, ExecMode::Native]
-        {
+        for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native] {
             let opts = ExecOptions { mode, threads: 2, cache_results: false, ..Default::default() };
             let (res, _) = session.execute_with(&prepared, &opts).unwrap();
             results.push(res.rows);

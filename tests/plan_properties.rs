@@ -103,7 +103,7 @@ proptest! {
         let engine = Engine::new(cat.clone());
         let session = engine.session();
         let prepared = session.prepare_plan(phys.clone());
-        for mode in [ExecMode::Bytecode, ExecMode::Unoptimized, ExecMode::Optimized, ExecMode::Adaptive] {
+        for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive] {
             let opts = ExecOptions { mode, threads: 2, cache_results: false, ..Default::default() };
             let got = session.execute_with(&prepared, &opts)
                 .map(|(res, _)| normalized(&res.rows, width));
