@@ -34,7 +34,6 @@ fn main() {
                     0 => b'b',
                     1 => b'u',
                     4 => b'o',
-                    5 => b's',
                     _ => b'C',
                 };
                 for c in line.iter_mut().take(b + 1).skip(a) {
@@ -45,6 +44,12 @@ fn main() {
         }
         let compiles = report.trace.iter().filter(|e| e.kind == 255).count();
         println!("background compiles: {compiles}; pipelines: {:?}", report.pipeline_labels);
+        for s in &report.sched {
+            println!(
+                "  p{}: {} morsels, scan pre-filter skipped {} of {} rows",
+                s.pipeline, s.morsels, s.rows_skipped, s.total_rows
+            );
+        }
         for e in &report.trace {
             csv.push_str(&format!(
                 "{label},{},{},{},{},{},{}\n",
@@ -56,7 +61,7 @@ fn main() {
         .and_then(|mut f| f.write_all(csv.as_bytes()))
         .expect("write csv");
     println!(
-        "\n(legend: b=bytecode morsel, u=unoptimized machine code, o=optimized, s=simd kernel, \
-         C=compile; CSV → fig14_trace.csv)"
+        "\n(legend: b=bytecode morsel, u=unoptimized machine code, o=optimized, C=compile; \
+         CSV → fig14_trace.csv)"
     );
 }

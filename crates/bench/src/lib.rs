@@ -168,24 +168,21 @@ pub fn fmt_ms(v: f64) -> String {
 }
 
 /// Mode labels used in the standard reports: the four modes of Fig. 3
-/// (bytecode, the two machine-code levels, adaptive) plus the vectorized
-/// scan-kernel cap.
-pub const MODES: [(ExecMode, &str); 5] = [
+/// (bytecode, the two machine-code levels, adaptive).
+pub const MODES: [(ExecMode, &str); 4] = [
     (ExecMode::Bytecode, "bytecode"),
     (ExecMode::NativeUnopt, "native-unopt"),
     (ExecMode::Native, "native-opt"),
-    (ExecMode::Simd, "simd"),
     (ExecMode::Adaptive, "adaptive"),
 ];
 
 /// Every backend the engine can publish into a pipeline's hot-swap handle,
 /// including the slow naive-IR baseline (Fig. 2's full latency spectrum).
-pub const ALL_MODES: [(ExecMode, &str); 6] = [
+pub const ALL_MODES: [(ExecMode, &str); 5] = [
     (ExecMode::NaiveIr, "naive-ir"),
     (ExecMode::Bytecode, "bytecode"),
     (ExecMode::NativeUnopt, "native-unopt"),
     (ExecMode::Native, "native-opt"),
-    (ExecMode::Simd, "simd"),
     (ExecMode::Adaptive, "adaptive"),
 ];
 

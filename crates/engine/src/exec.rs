@@ -20,6 +20,7 @@ use crate::sched::{
     AdaptiveController, ControllerCtx, CostCalibrator, MorselDispenser, PipelineProgress,
     PipelineQuarantine,
 };
+use crate::simd::ScanKernel;
 use crate::tiers::TierTable;
 use aqe_storage::CatalogSnapshot;
 use aqe_vm::interp::{ExecError, Frame};
@@ -72,7 +73,13 @@ pub struct FunctionHandle {
     /// Cached `rank()` of the current backend; the adaptive controller
     /// polls this without touching the lock.
     rank: AtomicU8,
-    /// A compilation is in flight.
+    /// A compilation is in flight: set by [`try_begin_compile`], cleared
+    /// only by the claimant's [`end_compile`] — never by [`install`],
+    /// which anyone may call.
+    ///
+    /// [`try_begin_compile`]: FunctionHandle::try_begin_compile
+    /// [`end_compile`]: FunctionHandle::end_compile
+    /// [`install`]: FunctionHandle::install
     compiling: AtomicBool,
 }
 
@@ -103,22 +110,20 @@ impl FunctionHandle {
     }
 
     /// Atomically publish `backend` if it outranks the current one.
-    /// Returns whether the swap happened; either way the in-flight
-    /// compilation marker is cleared.
+    /// Returns whether the swap happened. Publishing is all it does: a
+    /// compile claim stays with its claimant, so installing a backend some
+    /// other execution compiled cannot free the slot under a compile of
+    /// this pipeline's own that is still in flight.
     pub fn install(&self, backend: Arc<dyn PipelineBackend>) -> bool {
         let rank = backend.kind().rank();
-        let swapped = {
-            let mut cur = self.current.write();
-            if rank > cur.kind().rank() {
-                *cur = backend;
-                self.rank.store(rank, Ordering::Release);
-                true
-            } else {
-                false
-            }
-        };
-        self.compiling.store(false, Ordering::Release);
-        swapped
+        let mut cur = self.current.write();
+        if rank > cur.kind().rank() {
+            *cur = backend;
+            self.rank.store(rank, Ordering::Release);
+            true
+        } else {
+            false
+        }
     }
 
     /// Claim the right to start a (single) background compilation.
@@ -126,11 +131,13 @@ impl FunctionHandle {
         !self.compiling.swap(true, Ordering::AcqRel)
     }
 
-    /// Abandon a claimed compilation without publishing anything (the
-    /// compile failed): re-opens the slot so a later decision can retry —
-    /// without this, an `Err` from the compiler would leak the slot and
-    /// permanently disable upgrades for the pipeline.
-    pub fn cancel_compile(&self) {
+    /// Release the claim taken with [`try_begin_compile`]: the claimant
+    /// calls this once its compile is over, whether it published, failed
+    /// or was abandoned — a claim that is never released would disable
+    /// upgrades for the pipeline permanently.
+    ///
+    /// [`try_begin_compile`]: FunctionHandle::try_begin_compile
+    pub fn end_compile(&self) {
         self.compiling.store(false, Ordering::Release);
     }
 }
@@ -146,11 +153,13 @@ pub struct TraceEvent {
     pub pipeline: u16,
     /// [`ExecMode::trace_kind`] of the backend the morsel ran on —
     /// 0 = bytecode, 1 = unoptimized machine code, 3 = naive IR,
-    /// 4 = optimized machine code, 5 = vectorized scan kernel — or
-    /// 255 for a background compilation.
+    /// 4 = optimized machine code — or 255 for a background compilation.
     pub kind: u8,
     pub start_us: u64,
     pub end_us: u64,
+    /// Rows of the morsel as scanned; whether a scan pre-filter kept some
+    /// of them from the backend shows in
+    /// [`PipelineSchedReport::rows_skipped`], not here.
     pub tuples: u64,
 }
 
@@ -376,6 +385,9 @@ pub(crate) struct QueryRun<'a> {
     /// background compiles fill these, so concurrent executions warm-start
     /// mid-flight.
     pub tiers: &'a [Arc<TierTable>],
+    /// Per-pipeline scan pre-filters (`None` where the plan has no
+    /// vectorizable filter in front of a table scan), same indexing.
+    pub kernels: &'a [Option<Arc<ScanKernel>>],
     /// Per-query calibrator, possibly seeded from the engine's
     /// cross-query `CalibrationStore`.
     pub calibrator: &'a Arc<CostCalibrator>,
@@ -383,8 +395,8 @@ pub(crate) struct QueryRun<'a> {
     /// Bind-variable values for this execution, one `u64` bit pattern per
     /// entry of `plan.params` (`f64` parameters as `to_bits`). Empty for
     /// non-parameterized plans. The slice is installed into the plan's
-    /// param state slot, so every tier — interpreted, machine code, SIMD —
-    /// reads the same block.
+    /// param state slot, so every backend and the scan pre-filter read the
+    /// same block.
     pub params: &'a [u64],
     /// Per-pipeline quarantine views (one per pipeline, same indexing as
     /// `handles`): the controller skips tiers an earlier execution
@@ -401,8 +413,18 @@ pub(crate) fn run_pipelines(
     run: QueryRun<'_>,
     report: &mut Report,
 ) -> Result<ResultRows, ExecError> {
-    let QueryRun { plan, cat, registry, handles, tiers, calibrator, opts, params, quarantine } =
-        run;
+    let QueryRun {
+        plan,
+        cat,
+        registry,
+        handles,
+        tiers,
+        kernels,
+        calibrator,
+        opts,
+        params,
+        quarantine,
+    } = run;
 
     // ---- state assembly ---------------------------------------------------
     let mut state = QueryState {
@@ -469,6 +491,7 @@ pub(crate) fn run_pipelines(
             pid: p.id,
             handle: &handles[p.id],
             tiers: &tiers[p.id],
+            kernel: kernels[p.id].as_deref(),
             registry,
             total_rows,
             plan,
@@ -515,6 +538,7 @@ struct PipelineRun<'a> {
     pid: usize,
     handle: &'a Arc<FunctionHandle>,
     tiers: &'a Arc<TierTable>,
+    kernel: Option<&'a ScanKernel>,
     registry: &'a Arc<Registry>,
     total_rows: usize,
     plan: &'a PhysicalPlan,
@@ -564,6 +588,21 @@ impl PipelineRun<'_> {
         });
 
         let state_ptr = state.slots.as_ptr() as u64;
+        // The scan's vectorized pre-filter (see `crate::simd`), resolved
+        // against this execution's parameter block once for the whole
+        // pipeline run; a binding that drops every conjunct leaves nothing
+        // to filter with. It sits in front of whatever backend the handle
+        // holds — except under `NaiveIr`, the oracle the differential
+        // suites compare against, which must see every row itself.
+        let prefilter = match self.kernel {
+            Some(kernel) if opts.mode != ExecMode::NaiveIr => {
+                // SAFETY: `run_pipelines` installed the parameter-block
+                // pointer and checked its arity against `plan.params`.
+                let conjuncts = unsafe { kernel.resolve(state.slots.as_ptr()) };
+                (!conjuncts.is_empty()).then_some((kernel, conjuncts))
+            }
+            _ => None,
+        };
         // Workers poll only the flag (relaxed, once per morsel); the error
         // value itself is stored under the mutex on the cold path.
         let failed = AtomicBool::new(false);
@@ -602,6 +641,7 @@ impl PipelineRun<'_> {
                 let exec_start = self.exec_start;
                 let pid = self.pid;
                 let cancel = &opts.cancel;
+                let prefilter = &prefilter;
                 scope.spawn(move || {
                     // Panic isolation at the thread boundary: a worker
                     // that panics (a backend bug, an injected
@@ -655,13 +695,28 @@ impl PipelineRun<'_> {
                             // it runs dry; `None` means the pipeline is done.
                             let Some(m) = dispenser.claim(tid) else { return };
                             let t_m0 = exec_start.elapsed().as_micros() as u64;
-                            let args = [wctx, state_ptr, m.begin, m.end];
                             let rank = handle.rank();
                             if rank != backend_rank {
                                 backend = handle.load();
                                 backend_rank = rank;
                             }
-                            if let Err(e) = backend.call(&args, registry, frame) {
+                            let mut call = |begin, end| {
+                                let args = [wctx, state_ptr, begin, end];
+                                backend.call(&args, registry, frame).map(drop)
+                            };
+                            let called = match prefilter {
+                                None => call(m.begin, m.end),
+                                // SAFETY: the state slots hold this epoch's
+                                // column base pointers and the dispenser
+                                // hands out in-bounds row ranges — the
+                                // contract the worker function loads under.
+                                Some((kernel, conjuncts)) => unsafe {
+                                    let state = state_ptr as *const u64;
+                                    kernel.for_each_run(conjuncts, state, m.begin, m.end, call)
+                                }
+                                .map(|skipped| progress.record_skipped(tid, skipped)),
+                            };
+                            if let Err(e) = called {
                                 let mut slot = error.lock();
                                 if slot.is_none() {
                                     *slot = Some(e);
@@ -804,13 +859,14 @@ mod tests {
         assert_eq!(h.kind(), ExecMode::NaiveIr);
         assert!(h.try_begin_compile());
         assert!(!h.try_begin_compile(), "second compile attempt must be rejected");
-        // A failed compile re-opens the slot instead of leaking it.
-        h.cancel_compile();
-        assert!(h.try_begin_compile(), "cancel must re-open the compile slot");
+        // A failed compile releases the slot instead of leaking it.
+        h.end_compile();
+        assert!(h.try_begin_compile(), "releasing must re-open the compile slot");
 
         assert!(h.install(Arc::new(bc)));
         assert_eq!(h.kind(), ExecMode::Bytecode);
-        assert!(h.try_begin_compile(), "compiles allowed again after install");
+        h.end_compile();
+        assert!(h.try_begin_compile(), "compiles allowed again once the claimant is done");
 
         // Downgrades are refused: the handle only moves up the rank order.
         assert!(!h.install(Arc::new(NaiveBackend::new(Arc::new(f.clone())))));
@@ -830,6 +886,22 @@ mod tests {
         let late = compile_native_at(&f, &[], OptLevel::Unoptimized).unwrap();
         assert!(!h.install(Arc::new(late)));
         assert_eq!(h.kind(), ExecMode::Native);
+    }
+
+    #[test]
+    fn installing_from_outside_does_not_release_a_compile_claim() {
+        // The controller's free-install path publishes a backend a
+        // concurrent execution compiled while this pipeline's own compile
+        // job may still be running: the job's claim must survive it, or the
+        // next poll starts a second compile thread.
+        let f = identity_function();
+        let h = FunctionHandle::new(Arc::new(NaiveBackend::new(Arc::new(f.clone()))));
+        assert!(h.try_begin_compile(), "the claimant's compile is now in flight");
+        let bc = translate(&f, &[], TranslateOptions::default()).unwrap();
+        assert!(h.install(Arc::new(bc)), "a higher backend arrives from outside");
+        assert!(!h.try_begin_compile(), "the claim is the claimant's to release");
+        h.end_compile();
+        assert!(h.try_begin_compile());
     }
 
     #[test]

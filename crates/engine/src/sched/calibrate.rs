@@ -27,19 +27,11 @@ pub struct CostModel {
     pub unopt_per_instr_s: f64,
     pub opt_base_s: f64,
     pub opt_per_instr_s: f64,
-    /// Reaching the SIMD tier costs an optimized compile plus the (cheap)
-    /// kernel wrap, so its constants sit just above the optimized ones.
-    pub simd_base_s: f64,
-    pub simd_per_instr_s: f64,
-    /// Execution speedup of unoptimized and optimized machine code, and of
-    /// kernel-fronted optimized code, over bytecode.
+    /// Execution speedup of unoptimized and optimized machine code over
+    /// bytecode, per scanned row. A scan's pre-filter runs in front of
+    /// every level alike, so it cancels out of these ratios.
     pub speedup_unopt: f64,
     pub speedup_opt: f64,
-    /// Only meaningful on pipelines with a vectorizable filter — the
-    /// controller never proposes the SIMD level elsewhere. Selective
-    /// filters skip most scalar work, hence the distinctly higher default;
-    /// the calibrator pulls it down fast on non-selective scans.
-    pub speedup_simd: f64,
 }
 
 impl Default for CostModel {
@@ -53,13 +45,8 @@ impl Default for CostModel {
             unopt_per_instr_s: 0.13e-6,
             opt_base_s: 8.8e-6,
             opt_per_instr_s: 0.60e-6,
-            // An optimized compile plus 10 µs for the kernel wrap, and
-            // 1.5× the optimized speedup.
-            simd_base_s: 18.8e-6,
-            simd_per_instr_s: 0.60e-6,
             speedup_unopt: 3.0,
             speedup_opt: 3.3,
-            speedup_simd: 4.95,
         }
     }
 }
@@ -72,7 +59,6 @@ impl CostModel {
             ExecLevel::Interpreted => return 0.0,
             ExecLevel::Unoptimized => (self.unopt_base_s, self.unopt_per_instr_s),
             ExecLevel::Optimized => (self.opt_base_s, self.opt_per_instr_s),
-            ExecLevel::Simd => (self.simd_base_s, self.simd_per_instr_s),
         };
         base + per * instrs as f64
     }
@@ -82,7 +68,6 @@ impl CostModel {
             ExecLevel::Interpreted => 1.0,
             ExecLevel::Unoptimized => self.speedup_unopt,
             ExecLevel::Optimized => self.speedup_opt,
-            ExecLevel::Simd => self.speedup_simd,
         }
     }
 }
@@ -177,7 +162,6 @@ impl CostCalibrator {
             ExecLevel::Interpreted => return, // nothing was compiled
             ExecLevel::Unoptimized => (g.model.unopt_base_s, &mut g.model.unopt_per_instr_s),
             ExecLevel::Optimized => (g.model.opt_base_s, &mut g.model.opt_per_instr_s),
-            ExecLevel::Simd => (g.model.simd_base_s, &mut g.model.simd_per_instr_s),
         };
         let observed_per = (secs - base).max(0.0) / instrs as f64;
         *per = blend(*per, observed_per);
@@ -197,7 +181,6 @@ impl CostCalibrator {
                 g.model.speedup_unopt = blend(g.model.speedup_unopt, observed)
             }
             ExecLevel::Optimized => g.model.speedup_opt = blend(g.model.speedup_opt, observed),
-            ExecLevel::Simd => g.model.speedup_simd = blend(g.model.speedup_simd, observed),
         }
         g.speedup_obs += 1;
     }
@@ -257,13 +240,13 @@ mod tests {
     }
 
     #[test]
-    fn simd_feedback_moves_simd_constants_only() {
+    fn feedback_moves_its_own_level_only_and_ignores_interpreted() {
         let c = CostCalibrator::new(CostModel::default());
-        c.record_compile(ExecLevel::Simd, 10_000, Duration::from_millis(200));
-        c.record_speedup(ExecLevel::Simd, 20.0);
+        c.record_compile(ExecLevel::Unoptimized, 10_000, Duration::from_millis(200));
+        c.record_speedup(ExecLevel::Unoptimized, 20.0);
         let m = c.model();
-        assert!(m.simd_per_instr_s > CostModel::default().simd_per_instr_s);
-        assert!(m.speedup_simd > CostModel::default().speedup_simd);
+        assert!(m.unopt_per_instr_s > CostModel::default().unopt_per_instr_s);
+        assert!(m.speedup_unopt > CostModel::default().speedup_unopt);
         assert_eq!(m.opt_per_instr_s, CostModel::default().opt_per_instr_s);
         assert_eq!(m.speedup_opt, CostModel::default().speedup_opt);
         // Interpreted is not a compile target: both feedback kinds ignore it.

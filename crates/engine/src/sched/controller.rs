@@ -35,31 +35,27 @@ use std::time::{Duration, Instant};
 /// what a compilation targets, and the index of a pipeline's
 /// [`TierTable`]. `Interpreted` is the bytecode VM (or the naive IR walker
 /// it degrades to); `Unoptimized` and `Optimized` are the two
-/// configurations of the native emitter; `Simd` is optimized code behind a
-/// vectorized scan-kernel pre-pass.
+/// configurations of the native emitter.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ExecLevel {
     Interpreted,
     Unoptimized,
     Optimized,
-    Simd,
 }
 
 impl ExecLevel {
     /// The levels a compilation can target, in rank order.
-    pub const COMPILED: [ExecLevel; 3] =
-        [ExecLevel::Unoptimized, ExecLevel::Optimized, ExecLevel::Simd];
+    pub const COMPILED: [ExecLevel; 2] = [ExecLevel::Unoptimized, ExecLevel::Optimized];
 
     /// Number of levels (the size of a tier table).
     pub const COUNT: usize = Self::COMPILED.len() + 1;
 
-    /// The level with discriminant `i` (`Simd` for anything larger).
+    /// The level with discriminant `i` (`Optimized` for anything larger).
     pub fn from_index(i: u8) -> ExecLevel {
         match i {
             0 => ExecLevel::Interpreted,
             1 => ExecLevel::Unoptimized,
-            2 => ExecLevel::Optimized,
-            _ => ExecLevel::Simd,
+            _ => ExecLevel::Optimized,
         }
     }
 
@@ -142,6 +138,12 @@ pub struct PipelineSchedReport {
     /// Tuples processed per worker — individually observable thanks to the
     /// per-worker partitions (a global cursor could not attribute them).
     pub worker_tuples: Vec<u64>,
+    /// Rows the scan's vectorized pre-filter proved failing (cleared mask
+    /// bits, summed over every morsel). Zero on a pipeline without a scan
+    /// kernel and under `ExecMode::NaiveIr`, which is never pre-filtered.
+    /// `total_rows`, `worker_tuples` and the controller's rates count
+    /// *scanned* rows and include these.
+    pub rows_skipped: u64,
     /// Whether this pipeline's controller decided with a model that had
     /// already received feedback from earlier pipelines of the query.
     pub calibrated: bool,
@@ -215,8 +217,7 @@ pub struct AdaptiveController {
     /// Backend level installed when the controller was constructed.
     start_level: ExecLevel,
     /// Highest level the pipeline can reach (snapshotted once: the
-    /// `AQE_NATIVE`/`AQE_SIMD` gates are not re-read on the per-morsel
-    /// decision path).
+    /// `AQE_NATIVE` gate is not re-read on the per-morsel decision path).
     ceiling: ExecLevel,
     instrs: usize,
     pipeline_start: Instant,
@@ -326,7 +327,9 @@ impl AdaptiveController {
         // have compiled this pipeline at (or above) the target level —
         // install that for free instead of burning a background thread.
         // Rate bookkeeping mirrors a compile install: reset the window so
-        // the post-switch rate is measured at the new level.
+        // the post-switch rate is measured at the new level. (`install`
+        // only publishes: a compile of this pipeline's own that is still
+        // in flight keeps its claim.)
         if self.ctx.tiers.best_level() >= level {
             if let Some(b) = self.ctx.tiers.best() {
                 if self.ctx.handle.install(b) {
@@ -382,9 +385,9 @@ impl AdaptiveController {
                 progress.reset_window();
             }
             Err(_) => {
-                // Thread exhaustion is a fault like any other: re-open
-                // the claim slot and keep running at the current level.
-                self.ctx.handle.cancel_compile();
+                // Thread exhaustion is a fault like any other: release
+                // the claim and keep running at the current level.
+                self.ctx.handle.end_compile();
             }
         }
     }
@@ -427,6 +430,7 @@ impl AdaptiveController {
             worker_tuples: (0..self.ctx.progress.worker_count())
                 .map(|i| self.ctx.progress.worker(i).tuples())
                 .collect(),
+            rows_skipped: self.ctx.progress.skipped(),
             calibrated: self.calibrated,
             degraded: self.degraded.load(Ordering::Relaxed),
             model: self.model,
@@ -460,29 +464,29 @@ struct CompileJob {
 }
 
 impl CompileJob {
+    /// The claimant's side of the single compilation slot: whatever the
+    /// compile does — publish, fail, panic, or be abandoned because the
+    /// query was cancelled while this thread was being spawned — the claim
+    /// `decide` took is released here, once, after the outcome is recorded.
     fn run(self) {
-        // The unified cancel path for compilation: a query cancelled
-        // while this thread was being spawned abandons the compile the
-        // same way a failed compile does — `cancel_compile` re-opens the
-        // handle's claim slot, nothing is published, and the query stops
-        // paying for work it will never use.
-        if self.cancel.is_cancelled() {
-            self.handle.cancel_compile();
-            return;
+        if !self.cancel.is_cancelled() {
+            self.compile_and_install();
         }
+        self.handle.end_compile();
+    }
+
+    fn compile_and_install(&self) {
         let t_c0 = self.exec_start.elapsed().as_micros() as u64;
         // The compile runs under `catch_unwind`: a panicking emitter (or
         // an injected `compile_job=panic` fault) is contained on this
-        // thread and handled exactly like a failed compile — the claim
-        // slot re-opens, the tier is quarantined, the query keeps
-        // running at its current level.
+        // thread and handled exactly like a failed compile — the tier is
+        // quarantined, the query keeps running at its current level.
         let compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            aqe_fault::failpoint("compile_job").map_err(|_| self.level)?;
-            self.tiers.get_or_compile(self.level).map_err(|e| e.level)
-        }))
-        .unwrap_or(Err(self.level));
+            aqe_fault::failpoint("compile_job")?;
+            self.tiers.get_or_compile(self.level)
+        }));
         match compiled {
-            Ok(claimed) => {
+            Ok(Ok(claimed)) => {
                 let t_c1 = self.exec_start.elapsed().as_micros() as u64;
                 self.events.lock().push(TraceEvent {
                     thread: u16::MAX,
@@ -512,16 +516,12 @@ impl CompileJob {
                     q.record_success(self.level);
                 }
             }
-            Err(failed_level) => {
-                // Re-open the compile slot: leaving `compiling` set would
-                // permanently disable upgrades for this pipeline. The
-                // failure degrades, never surfaces: quarantine the level
-                // that did not compile — for a `Simd` job that can be the
-                // `Optimized` code it wraps — and count it.
-                self.handle.cancel_compile();
+            Ok(Err(_)) | Err(_) => {
+                // The failure degrades, never surfaces: quarantine the
+                // level that did not compile and count it.
                 self.degraded.fetch_add(1, Ordering::Relaxed);
                 if let Some(q) = &self.quarantine {
-                    q.record_failure(failed_level);
+                    q.record_failure(self.level);
                 }
             }
         }
@@ -541,7 +541,7 @@ mod tests {
         let p = b.param(0);
         b.ret(Some(p.into()));
         let f = b.finish().unwrap();
-        let tiers = Arc::new(TierTable::new(Arc::new(f), Arc::new(Vec::new()), None));
+        let tiers = Arc::new(TierTable::new(Arc::new(f), Arc::new(Vec::new())));
         let bc = tiers.get_or_compile(ExecLevel::Interpreted).unwrap().backend;
         let handle = Arc::new(FunctionHandle::new(bc));
         assert!(handle.try_begin_compile());
@@ -582,17 +582,15 @@ mod tests {
         assert_eq!(ExecLevel::from_rank(ExecMode::Bytecode.rank()), ExecLevel::Interpreted);
         assert_eq!(ExecLevel::from_rank(ExecMode::NativeUnopt.rank()), ExecLevel::Unoptimized);
         assert_eq!(ExecLevel::from_rank(ExecMode::Native.rank()), ExecLevel::Optimized);
-        assert_eq!(ExecLevel::from_rank(ExecMode::Simd.rank()), ExecLevel::Simd);
         assert!(ExecLevel::Interpreted < ExecLevel::Unoptimized);
         assert!(ExecLevel::Unoptimized < ExecLevel::Optimized);
-        assert!(ExecLevel::Optimized < ExecLevel::Simd);
         for (i, level) in
             [ExecLevel::Interpreted].into_iter().chain(ExecLevel::COMPILED).enumerate()
         {
             assert_eq!(level as usize, i);
             assert_eq!(ExecLevel::from_index(i as u8), level);
         }
-        assert_eq!(ExecLevel::Simd.below(), Some(ExecLevel::Optimized));
+        assert_eq!(ExecLevel::Optimized.below(), Some(ExecLevel::Unoptimized));
         assert_eq!(ExecLevel::Interpreted.below(), None);
     }
 
@@ -658,11 +656,6 @@ mod tests {
         // the higher speedup wins outright.
         let c = choose(2000, 1e9, 2e7, ExecLevel::Interpreted, ExecLevel::Optimized);
         assert_eq!(c, Some(ExecLevel::Optimized));
-        let c = choose(2000, 1e9, 2e7, ExecLevel::Interpreted, ExecLevel::Simd);
-        assert_eq!(c, Some(ExecLevel::Simd));
-        // From optimized code the only remaining upgrade is the kernel.
-        let c = choose(2000, 1e9, 5e7, ExecLevel::Optimized, ExecLevel::Simd);
-        assert_eq!(c, Some(ExecLevel::Simd));
     }
 
     #[test]

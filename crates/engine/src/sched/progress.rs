@@ -19,6 +19,9 @@ use std::time::Instant;
 pub struct WorkerProgress {
     tuples: AtomicU64,
     morsels: AtomicU64,
+    /// Rows of those `tuples` the scan pre-filter kept from the worker
+    /// function.
+    skipped: AtomicU64,
 }
 
 impl WorkerProgress {
@@ -58,6 +61,19 @@ impl PipelineProgress {
         let w = &self.workers[worker];
         w.tuples.fetch_add(tuples, Ordering::Relaxed);
         w.morsels.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record that the scan pre-filter proved `rows` of `worker`'s last
+    /// morsel failing. The morsel itself is still [`record`](Self::record)ed
+    /// whole: totals and rates stay in scanned rows.
+    #[inline]
+    pub fn record_skipped(&self, worker: usize, rows: u64) {
+        self.workers[worker].skipped.fetch_add(rows, Ordering::Relaxed);
+    }
+
+    /// Total rows the scan pre-filter skipped, over all workers.
+    pub fn skipped(&self) -> u64 {
+        self.workers.iter().map(|w| w.skipped.load(Ordering::Relaxed)).sum()
     }
 
     /// Total tuples processed by all workers.
@@ -119,6 +135,11 @@ mod tests {
         assert_eq!(p.worker(0).tuples(), 125);
         assert_eq!(p.worker(0).morsels(), 2);
         assert_eq!(p.worker(2).tuples(), 0);
+        // Skipped rows are a separate ledger: totals stay in scanned rows.
+        p.record_skipped(1, 40);
+        p.record_skipped(0, 2);
+        assert_eq!(p.skipped(), 42);
+        assert_eq!(p.total(), 175);
     }
 
     #[test]

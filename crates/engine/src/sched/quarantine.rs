@@ -2,7 +2,7 @@
 //! failed for which pipeline, skip them for a while, then probe again.
 //!
 //! Graceful ladder degradation (DESIGN.md §14) means a failed
-//! machine-code or SIMD compile never surfaces to the caller — the
+//! machine-code compile never surfaces to the caller — the
 //! execution continues one rung down. But retrying a broken tier on
 //! *every* execution would pay the doomed compile each time, so the
 //! engine-wide [`QuarantineStore`] records each failure keyed by
@@ -119,15 +119,12 @@ impl PipelineQuarantine {
     /// Is compiling `level` off limits for this execution? The first
     /// call per level consults the store (spending one skip if
     /// quarantined); repeats return the cached verdict. `Interpreted` is
-    /// never blocked — the ladder always has a floor. `Simd` wraps
-    /// `Optimized` code, so it is also blocked while `Optimized` is: a
-    /// quarantine must not be bypassed by asking for the level above.
+    /// never blocked — the ladder always has a floor.
     pub fn blocked(&self, level: ExecLevel) -> bool {
         let Some(i) = Self::idx(level) else {
             return false;
         };
         *self.inner.cached[i].get_or_init(|| self.inner.store.consult(self.key(level)))
-            || (level == ExecLevel::Simd && self.blocked(ExecLevel::Optimized))
     }
 
     /// Distinct tiers this execution skipped because of quarantine.
@@ -181,32 +178,23 @@ mod tests {
         // Other keys were never affected.
         assert!(!s.pipeline(7, 1).blocked(ExecLevel::Optimized));
         assert!(!s.pipeline(8, 2).blocked(ExecLevel::Optimized));
-        assert!(!s.pipeline(7, 2).blocked(ExecLevel::Simd));
+        assert!(!s.pipeline(7, 2).blocked(ExecLevel::Unoptimized));
     }
 
     #[test]
     fn one_execution_spends_at_most_one_skip_per_tier() {
         let s = store();
-        s.pipeline(7, 0).record_failure(ExecLevel::Simd);
+        s.pipeline(7, 0).record_failure(ExecLevel::Optimized);
         let view = s.pipeline(7, 0);
         for _ in 0..100 {
-            assert!(view.blocked(ExecLevel::Simd));
+            assert!(view.blocked(ExecLevel::Optimized));
         }
+        assert_eq!(view.skips(), 1);
         // Only one skip was spent despite 100 consults.
         for _ in 0..QUARANTINE_SKIPS - 1 {
-            assert!(s.pipeline(7, 0).blocked(ExecLevel::Simd));
+            assert!(s.pipeline(7, 0).blocked(ExecLevel::Optimized));
         }
-        assert!(!s.pipeline(7, 0).blocked(ExecLevel::Simd));
-    }
-
-    #[test]
-    fn simd_is_blocked_while_the_code_it_wraps_is() {
-        let s = store();
-        s.pipeline(3, 0).record_failure(ExecLevel::Optimized);
-        let view = s.pipeline(3, 0);
-        assert!(view.blocked(ExecLevel::Simd));
-        assert!(!view.blocked(ExecLevel::Unoptimized));
-        assert_eq!(view.skips(), 1, "one tier (optimized) was skipped");
+        assert!(!s.pipeline(7, 0).blocked(ExecLevel::Optimized));
     }
 
     #[test]

@@ -79,11 +79,8 @@ fn blend(old: &CostModel, new: &CostModel) -> CostModel {
         unopt_per_instr_s: mix(old.unopt_per_instr_s, new.unopt_per_instr_s),
         opt_base_s: mix(old.opt_base_s, new.opt_base_s),
         opt_per_instr_s: mix(old.opt_per_instr_s, new.opt_per_instr_s),
-        simd_base_s: mix(old.simd_base_s, new.simd_base_s),
-        simd_per_instr_s: mix(old.simd_per_instr_s, new.simd_per_instr_s),
         speedup_unopt: mix(old.speedup_unopt, new.speedup_unopt),
         speedup_opt: mix(old.speedup_opt, new.speedup_opt),
-        speedup_simd: mix(old.speedup_simd, new.speedup_simd),
     }
 }
 

@@ -688,6 +688,7 @@ impl Session {
                 registry: &state.registry,
                 handles: &handles,
                 tiers: &state.tiers,
+                kernels: &state.kernels,
                 calibrator: &calibrator,
                 opts,
                 params,
@@ -841,17 +842,20 @@ impl PreparedQuery {
 }
 
 /// The retained compilation artifacts of one prepared query at one
-/// catalog version: the runtime registry plus one [`TierTable`] per
-/// pipeline (worker function, externs, scan kernel, and every backend
-/// built from them so far).
+/// catalog version: the runtime registry plus, per pipeline, one
+/// [`TierTable`] (worker function, externs, and every backend built from
+/// them so far) and the scan's pre-filter kernel where it has one.
 struct PreparedState {
     catalog_version: u64,
     instrs: usize,
     registry: Arc<Registry>,
-    /// Scan kernels inside are extracted from the plan against this
-    /// catalog version (column element widths come from the catalog), so
-    /// the tables are rebuilt with the rest of the state on version bumps.
     tiers: Vec<Arc<TierTable>>,
+    /// Each pipeline's vectorized scan pre-filter, beside its tier table:
+    /// a property of the scan that the morsel loop applies in front of
+    /// whichever backend runs. Extracted from the plan against this
+    /// catalog version (column element widths come from the catalog), so
+    /// rebuilt with the rest of the state on version bumps.
+    kernels: Vec<Option<Arc<ScanKernel>>>,
 }
 
 /// The plan's table scans must still line up with the (possibly mutated)
@@ -913,24 +917,22 @@ impl PreparedState {
             .map_err(|e| ExecError::Setup(e.to_string()))?,
         );
         let externs: Arc<Vec<ExternDecl>> = Arc::new(module.externs.clone());
-        let tiers = module
+        let tiers: Vec<Arc<TierTable>> = module
             .functions
             .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let kernel = plan
-                    .pipelines
-                    .get(i)
-                    .and_then(|p| ScanKernel::extract(p, cat, plan.param_slot))
-                    .map(Arc::new);
-                Arc::new(TierTable::new(Arc::new(Function::clone(f)), externs.clone(), kernel))
-            })
+            .map(|f| Arc::new(TierTable::new(Arc::new(Function::clone(f)), externs.clone())))
+            .collect();
+        let kernels = plan
+            .pipelines
+            .iter()
+            .map(|p| ScanKernel::extract(p, cat, plan.param_slot).map(Arc::new))
             .collect();
         Ok(PreparedState {
             catalog_version: cat.version(),
             instrs: module.instruction_count(),
             registry,
             tiers,
+            kernels,
         })
     }
 
@@ -975,7 +977,6 @@ impl PreparedState {
                     ExecMode::Bytecode => pin(ExecLevel::Interpreted, report),
                     ExecMode::NativeUnopt => pin(ExecLevel::Unoptimized, report),
                     ExecMode::Native => pin(ExecLevel::Optimized, report),
-                    ExecMode::Simd => pin(ExecLevel::Simd, report),
                     ExecMode::Adaptive => match self.tiers[i].best() {
                         Some(best) => best,
                         None => self.base_backend(i, report),
@@ -988,9 +989,8 @@ impl PreparedState {
 
     /// Pipeline `i`'s backend for a static mode pinning `level`: the
     /// highest level at or below it that the pipeline can reach here
-    /// ([`TierTable::ceiling`] — bytecode without an emitter, `Optimized`
-    /// under `Simd` without a scan kernel; neither counts as a
-    /// degradation), read from the tier table or compiled into it now
+    /// ([`TierTable::ceiling`] — bytecode without an emitter, which does
+    /// not count as a degradation), read from the tier table or compiled into it now
     /// (timed in `Report::upfront_compile`). A compile failure never
     /// surfaces: the level that failed is quarantined via this
     /// execution's view, `Report::degraded` counts it, and the pipeline
@@ -1017,8 +1017,8 @@ impl PreparedState {
                         q.record_success(level);
                         return claimed.backend;
                     }
-                    Err(failure) => {
-                        q.record_failure(failure.level);
+                    Err(_) => {
+                        q.record_failure(level);
                         report.degraded += 1;
                     }
                 }

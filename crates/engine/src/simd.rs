@@ -1,26 +1,32 @@
-//! Vectorized scan kernels (`ExecMode::Simd`, the top rank).
+//! Vectorized scan pre-filter: a property of a pipeline's scan, not a rung
+//! of the backend ladder.
 //!
 //! A scan pipeline whose first operator is a filter of simple comparisons
 //! (`col < const AND …`) spends most of its scalar time computing a
 //! predicate that packed compares evaluate 4–8 rows at a time. This module
-//! extracts such *conjuncts* from the physical plan ([`ScanKernel::extract`])
-//! and wraps any compiled scalar backend in a [`SimdScanBackend`]: each
-//! morsel is cut into 64-row blocks, the kernel evaluates the conjuncts
-//! into a selection bitmask (`u64`, bit *i* = row passes), and only the
-//! surviving row *runs* are handed to the inner scalar worker.
+//! extracts such *conjuncts* from the physical plan ([`ScanKernel::extract`]);
+//! the morsel loop (`exec::PipelineRun::run`) resolves the kernel against
+//! the execution's parameter block once per pipeline run and hands every
+//! claimed morsel to `ScanKernel::for_each_run`: the morsel is cut into
+//! 64-row blocks, the kernel evaluates the conjuncts into a selection
+//! bitmask (`u64`, bit *i* = row passes), and only the surviving row *runs*
+//! reach the worker function — on whatever backend the pipeline's handle
+//! holds at that moment (bytecode, unoptimized or optimized machine code).
+//! `ExecMode::NaiveIr` is exempt: it is the oracle the differential suites
+//! compare against and shares no code with what it checks.
 //!
 //! ## Correctness: the superset-mask contract
 //!
 //! The kernel's mask is a **superset filter**: every extracted conjunct is
 //! a necessary condition of the full predicate, so a cleared bit proves
 //! the row fails and can be skipped, while a set bit proves nothing — the
-//! inner scalar worker re-evaluates the *complete* predicate on every row
+//! worker function re-evaluates the *complete* predicate on every row
 //! it is given. This has two liberating consequences:
 //!
 //! * Extraction may skip any conjunct it cannot vectorize (`InList`,
 //!   arithmetic, out-of-lane-range constants, `Or` trees) — the mask just
 //!   gets denser, never wrong.
-//! * Adjacent runs may be merged across small gaps (fewer, longer inner
+//! * Adjacent runs may be merged across small gaps (fewer, longer worker
 //!   calls): including a failing row is harmless by the same argument.
 //!
 //! Consequently the only semantic requirement on the mask is *no false
@@ -37,21 +43,10 @@
 //! (4×i32 / 2×f64; SSE2 has no packed 64-bit signed compare, so `i64`
 //! conjuncts evaluate scalar) as the x86-64 baseline, and a pure-Rust
 //! scalar fallback everywhere else. All three produce bit-identical
-//! masks — the CPUID fallback test relies on it. `AQE_SIMD=0` disables
-//! the mode; `AQE_SIMD_TIER=avx2|sse2|scalar` forces a tier (testing).
+//! masks — the unit tests construct each tier and compare.
 
 use crate::plan::{CmpOp, FieldTy, PExpr, PipeOp, Pipeline, Source};
 use aqe_storage::{CatalogSnapshot, DataType};
-use aqe_vm::backend::{ExecMode, PipelineBackend};
-use aqe_vm::interp::{ExecError, Frame};
-use aqe_vm::rt::Registry;
-use std::sync::Arc;
-
-/// Whether the SIMD scan-kernel mode is enabled (`AQE_SIMD=0` makes
-/// `ExecMode::Simd` run plain `Native` and caps the adaptive ladder there).
-pub fn enabled() -> bool {
-    std::env::var("AQE_SIMD").map_or(true, |v| v != "0")
-}
 
 /// Which packed-compare implementation a kernel uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,18 +60,10 @@ pub enum KernelTier {
 }
 
 impl KernelTier {
-    /// CPUID-detected best tier, overridable with `AQE_SIMD_TIER`.
+    /// CPUID-detected best tier.
     /// The fallback ladder is AVX2 → SSE2 → scalar: SSE2 is architectural
     /// baseline on x86-64, so only non-x86 targets land on `Scalar`.
     pub fn detect() -> KernelTier {
-        if let Ok(v) = std::env::var("AQE_SIMD_TIER") {
-            match v.as_str() {
-                "avx2" => return KernelTier::Avx2,
-                "sse2" => return KernelTier::Sse2,
-                "scalar" => return KernelTier::Scalar,
-                _ => {}
-            }
-        }
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
@@ -110,7 +97,7 @@ enum Elem {
 /// the packed compares consume; the retained skeleton keeps
 /// [`ConjunctSpec`]s instead, so one kernel serves every parameter binding.
 #[derive(Clone, Copy, Debug)]
-struct Conjunct {
+pub(crate) struct Conjunct {
     /// State slot holding the column's base pointer.
     slot: usize,
     elem: Elem,
@@ -149,7 +136,7 @@ struct ConjunctSpec {
 const BLOCK: u64 = 64;
 
 /// Runs separated by at most this many failing rows are merged into one
-/// inner call — sound under the superset contract, and it trades a few
+/// worker call — sound under the superset contract, and it trades a few
 /// scalar re-evaluations for far fewer per-call frame setups.
 const MERGE_GAP: u64 = 16;
 
@@ -157,7 +144,7 @@ const MERGE_GAP: u64 = 16;
 /// compare against which constants (or parameter slots), and at which
 /// [`KernelTier`]. The kernel itself is binding-independent — it is
 /// retained with the prepared query's compiled state and resolved against
-/// the current parameter block on every backend call.
+/// the execution's parameter block once per pipeline run.
 pub struct ScanKernel {
     specs: Vec<ConjunctSpec>,
     /// State slot holding the parameter-block pointer (`plan.param_slot`);
@@ -189,7 +176,7 @@ fn flip(op: CmpOp) -> CmpOp {
 impl ScanKernel {
     /// Extract a kernel from a pipeline: a table scan whose first operator
     /// is a filter with at least one vectorizable top-level conjunct.
-    /// Returns `None` when the mode cannot help (non-scan source, no
+    /// Returns `None` when a pre-filter cannot help (non-scan source, no
     /// filter, or no comparison the lanes can express). `param_slot` is the
     /// plan's parameter-block slot; comparisons against `PExpr::Param` are
     /// extracted as parameter conjuncts resolved per binding.
@@ -316,7 +303,7 @@ impl ScanKernel {
     /// hold a valid pointer to the execution's parameter block, with every
     /// referenced index in bounds (guaranteed by `run_pipelines`' arity
     /// check against `plan.params`).
-    unsafe fn resolve(&self, state: *const u64) -> Vec<Conjunct> {
+    pub(crate) unsafe fn resolve(&self, state: *const u64) -> Vec<Conjunct> {
         let block = self.param_slot.map(|s| unsafe { *state.add(s) } as *const u64);
         let mut out = Vec::with_capacity(self.specs.len());
         for s in &self.specs {
@@ -383,6 +370,31 @@ impl ScanKernel {
             m &= cm;
         }
         m
+    }
+
+    /// The pre-filter over one morsel: evaluate `conjuncts` (this kernel,
+    /// [`resolve`](Self::resolve)d for the current execution) over
+    /// `[begin, end)` block by block and call `run(b, e)` once per
+    /// surviving row run, in order. Returns the rows proved failing.
+    ///
+    /// # Safety
+    /// The slots named by the conjuncts must hold valid base pointers of
+    /// columns with at least `end` elements of the declared type — the
+    /// contract the worker function itself loads under.
+    pub(crate) unsafe fn for_each_run<E>(
+        &self,
+        conjuncts: &[Conjunct],
+        state: *const u64,
+        begin: u64,
+        end: u64,
+        run: impl FnMut(u64, u64) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        cut_runs(
+            begin,
+            end,
+            |row, n| unsafe { ScanKernel::mask(conjuncts, self.tier, state, row, n) },
+            run,
+        )
     }
 }
 
@@ -625,83 +637,47 @@ mod avx2 {
     }
 }
 
-/// A compiled scalar backend wrapped with a [`ScanKernel`] pre-pass: the
-/// backend the adaptive ladder tops out at on vectorizable scans.
-pub struct SimdScanBackend {
-    inner: Arc<dyn PipelineBackend>,
-    kernel: Arc<ScanKernel>,
-}
-
-impl SimdScanBackend {
-    pub fn new(inner: Arc<dyn PipelineBackend>, kernel: Arc<ScanKernel>) -> SimdScanBackend {
-        SimdScanBackend { inner, kernel }
-    }
-
-    /// The wrapped scalar backend (`Native` in the engine).
-    pub fn inner_kind(&self) -> ExecMode {
-        self.inner.kind()
-    }
-}
-
-impl PipelineBackend for SimdScanBackend {
-    fn call(
-        &self,
-        args: &[u64],
-        rt: &Registry,
-        frame: &mut Frame,
-    ) -> Result<Option<u64>, ExecError> {
-        let [wctx, state_ptr, begin, end] = *args else {
-            return Err(ExecError::Setup("simd backend expects the worker ABI".into()));
-        };
-        let state = state_ptr as *const u64;
-        // Resolve the retained skeleton against this execution's parameter
-        // block (no-op for all-constant kernels). Safety: `run_pipelines`
-        // installed the block pointer and checked the arity before any
-        // backend ran.
-        let conjuncts = unsafe { self.kernel.resolve(state) };
-        if conjuncts.is_empty() {
-            // Every conjunct dropped for this binding (out-of-lane-domain
-            // values): the pre-pass can't help, run the scalar inner
-            // worker over the whole morsel.
-            return self.inner.call(args, rt, frame);
-        }
-        // Pending merged run of (maybe-)passing rows, [start, end).
-        let mut pend: Option<(u64, u64)> = None;
-        let mut row = begin;
-        while row < end {
-            let n = (end - row).min(BLOCK);
-            // Safety: the state slots hold this epoch's column base
-            // pointers and the dispenser hands out in-bounds row ranges —
-            // the same contract the scalar workers load under.
-            let mut m = unsafe { ScanKernel::mask(&conjuncts, self.kernel.tier, state, row, n) };
-            while m != 0 {
-                let t = m.trailing_zeros() as u64;
-                let ones = (!(m >> t)).trailing_zeros() as u64;
-                let (s, e) = (row + t, row + t + ones);
-                match pend {
-                    Some((ps, pe)) if s - pe <= MERGE_GAP => pend = Some((ps, e)),
-                    Some((ps, pe)) => {
-                        self.inner.call(&[wctx, state_ptr, ps, pe], rt, frame)?;
-                        pend = Some((s, e));
-                    }
-                    None => pend = Some((s, e)),
+/// Cut `[begin, end)` into the row runs whose selection bits are set and
+/// hand each to `run`, in row order. `mask_of(row, n)` is the selection
+/// mask of rows `[row, row + n)` (`n ≤ 64`, no bit at or above `n`).
+/// Returns the number of cleared bits: the rows the masks proved failing.
+fn cut_runs<E>(
+    begin: u64,
+    end: u64,
+    mut mask_of: impl FnMut(u64, u64) -> u64,
+    mut run: impl FnMut(u64, u64) -> Result<(), E>,
+) -> Result<u64, E> {
+    let mut skipped = 0;
+    // Pending merged run of (maybe-)passing rows, [start, end).
+    let mut pend: Option<(u64, u64)> = None;
+    let mut row = begin;
+    while row < end {
+        let n = (end - row).min(BLOCK);
+        let mut m = mask_of(row, n);
+        skipped += n - u64::from(m.count_ones());
+        while m != 0 {
+            let t = m.trailing_zeros() as u64;
+            let ones = (!(m >> t)).trailing_zeros() as u64;
+            let (s, e) = (row + t, row + t + ones);
+            match pend {
+                Some((ps, pe)) if s - pe <= MERGE_GAP => pend = Some((ps, e)),
+                Some((ps, pe)) => {
+                    run(ps, pe)?;
+                    pend = Some((s, e));
                 }
-                if t + ones >= 64 {
-                    break;
-                }
-                m &= !0u64 << (t + ones);
+                None => pend = Some((s, e)),
             }
-            row += n;
+            if t + ones >= 64 {
+                break;
+            }
+            m &= !0u64 << (t + ones);
         }
-        if let Some((ps, pe)) = pend {
-            self.inner.call(&[wctx, state_ptr, ps, pe], rt, frame)?;
-        }
-        Ok(None)
+        row += n;
     }
-
-    fn kind(&self) -> ExecMode {
-        ExecMode::Simd
+    if let Some((ps, pe)) = pend {
+        run(ps, pe)?;
     }
+    Ok(skipped)
 }
 
 #[cfg(test)]
@@ -851,11 +827,83 @@ mod tests {
         assert_eq!(bind(i64::from(i32::MAX) + 1), (1, 59));
     }
 
+    /// Seeded property test of the block/merge loop alone: random masks at
+    /// three densities over ranges with odd lengths, unaligned begins and a
+    /// partial last block.
     #[test]
-    fn detect_falls_back_cleanly_and_env_overrides() {
+    fn run_cutter_emits_ordered_disjoint_covering_runs() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(20);
+        for case in 0..600 {
+            let begin: u64 = rng.random_range(0..200);
+            let len: u64 = match case % 4 {
+                0 => 0,
+                1 => rng.random_range(1..64),
+                _ => rng.random_range(1..=700),
+            };
+            let end = begin + len;
+            // Sparse, dense and even masks in turn.
+            let density = [1.0 / 16.0, 15.0 / 16.0, 0.5][case % 3];
+            let pass: Vec<bool> = (0..len).map(|_| rng.random_bool(density)).collect();
+            let mask_of = |row: u64, n: u64| {
+                assert!((1..=BLOCK).contains(&n) && row >= begin && row + n <= end);
+                (0..n).fold(0u64, |m, i| m | (pass[(row - begin + i) as usize] as u64) << i)
+            };
+            let mut runs: Vec<(u64, u64)> = Vec::new();
+            let skipped = cut_runs(begin, end, mask_of, |b, e| {
+                runs.push((b, e));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            assert_eq!(skipped, pass.iter().filter(|&&p| !p).count() as u64, "case {case}");
+            let mut covered = vec![false; len as usize];
+            let mut prev_end = None;
+            for &(b, e) in &runs {
+                assert!(begin <= b && b < e && e <= end, "case {case}: run [{b},{e}) out of range");
+                if let Some(pe) = prev_end {
+                    // In order, disjoint — and not mergeable, or the cutter
+                    // would have merged them.
+                    assert!(b > pe + MERGE_GAP, "case {case}: runs [..{pe}) [{b}..) not merged");
+                }
+                prev_end = Some(e);
+                // A run starts and ends on a passing row and bridges no gap
+                // wider than MERGE_GAP.
+                let rows = &pass[(b - begin) as usize..(e - begin) as usize];
+                assert!(rows[0] && rows[rows.len() - 1], "case {case}: run edge is a failing row");
+                let widest_gap = rows.split(|&p| p).map(|gap| gap.len() as u64).max().unwrap_or(0);
+                assert!(widest_gap <= MERGE_GAP, "case {case}: bridged a {widest_gap}-row gap");
+                covered[(b - begin) as usize..(e - begin) as usize].fill(true);
+            }
+            for (i, (&p, &c)) in pass.iter().zip(&covered).enumerate() {
+                assert!(!p || c, "case {case}: passing row {} not covered", begin + i as u64);
+            }
+        }
+    }
+
+    /// A failing run stops the cutter: the error surfaces and no later run
+    /// is attempted.
+    #[test]
+    fn run_cutter_stops_at_the_first_error() {
+        let mut calls = 0;
+        let r = cut_runs(
+            0,
+            256,
+            |_, _| 1, // one passing row per block, 63 failing rows apart
+            |_, _| {
+                calls += 1;
+                Err::<(), &str>("boom")
+            },
+        );
+        assert_eq!(r, Err("boom"));
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn detect_falls_back_cleanly() {
         // Whatever the CPU, detection must return a working tier and the
-        // forced tiers must produce identical masks (asserted above); here
-        // assert the ladder order is respected.
+        // constructed tiers must produce identical masks (asserted above);
+        // here assert the ladder order is respected.
         let t = KernelTier::detect();
         #[cfg(target_arch = "x86_64")]
         assert!(t == KernelTier::Avx2 || t == KernelTier::Sse2);

@@ -17,10 +17,10 @@
 //! | `Interpreted` | bytecode (`aqe_vm::translate`) |
 //! | `Unoptimized` | `compile_native_at(.., OptLevel::Unoptimized)` |
 //! | `Optimized` | `compile_native_at(.., OptLevel::Optimized)` |
-//! | `Simd` | the `Optimized` entry behind the pipeline's scan kernel |
+//!
+//! No entry's compile reads or latches another entry.
 
 use crate::sched::ExecLevel;
-use crate::simd::{self, ScanKernel, SimdScanBackend};
 use aqe_ir::{ExternDecl, Function};
 use aqe_jit::compile::OptLevel;
 use aqe_jit::native::{self, compile_native_at};
@@ -34,19 +34,10 @@ use std::time::{Duration, Instant};
 /// A level's backend as handed out by [`TierTable::get_or_compile`].
 pub struct Claimed {
     pub backend: Arc<dyn PipelineBackend>,
-    /// Wall time of the compile, when this call paid for all of it.
-    /// `None` when the entry (or, for `Simd`, the `Optimized` entry it
-    /// wraps) was already filled: there is then no measurement worth
+    /// Wall time of the compile, when this call paid for it. `None` when
+    /// the entry was already filled: there is then no measurement worth
     /// feeding back into the cost model.
     pub compiled_in: Option<Duration>,
-}
-
-/// A compile that failed, and the level whose compile it was: a `Simd`
-/// request fails at `Optimized` when the code it wraps does not compile.
-#[derive(Debug)]
-pub struct CompileFailure {
-    pub level: ExecLevel,
-    pub message: String,
 }
 
 type Entry = Mutex<Option<Arc<dyn PipelineBackend>>>;
@@ -55,9 +46,6 @@ type Entry = Mutex<Option<Arc<dyn PipelineBackend>>>;
 pub struct TierTable {
     function: Arc<Function>,
     externs: Arc<Vec<ExternDecl>>,
-    /// The pipeline's vectorized filter pre-pass, when one was extracted
-    /// from the plan; without it the table tops out at `Optimized`.
-    kernel: Option<Arc<ScanKernel>>,
     entries: [Entry; ExecLevel::COUNT],
     /// Highest filled level (`Interpreted` while nothing is compiled), for
     /// lock-free polling. Published with `Release` after the entry is
@@ -69,15 +57,10 @@ pub struct TierTable {
 }
 
 impl TierTable {
-    pub fn new(
-        function: Arc<Function>,
-        externs: Arc<Vec<ExternDecl>>,
-        kernel: Option<Arc<ScanKernel>>,
-    ) -> TierTable {
+    pub fn new(function: Arc<Function>, externs: Arc<Vec<ExternDecl>>) -> TierTable {
         TierTable {
             function,
             externs,
-            kernel,
             entries: Default::default(),
             best: AtomicU8::new(ExecLevel::Interpreted as u8),
             builds: AtomicU64::new(0),
@@ -89,16 +72,13 @@ impl TierTable {
         &self.function
     }
 
-    /// Highest level this table can reach in this process: `Interpreted`
-    /// without an emitter (bytecode only), `Simd` on a pipeline with a
-    /// scan kernel unless `AQE_SIMD=0`, else `Optimized`.
+    /// Highest level this table can reach in this process: `Optimized`,
+    /// or `Interpreted` without an emitter (bytecode only).
     pub fn ceiling(&self) -> ExecLevel {
-        if !native::enabled() {
-            ExecLevel::Interpreted
-        } else if self.kernel.is_some() && simd::enabled() {
-            ExecLevel::Simd
-        } else {
+        if native::enabled() {
             ExecLevel::Optimized
+        } else {
+            ExecLevel::Interpreted
         }
     }
 
@@ -125,54 +105,36 @@ impl TierTable {
     }
 
     /// `level`'s backend: read if filled, else compiled and filled under
-    /// the entry's latch (racing callers wait and then read).
-    pub fn get_or_compile(&self, level: ExecLevel) -> Result<Claimed, CompileFailure> {
+    /// the entry's latch (racing callers wait and then read). The error is
+    /// the compiler's message.
+    pub fn get_or_compile(&self, level: ExecLevel) -> Result<Claimed, String> {
         let mut entry = self.entries[level as usize].lock();
         if let Some(b) = &*entry {
             return Ok(Claimed { backend: b.clone(), compiled_in: None });
         }
         let t0 = Instant::now();
-        let (backend, paid_in_full) = self.compile(level)?;
+        let backend = self.compile(level)?;
         *entry = Some(backend.clone());
         self.best.fetch_max(level as u8, Ordering::Release);
         self.builds.fetch_add(1, Ordering::Relaxed);
-        Ok(Claimed { backend, compiled_in: paid_in_full.then(|| t0.elapsed()) })
+        Ok(Claimed { backend, compiled_in: Some(t0.elapsed()) })
     }
 
-    /// Build `level`'s backend; the flag says whether this call paid for
-    /// everything the backend consists of. Lock order for `Simd` is
-    /// simd → optimized; nothing takes the two the other way round.
-    fn compile(
-        &self,
-        level: ExecLevel,
-    ) -> Result<(Arc<dyn PipelineBackend>, bool), CompileFailure> {
-        let fail = |message: String| CompileFailure { level, message };
+    fn compile(&self, level: ExecLevel) -> Result<Arc<dyn PipelineBackend>, String> {
         let native_at = |opt: OptLevel| {
             compile_native_at(&self.function, &self.externs, opt)
-                .map(|nf| (Arc::new(nf) as Arc<dyn PipelineBackend>, true))
-                .map_err(|e| fail(e.to_string()))
+                .map(|nf| Arc::new(nf) as Arc<dyn PipelineBackend>)
+                .map_err(|e| e.to_string())
         };
         match level {
             ExecLevel::Interpreted => {
-                aqe_fault::failpoint("bc_translate").map_err(fail)?;
+                aqe_fault::failpoint("bc_translate")?;
                 translate(&self.function, &self.externs, TranslateOptions::default())
-                    .map(|bc| (Arc::new(bc) as Arc<dyn PipelineBackend>, true))
-                    .map_err(|e| fail(e.to_string()))
+                    .map(|bc| Arc::new(bc) as Arc<dyn PipelineBackend>)
+                    .map_err(|e| e.to_string())
             }
             ExecLevel::Unoptimized => native_at(OptLevel::Unoptimized),
             ExecLevel::Optimized => native_at(OptLevel::Optimized),
-            ExecLevel::Simd => {
-                let kernel = self
-                    .kernel
-                    .clone()
-                    .ok_or_else(|| fail("pipeline has no scan kernel".to_string()))?;
-                aqe_fault::failpoint("simd_compile").map_err(fail)?;
-                let inner = self.get_or_compile(ExecLevel::Optimized)?;
-                Ok((
-                    Arc::new(SimdScanBackend::new(inner.backend, kernel)),
-                    inner.compiled_in.is_some(),
-                ))
-            }
         }
     }
 }
@@ -187,7 +149,7 @@ mod tests {
         let mut b = FunctionBuilder::new("f", &[Type::I64], Some(Type::I64));
         let p = b.param(0);
         b.ret(Some(p.into()));
-        TierTable::new(Arc::new(b.finish().unwrap()), Arc::new(Vec::new()), None)
+        TierTable::new(Arc::new(b.finish().unwrap()), Arc::new(Vec::new()))
     }
 
     #[test]
@@ -210,7 +172,7 @@ mod tests {
             return;
         }
         let t = table();
-        assert_eq!(t.ceiling(), ExecLevel::Optimized, "no kernel: no simd");
+        assert_eq!(t.ceiling(), ExecLevel::Optimized);
         t.get_or_compile(ExecLevel::Optimized).unwrap();
         assert_eq!(t.best_level(), ExecLevel::Optimized);
         // A lower level arriving late fills its own entry and leaves best.
@@ -220,13 +182,5 @@ mod tests {
         assert_eq!(t.get(ExecLevel::Unoptimized).unwrap().kind(), ExecMode::NativeUnopt);
         assert!(t.get(ExecLevel::Interpreted).is_none());
         assert_eq!(t.builds(), 2);
-    }
-
-    #[test]
-    fn simd_without_a_kernel_fails_at_its_own_level() {
-        let t = table();
-        let e = t.get_or_compile(ExecLevel::Simd).err().expect("no kernel");
-        assert_eq!(e.level, ExecLevel::Simd);
-        assert_eq!(t.builds(), 0);
     }
 }

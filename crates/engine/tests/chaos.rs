@@ -37,13 +37,12 @@ fn quiet_injected_panics() {
     });
 }
 
-fn all_modes() -> [ExecMode; 6] {
+fn all_modes() -> [ExecMode; 5] {
     [
         ExecMode::NaiveIr,
         ExecMode::Bytecode,
         ExecMode::NativeUnopt,
         ExecMode::Native,
-        ExecMode::Simd,
         ExecMode::Adaptive,
     ]
 }
@@ -87,8 +86,8 @@ fn oracle(cat: &Catalog, plan: &PlanNode) -> Vec<u64> {
     run_once(cat, plan, ExecMode::Bytecode, 1).expect("clean oracle run").0
 }
 
-/// Every machine-code and SIMD compile fails, including the W^X map: all
-/// six modes still answer, bit-identical, through degraded ladders.
+/// Every machine-code compile fails, including the W^X map: all five
+/// modes still answer, bit-identical, through degraded ladders.
 #[test]
 fn forced_compile_failures_degrade_not_error() {
     let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -97,7 +96,7 @@ fn forced_compile_failures_degrade_not_error() {
     let plan = q6_plan();
     let expect = oracle(&cat, &plan);
 
-    let _armed = aqe_fault::arm("native_compile=err,simd_compile=err,wx_map=err", 1).unwrap();
+    let _armed = aqe_fault::arm("native_compile=err,wx_map=err", 1).unwrap();
     for mode in all_modes() {
         for threads in [1, 4] {
             let (rows, report) = run_once(&cat, &plan, mode, threads)
@@ -106,8 +105,7 @@ fn forced_compile_failures_degrade_not_error() {
             // The pinned compiled tiers must have recorded their fall —
             // when the native emitter is live at all (otherwise they run
             // bytecode by design and nothing failed).
-            let compiled =
-                matches!(mode, ExecMode::NativeUnopt | ExecMode::Native | ExecMode::Simd);
+            let compiled = matches!(mode, ExecMode::NativeUnopt | ExecMode::Native);
             if aqe_jit::native::enabled() && compiled {
                 assert!(report.degraded > 0, "{mode:?}/{threads} should count its degradation");
             }
@@ -248,8 +246,8 @@ fn randomized_fault_schedules_never_abort_or_corrupt() {
     let plan = q6_plan();
     let expect = oracle(&cat, &plan);
 
-    const SCHEDULE: &str = "native_compile=err:0.5,simd_compile=err:0.5,wx_map=err:0.3,\
-                            bc_translate=err:0.3,compile_job=panic:0.3,worker=panic:0.02";
+    const SCHEDULE: &str = "native_compile=err:0.5,wx_map=err:0.3,bc_translate=err:0.3,\
+                            compile_job=panic:0.3,worker=panic:0.02";
     for seed in [1u64, 7, 42] {
         let _armed = aqe_fault::arm(SCHEDULE, seed).unwrap();
         for mode in all_modes() {
@@ -306,14 +304,14 @@ fn adaptive_survives_panicking_compile_jobs() {
     }
 }
 
-/// A background compile whose *inner* compile fails must fail the job:
-/// the adaptive controller aims a kernel pipeline at the SIMD tier, the
-/// optimized machine code under the kernel does not compile, and nothing
-/// may paper over that — the failure is counted, the level that broke
-/// (`Optimized`, not `Simd`) is quarantined, and the pipeline finishes
-/// on the tier it holds with exact rows.
+/// The scan pre-filter does not depend on the ladder: the adaptive
+/// controller aims a kernel pipeline at optimized machine code, the compile
+/// fails, and nothing may paper over that — the failure is counted, the
+/// level that broke is quarantined — while the pipeline, finishing on
+/// bytecode, still has the kernel skip rows in front of it and returns
+/// exact rows.
 #[test]
-fn adaptive_counts_and_quarantines_a_failed_inner_compile() {
+fn adaptive_quarantines_a_failed_compile_and_the_kernel_keeps_skipping() {
     let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     quiet_injected_panics();
     let cat = tpch::generate(0.05);
@@ -321,8 +319,8 @@ fn adaptive_counts_and_quarantines_a_failed_inner_compile() {
     let expect = oracle(&cat, &plan);
 
     let _armed = aqe_fault::arm("native_compile=err", 1).unwrap();
-    // Free compiles and a huge modelled kernel speedup: the controller
-    // claims the SIMD tier at its first evaluation.
+    // A free optimized compile and a huge modelled speedup: the controller
+    // claims `Optimized` at its first evaluation.
     let mut opts = ExecOptions {
         mode: ExecMode::Adaptive,
         threads: 2,
@@ -331,9 +329,9 @@ fn adaptive_counts_and_quarantines_a_failed_inner_compile() {
         min_morsel: 256,
         ..Default::default()
     };
-    opts.model.simd_base_s = 0.0;
-    opts.model.simd_per_instr_s = 0.0;
-    opts.model.speedup_simd = 200.0;
+    opts.model.opt_base_s = 0.0;
+    opts.model.opt_per_instr_s = 0.0;
+    opts.model.speedup_opt = 200.0;
 
     let engine = Engine::new(cat.clone());
     let session = engine.session();
@@ -341,15 +339,17 @@ fn adaptive_counts_and_quarantines_a_failed_inner_compile() {
     let (res, report) = session.execute_with(&prepared, &opts).expect("adaptive completes");
     assert_eq!(res.rows, expect);
     assert_eq!(report.background_compiles, 0, "nothing compiled, nothing installed");
+    assert!(report.sched[0].rows_skipped > 0, "the scan stayed on bytecode behind its kernel");
     if aqe_jit::native::enabled() {
         assert!(report.sched[0].compiles_started >= 1, "the controller must have tried");
-        assert!(report.degraded >= 1, "a failed inner compile fails the job");
+        assert!(report.degraded >= 1, "a failed compile fails the job");
         assert!(engine.quarantine_active() >= 1, "the level that broke is quarantined");
         // The very next static run finds `Optimized` quarantined.
         let native = ExecOptions { mode: ExecMode::Native, ..opts.clone() };
         let (res, report) = session.execute_with(&prepared, &native).unwrap();
         assert_eq!(res.rows, expect);
         assert!(report.quarantine_skips >= 1, "the quarantine is on the optimized level");
+        assert!(report.sched[0].rows_skipped > 0);
     } else {
         assert_eq!(report.degraded, 0, "bytecode only: nothing was attempted");
     }

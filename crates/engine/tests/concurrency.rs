@@ -111,8 +111,8 @@ fn racing_cold_executions_build_the_compiled_state_once() {
     assert_eq!(stats.executions_started, stats.executions_completed);
 }
 
-const LEVELS: [ExecLevel; 4] =
-    [ExecLevel::Interpreted, ExecLevel::Unoptimized, ExecLevel::Optimized, ExecLevel::Simd];
+const LEVELS: [ExecLevel; 3] =
+    [ExecLevel::Interpreted, ExecLevel::Unoptimized, ExecLevel::Optimized];
 
 /// Every `(pipeline, level)` tier-table entry of `query` that is filled.
 fn filled_entries(query: &PreparedQuery) -> Vec<((usize, ExecLevel), Arc<dyn PipelineBackend>)> {
@@ -131,8 +131,8 @@ fn racing_modes_compile_each_tier_table_entry_once() {
     const RACERS: usize = 8;
     const ROUNDS: usize = 3;
     let engine = Arc::new(Engine::new(tpch::generate(0.01)));
-    // A filtered scan (so the pipeline has a scan kernel and with it a
-    // `Simd` entry) feeding a single-row aggregation.
+    // A filtered scan (so the morsel loop runs its pre-filter in front of
+    // every racer's backend) feeding a single-row aggregation.
     let plan = || {
         let filter = PExpr::cmp(CmpOp::Lt, false, PExpr::Col(0), PExpr::ConstI(2400));
         agg_plan_over(8, Some(filter))
@@ -152,8 +152,6 @@ fn racing_modes_compile_each_tier_table_entry_once() {
         o.model.unopt_per_instr_s = 0.0;
         o.model.opt_base_s = 0.0;
         o.model.opt_per_instr_s = 0.0;
-        o.model.simd_base_s = 0.0;
-        o.model.simd_per_instr_s = 0.0;
         o
     };
     // The single-threaded bytecode reference, on a twin prepared query so
@@ -207,13 +205,7 @@ fn racing_modes_compile_each_tier_table_entry_once() {
     // entry still holds the very same `Arc`, and whatever a mode filled in
     // addition was again built once.
     let session = engine.session();
-    for mode in [
-        ExecMode::Bytecode,
-        ExecMode::NativeUnopt,
-        ExecMode::Native,
-        ExecMode::Simd,
-        ExecMode::Adaptive,
-    ] {
+    for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive] {
         let (rows, _) = session.execute_with(&prepared, &opts(mode)).expect("later run");
         assert_eq!(rows.rows, reference, "later {mode:?} run");
     }

@@ -1,9 +1,10 @@
 //! End-to-end engine tests: every execution mode — naive IR interpretation,
-//! bytecode, unoptimized and optimized machine code, SIMD scan kernels,
-//! adaptive — must produce identical results, at 1 and 4 threads, matching
-//! a host-computed reference. On platforms without the native emitter (or
-//! with `AQE_NATIVE=0`) the compiled modes run bytecode, with `AQE_SIMD=0`
-//! the SIMD mode runs plain optimized code, and the same assertions hold.
+//! bytecode, unoptimized and optimized machine code, adaptive — must
+//! produce identical results, at 1 and 4 threads, matching a host-computed
+//! reference. On platforms without the native emitter (or with
+//! `AQE_NATIVE=0`) the compiled modes run bytecode and the same assertions
+//! hold. Filtered scans run behind the vectorized pre-filter in every mode
+//! but `NaiveIr`, which is therefore the oracle of the kernel differentials.
 
 use aqe_engine::exec::{ExecMode, ExecOptions, ParamValue};
 use aqe_engine::plan::{
@@ -12,16 +13,20 @@ use aqe_engine::plan::{
 use aqe_engine::session::Engine;
 use aqe_storage::{tpch, Catalog, Column, DataType, Table};
 
-fn all_modes() -> [ExecMode; 6] {
+fn all_modes() -> [ExecMode; 5] {
     [
         ExecMode::NaiveIr,
         ExecMode::Bytecode,
         ExecMode::NativeUnopt,
         ExecMode::Native,
-        ExecMode::Simd,
         ExecMode::Adaptive,
     ]
 }
+
+/// The modes whose filtered scans sit behind the vectorized pre-filter —
+/// all but the `NaiveIr` oracle.
+const PREFILTERED_MODES: [ExecMode; 4] =
+    [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive];
 
 fn run(cat: &Catalog, plan: &PlanNode, mode: ExecMode, threads: usize) -> Vec<u64> {
     let engine = Engine::new(cat.clone());
@@ -326,13 +331,15 @@ fn adaptive_mode_compiles_hot_pipelines_eventually() {
     assert!(!modes.is_empty());
 }
 
-/// A table built to stress the SIMD scan kernels: NaN lanes (the repo's
-/// NULL stand-in for floats), int32 boundary constants, i64 extremes, and
-/// a row count that is not a multiple of any lane width (nor of the
-/// 64-row mask block). Every mode — kernel or scalar — must agree with a
-/// host-computed reference exactly.
+/// A table built to stress the scan kernels: NaN lanes (the repo's NULL
+/// stand-in for floats), int32 boundary constants, i64 extremes, and a
+/// row count that is not a multiple of any lane width (nor of the 64-row
+/// mask block). Every mode behind the pre-filter, at thread counts that cut
+/// the rows into differently aligned morsels, must agree exactly with the
+/// `NaiveIr` oracle (which is never pre-filtered) and with a host-computed
+/// reference.
 #[test]
-fn simd_kernel_differential_nan_boundaries_odd_rows() {
+fn scan_kernel_differential_nan_boundaries_odd_rows() {
     let rows = 64 * 16 + 37; // partial tail block, odd length
     let a: Vec<i32> = (0..rows)
         .map(|i| match i % 11 {
@@ -400,11 +407,12 @@ fn simd_kernel_differential_nan_boundaries_odd_rows() {
         }
     }
     assert!(count > 0 && (count as usize) < rows, "predicate must be selective");
-    let reference = vec![count, sum_a as u64, min_b.to_bits()];
+    let oracle = run(&cat, &plan, ExecMode::NaiveIr, 1);
+    assert_eq!(oracle, vec![count, sum_a as u64, min_b.to_bits()], "oracle vs host");
 
-    for mode in all_modes() {
-        for threads in [1, 4] {
-            assert_eq!(run(&cat, &plan, mode, threads), reference, "{mode:?}/{threads}");
+    for mode in PREFILTERED_MODES {
+        for threads in [1, 2, 3] {
+            assert_eq!(run(&cat, &plan, mode, threads), oracle, "{mode:?}/{threads}");
         }
     }
 }
@@ -414,10 +422,10 @@ fn simd_kernel_differential_nan_boundaries_odd_rows() {
 /// variable. One prepared query per mode is swept through bindings that
 /// include lane-domain escapes (an `i32` column compared against
 /// `i32::MAX + 1`), a NaN float parameter, negative zero, and the `i64`
-/// extremes. All six modes must stay bit-identical to the naive-IR
-/// oracle on every binding — in particular `ExecMode::Simd`, whose
-/// retained kernel skeleton re-resolves (and, out of domain, drops)
-/// conjuncts per binding instead of baking the first value in.
+/// extremes. Every pre-filtered mode must stay bit-identical to the
+/// naive-IR oracle on every binding: the retained kernel skeleton is
+/// re-resolved per execution (and, out of domain, drops conjuncts)
+/// instead of baking the first value in.
 #[test]
 fn bound_q6_differential_is_bit_identical_across_all_modes() {
     let rows = 64 * 16 + 37;
@@ -471,7 +479,7 @@ fn bound_q6_differential_is_bit_identical_across_all_modes() {
     };
 
     // Bindings chosen per the boundary corpus: in-domain, i32 lane-domain
-    // escapes in both directions (the SIMD kernel must drop the conjunct,
+    // escapes in both directions (the scan kernel must drop the conjunct,
     // not wrap it), a NaN parameter (selects nothing — IEEE, not a crash),
     // negative zero, and the i64 extremes.
     let bindings: Vec<[ParamValue; 3]> = vec![
@@ -535,8 +543,8 @@ fn bound_q6_differential_is_bit_identical_across_all_modes() {
         }
     }
 
-    for mode in all_modes() {
-        for threads in [1, 4] {
+    for mode in PREFILTERED_MODES {
+        for threads in [1, 2, 3] {
             let engine = Engine::new(cat.clone());
             let session = engine.session();
             let prepared = session.prepare(&plan, vec![]);
@@ -549,69 +557,45 @@ fn bound_q6_differential_is_bit_identical_across_all_modes() {
     }
 }
 
-/// When the SIMD gate is open, `ExecMode::Simd` on a vectorizable scan
-/// must genuinely execute through the kernel backend (trace kind 5), not
-/// silently run the scalar optimized tier — and the adaptive controller
-/// must be *able* to pick it: with compile costs zeroed and an enormous
-/// modelled speedup, the ladder's top backend for this scan is the kernel.
+/// The pre-filter is a property of the scan, not of the level it runs at:
+/// on a selective scan every mode skips rows from its first morsel on —
+/// the cleared mask bits of *all* morsels add up to exactly the rows that
+/// fail the vectorized conjunct, whatever backend ran behind the kernel —
+/// while the `NaiveIr` oracle and a pipeline without a kernel skip nothing.
+/// Holds with or without the native emitter.
 #[test]
-fn simd_mode_and_adaptive_ceiling_reach_the_kernel() {
-    if !aqe_engine::simd::enabled() || !aqe_jit::native::enabled() {
-        return; // AQE_SIMD=0 or no emitter: no kernel tier by design
-    }
+fn every_mode_skips_rows_on_a_selective_scan_from_its_first_morsel() {
     let cat = tpch::generate(0.02);
-    let plan = PlanNode::HashAgg {
-        input: Box::new(PlanNode::Scan {
-            table: "lineitem".into(),
-            cols: vec![4, 5],
-            filter: Some(PExpr::cmp(CmpOp::Lt, false, PExpr::Col(0), PExpr::ConstI(2400))),
-        }),
+    let scan_agg = |filter| PlanNode::HashAgg {
+        input: Box::new(PlanNode::Scan { table: "lineitem".into(), cols: vec![4, 5], filter }),
         group_by: vec![],
         aggs: vec![AggSpec { func: AggFunc::SumI, arg: Some(PExpr::Col(1)) }],
     };
-    let engine = Engine::new(cat.clone());
-    let session = engine.session();
-    let prepared = session.prepare(&plan, vec![]);
+    let selective = scan_agg(Some(PExpr::cmp(CmpOp::Lt, false, PExpr::Col(0), PExpr::ConstI(600))));
+    let qty = cat.get("lineitem").unwrap().column_by_name("l_quantity").unwrap();
+    let rows = cat.get("lineitem").unwrap().row_count();
+    let failing = (0..rows).filter(|&r| qty.get_u64(r) as i64 >= 600).count() as u64;
+    assert!(failing > rows as u64 / 2, "the filter must be selective");
 
-    // Pinned Simd mode: the scan pipeline's morsels trace as kind 5.
-    let opts = ExecOptions { mode: ExecMode::Simd, threads: 2, trace: true, ..Default::default() };
-    let (_, report) = session.execute_with(&prepared, &opts).unwrap();
-    assert!(
-        report.trace.iter().any(|e| e.kind == 5),
-        "pinned Simd mode must run morsels through the kernel backend"
-    );
-
-    // Adaptive: make upgrading irresistible and verify the controller
-    // climbs all the way to the kernel tier on this scan.
-    let mut opts = ExecOptions {
-        mode: ExecMode::Adaptive,
-        threads: 2,
-        trace: true,
-        first_eval: std::time::Duration::from_micros(50),
-        min_morsel: 256,
-        ..Default::default()
+    // A fresh engine per run: every execution is cold, adaptive included.
+    let scan = |plan: &PlanNode, mode| {
+        let engine = Engine::new(cat.clone());
+        let session = engine.session();
+        let prepared = session.prepare(plan, vec![]);
+        let opts = ExecOptions { mode, threads: 2, cache_results: false, ..Default::default() };
+        let (res, report) = session.execute_with(&prepared, &opts).unwrap();
+        assert_eq!(report.sched[0].total_rows, rows as u64, "rates stay in scanned rows");
+        (res.rows, report.sched[0].rows_skipped)
     };
-    opts.model.unopt_base_s = 0.0;
-    opts.model.unopt_per_instr_s = 0.0;
-    opts.model.opt_base_s = 0.0;
-    opts.model.opt_per_instr_s = 0.0;
-    opts.model.simd_base_s = 0.0;
-    opts.model.simd_per_instr_s = 0.0;
-    opts.model.speedup_simd = 1000.0;
-    // The climb races background compilation against a short scan, and a
-    // run that settles below the kernel retains that level — so each
-    // attempt gets a fresh engine and redoes the whole climb. One of a
-    // handful of attempts must trace through the kernel.
-    let mut reached = false;
-    for _ in 0..12 {
-        let engine2 = Engine::new(cat.clone());
-        let session2 = engine2.session();
-        let prepared2 = session2.prepare(&plan, vec![]);
-        let (_, report2) = session2.execute_with(&prepared2, &opts).unwrap();
-        if report2.trace.iter().any(|e| e.kind == 5) {
-            reached = true;
-            break;
-        }
+    let (oracle, oracle_skipped) = scan(&selective, ExecMode::NaiveIr);
+    assert_eq!(oracle_skipped, 0, "the oracle is never pre-filtered");
+    for mode in PREFILTERED_MODES {
+        let (got, n) = scan(&selective, mode);
+        assert_eq!(got, oracle, "{mode:?}");
+        assert_eq!(n, failing, "{mode:?}: every morsel went through the kernel");
     }
-    assert!(reached, "adaptive controller should reach the SIMD tier on a hot vectorizable scan");
+    // No filter, no kernel: nothing to skip in any mode.
+    for mode in all_modes() {
+        assert_eq!(scan(&scan_agg(None), mode).1, 0, "{mode:?} on a kernel-less pipeline");
+    }
 }

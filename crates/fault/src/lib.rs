@@ -34,7 +34,6 @@
 //! |------------------|--------------------------------------------|
 //! | `native_compile` | `aqe_jit::native::compile_native` entry    |
 //! | `wx_map`         | `ExecMem::map` (W^X mmap/mprotect)         |
-//! | `simd_compile`   | SIMD backend assembly (session + controller)|
 //! | `bc_translate`   | bytecode translation in the session        |
 //! | `worker`         | morsel-worker loop, once per claim round   |
 //! | `compile_job`    | background `CompileJob` thread entry       |

@@ -15,10 +15,14 @@ use crate::interp::{ExecError, Frame};
 use crate::rt::Registry;
 
 /// How to execute a query (Fig. 3's modes plus the naive interpreter
-/// baseline of Fig. 2). The first five name concrete backends; `Adaptive`
+/// baseline of Fig. 2). The first four name concrete backends; `Adaptive`
 /// is the engine policy that starts at `Bytecode` and upgrades at runtime.
 /// Where `aqe-jit` has no emitter (off x86-64 Linux, or `AQE_NATIVE=0`)
-/// the three compiled modes run the bytecode backend.
+/// the two compiled modes run the bytecode backend.
+///
+/// A filtered scan's vectorized pre-filter is not a mode: the engine's
+/// morsel loop runs it in front of whichever backend the mode installs —
+/// except under `NaiveIr`, the oracle, which sees every row.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ExecMode {
     /// Direct IR interpretation (the "LLVM interpreter" stand-in).
@@ -33,12 +37,6 @@ pub enum ExecMode {
     /// paper's *optimized* level): pass pipeline, slot coalescing,
     /// linear-scan register allocation.
     Native,
-    /// Vectorized scan kernels layered over the optimized machine code: a
-    /// packed-compare filter pre-pass (SSE2/AVX2) produces a selection
-    /// bitmask and only the surviving row runs enter the scalar code. On
-    /// pipelines without a vectorizable filter — or with `AQE_SIMD=0` —
-    /// this mode runs plain `Native`.
-    Simd,
     /// The paper's contribution: start in bytecode, switch adaptively.
     Adaptive,
 }
@@ -53,21 +51,19 @@ impl ExecMode {
             ExecMode::Bytecode | ExecMode::Adaptive => 1,
             ExecMode::NativeUnopt => 2,
             ExecMode::Native => 3,
-            ExecMode::Simd => 4,
         }
     }
 
     /// Compact code used in execution traces (Fig. 14): 0 = bytecode,
     /// 1 = unoptimized machine code, 3 = naive IR, 4 = optimized machine
-    /// code, 5 = vectorized scan kernel. (2 is unassigned; 255 marks a
-    /// compilation event and never names a backend.)
+    /// code. (2 and 5 are unassigned; 255 marks a compilation event and
+    /// never names a backend.)
     pub fn trace_kind(self) -> u8 {
         match self {
             ExecMode::Bytecode | ExecMode::Adaptive => 0,
             ExecMode::NativeUnopt => 1,
             ExecMode::NaiveIr => 3,
             ExecMode::Native => 4,
-            ExecMode::Simd => 5,
         }
     }
 }
@@ -106,7 +102,6 @@ mod tests {
         assert!(ExecMode::NaiveIr.rank() < ExecMode::Bytecode.rank());
         assert!(ExecMode::Bytecode.rank() < ExecMode::NativeUnopt.rank());
         assert!(ExecMode::NativeUnopt.rank() < ExecMode::Native.rank());
-        assert!(ExecMode::Native.rank() < ExecMode::Simd.rank());
         assert_eq!(ExecMode::Adaptive.rank(), ExecMode::Bytecode.rank());
     }
 
@@ -116,7 +111,6 @@ mod tests {
         assert_eq!(ExecMode::NativeUnopt.trace_kind(), 1);
         assert_eq!(ExecMode::NaiveIr.trace_kind(), 3);
         assert_eq!(ExecMode::Native.trace_kind(), 4);
-        assert_eq!(ExecMode::Simd.trace_kind(), 5);
     }
 
     #[test]

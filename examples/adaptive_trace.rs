@@ -51,10 +51,16 @@ fn main() {
             1 => "native-unopt",
             3 => "naive-ir",
             4 => "native-opt",
-            5 => "simd",
             _ => "?",
         };
         println!("  p{p} {mode:<12} {morsels:>6} morsels {tuples:>12} tuples");
+    }
+    println!("\nscan pre-filter (rows the vectorized kernel kept from the code above):");
+    for s in &report.sched {
+        println!(
+            "  p{} {:>6} morsels {:>12} of {:>12} rows skipped",
+            s.pipeline, s.morsels, s.rows_skipped, s.total_rows
+        );
     }
     println!(
         "\nresult rows: {}, total exec {:.2} ms, background compiles: {}",

@@ -21,11 +21,10 @@
 //! All execution backends plug into one seam: the object-safe
 //! [`vm::backend::PipelineBackend`] trait (re-exported here as
 //! [`PipelineBackend`]), implemented by the bytecode VM, the naive IR
-//! interpreter, both machine-code levels, and the SIMD scan-kernel
-//! wrapper. The engine's morsel loop calls through a hot-swappable
-//! `Arc<dyn PipelineBackend>` handle per pipeline, which is what lets a
-//! query switch representation mid-flight — from bytecode to optimized
-//! machine code.
+//! interpreter and both machine-code levels. The engine's morsel loop
+//! calls through a hot-swappable `Arc<dyn PipelineBackend>` handle per
+//! pipeline, which is what lets a query switch representation mid-flight
+//! — from bytecode to optimized machine code.
 //!
 //! The public execution API is the long-lived session layer
 //! ([`Engine`] → [`Session`] → [`PreparedQuery`], re-exported here):

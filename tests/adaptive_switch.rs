@@ -200,7 +200,7 @@ fn work_stealing_is_observable_in_the_sched_report() {
 }
 
 #[test]
-fn all_six_modes_agree_on_tpch_subset() {
+fn all_five_modes_agree_on_tpch_subset() {
     let cat = tpch_data::generate(0.005);
     let all = tpch::all(&cat);
     // A subset that covers scan+filter+agg, joins, and sorted output while
@@ -220,7 +220,6 @@ fn all_six_modes_agree_on_tpch_subset() {
             ExecMode::Bytecode,
             ExecMode::NativeUnopt,
             ExecMode::Native,
-            ExecMode::Simd,
             ExecMode::Adaptive,
         ] {
             let opts = ExecOptions { mode, threads: 2, cache_results: false, ..Default::default() };

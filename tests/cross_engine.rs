@@ -41,13 +41,9 @@ fn tpch_corpus_agrees_across_all_engines_and_modes() {
         let engine = Engine::new(cat.clone());
         let session = engine.session();
         let prepared = session.prepare_plan(phys.clone());
-        for mode in [
-            ExecMode::Bytecode,
-            ExecMode::NativeUnopt,
-            ExecMode::Native,
-            ExecMode::Simd,
-            ExecMode::Adaptive,
-        ] {
+        for mode in
+            [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive]
+        {
             for threads in [1, 4] {
                 let opts =
                     ExecOptions { mode, threads, cache_results: false, ..Default::default() };
