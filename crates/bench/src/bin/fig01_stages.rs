@@ -1,13 +1,13 @@
 //! Fig. 1 / Fig. 3 — per-stage times of the compilation pipeline for a
 //! TPC-H-style query, from SQL text to the three execution-mode artifacts.
 
-use aqe_bench::{bytecode_translate_time, env_sf, fmt_ms, ms, native_compile_time};
+use aqe_bench::{bytecode_translate_time, env_or, fmt_ms, ms, native_compile_time};
 use aqe_engine::plan::decompose;
 use aqe_jit::compile::OptLevel;
 use std::time::Instant;
 
 fn main() {
-    let sf = env_sf(0.1);
+    let sf = env_or("AQE_SF", 0.1);
     eprintln!("generating TPC-H SF {sf}…");
     let cat = aqe_storage::tpch::generate(sf);
     let sql = "SELECT l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), \

@@ -2,14 +2,14 @@
 //! (handwritten, optimized and unoptimized machine code, bytecode, naive
 //! IR interpretation).
 
-use aqe_bench::{env_sf, fmt_ms, ms, physical, run_mode, threads_from_env};
+use aqe_bench::{env_or, fmt_ms, ms, physical, run_mode};
 use aqe_engine::exec::ExecMode;
 use std::time::Instant;
 
 fn main() {
-    let sf = env_sf(0.1);
+    let sf = env_or("AQE_SF", 0.1);
     // The paper's figure is single-threaded; AQE_THREADS overrides.
-    let threads = threads_from_env(1);
+    let threads = env_or("AQE_THREADS", 1);
     eprintln!("generating TPC-H SF {sf}…");
     let cat = aqe_storage::tpch::generate(sf);
     let q = aqe_queries::tpch::q1(&cat);

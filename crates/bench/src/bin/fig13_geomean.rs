@@ -4,11 +4,11 @@
 //! Paper setup: SF 0.01–30, 8 threads on 8 cores. This host has one core;
 //! defaults are SF {0.01, 0.1, 0.5} and AQE_THREADS (default 4, time-sliced).
 
-use aqe_bench::{env_sf_list, geomean, ms, physical, run_mode, threads_from_env, MODES};
+use aqe_bench::{env_list_or, env_or, geomean, ms, physical, run_mode, MODES};
 
 fn main() {
-    let sfs = env_sf_list(&[0.01, 0.1, 0.5]);
-    let threads = threads_from_env(4);
+    let sfs = env_list_or("AQE_SF_LIST", &[0.01, 0.1, 0.5]);
+    let threads = env_or("AQE_THREADS", 4);
     println!("# Fig. 13 — geometric mean over TPC-H queries ({threads} threads)");
     print!("{:<8}", "SF");
     for (_, label) in MODES {

@@ -2,13 +2,13 @@
 //! bytecode, unoptimized, and adaptive execution. Prints a compact textual
 //! gantt and a CSV (`fig14_trace.csv`).
 
-use aqe_bench::{env_sf, ms, physical, run_mode, threads_from_env};
+use aqe_bench::{env_or, ms, physical, run_mode};
 use aqe_engine::exec::ExecMode;
 use std::io::Write;
 
 fn main() {
-    let sf = env_sf(0.2);
-    let threads = threads_from_env(4);
+    let sf = env_or("AQE_SF", 0.2);
+    let threads = env_or("AQE_THREADS", 4);
     eprintln!("generating TPC-H SF {sf}…");
     let cat = aqe_storage::tpch::generate(sf);
     let q = aqe_queries::tpch::q11(&cat);

@@ -3,15 +3,13 @@
 //! approach for larger query sizes … the bytecode interpreter scales
 //! perfectly."
 
-use aqe_bench::{bytecode_translate_time, ms, native_compile_time};
+use aqe_bench::{bytecode_translate_time, env_list_or, ms, native_compile_time};
 use aqe_jit::compile::OptLevel;
 
 fn main() {
     let cat = aqe_storage::tpch::generate(0.001);
-    let sizes: Vec<usize> = std::env::var("AQE_WIDE_SIZES")
-        .ok()
-        .map(|s| s.split(',').filter_map(|x| x.parse().ok()).collect())
-        .unwrap_or_else(|| vec![10, 50, 100, 200, 400, 800, 1200, 1900]);
+    let sizes: Vec<usize> =
+        env_list_or("AQE_WIDE_SIZES", &[10, 50, 100, 200, 400, 800, 1200, 1900]);
     println!("# Fig. 15 — very large generated queries");
     println!(
         "{:<8} {:>9} {:>12} {:>12} {:>12}",

@@ -3,13 +3,13 @@
 //! three compiled-engine modes (bytecode, unoptimized and optimized machine
 //! code); plus the §V-D geometric-mean speedup ratios.
 
-use aqe_bench::{env_sf, geomean, ms, physical, run_mode, threads_from_env};
+use aqe_bench::{env_or, geomean, ms, physical, run_mode};
 use aqe_engine::exec::ExecMode;
 use std::time::Instant;
 
 fn main() {
-    let sf = env_sf(0.05);
-    let threads = threads_from_env(4);
+    let sf = env_or("AQE_SF", 0.05);
+    let threads = env_or("AQE_THREADS", 4);
     eprintln!("generating TPC-H SF {sf}…");
     let cat = aqe_storage::tpch::generate(sf);
     let queries = aqe_queries::tpch::all(&cat);

@@ -13,88 +13,66 @@
 //! | `fig15_large_queries` | Fig. 15 (very large generated queries) |
 //! | `table1_plan_compile` | Table I (planning and compilation times) |
 //! | `table2_exec` | Table II (execution times + §V-D ratios) |
-//! | `ablation_regalloc` | §IV-C register-file sizes, fusion on/off |
-//! | `fig_stealing` | beyond the paper: skewed-morsel work stealing + cost-model calibration |
+//! | `sec4c_regfile` | §IV-C register-file sizes, fusion on/off |
 //!
 //! Scale factors default to laptop-friendly values; override with `AQE_SF`
-//! / `AQE_SF_LIST` / `AQE_THREADS` environment variables.
+//! / `AQE_SF_LIST` / `AQE_THREADS` / `AQE_WIDE_SIZES` environment
+//! variables (read by [`env_or`] / [`env_list_or`]).
 
 use aqe_engine::exec::{ExecMode, ExecOptions, Report, ResultRows};
-use aqe_engine::plan::{
-    decompose, AggFunc, AggSpec, ArithOp, CmpOp, PExpr, PhysicalPlan, PlanNode,
-};
+use aqe_engine::plan::{decompose, PhysicalPlan};
 use aqe_engine::session::Engine;
 use aqe_ir::Module;
 use aqe_jit::compile::OptLevel;
 use aqe_queries::Query;
-use aqe_storage::date::parse_date;
 use aqe_storage::Catalog;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-/// Scale factor from the environment (default given by the harness).
-pub fn env_sf(default: f64) -> f64 {
-    std::env::var("AQE_SF").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+/// `var` parsed as a `T`, or `default` when it is unset. A set but
+/// malformed value ends the process with a message naming both: a figure
+/// must never quietly measure its default instead of what was asked for.
+pub fn env_or<T: FromStr>(var: &str, default: T) -> T {
+    parse_or(var, std::env::var(var).ok().as_deref(), default).unwrap_or_else(fail)
 }
 
-pub fn env_sf_list(default: &[f64]) -> Vec<f64> {
-    std::env::var("AQE_SF_LIST")
-        .ok()
-        .map(|s| s.split(',').filter_map(|x| x.parse().ok()).collect())
-        .unwrap_or_else(|| default.to_vec())
+/// `var` parsed as a comma-separated list of `T`, or `default` when it is
+/// unset; malformed entries are fatal as in [`env_or`].
+pub fn env_list_or<T: FromStr + Clone>(var: &str, default: &[T]) -> Vec<T> {
+    parse_list_or(var, std::env::var(var).ok().as_deref(), default).unwrap_or_else(fail)
 }
 
-/// Worker thread count from `AQE_THREADS` (the shared knob every harness
-/// binary honours), falling back to the figure's default.
-pub fn threads_from_env(default: usize) -> usize {
-    std::env::var("AQE_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+fn fail<T>(msg: String) -> T {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+fn parse_or<T: FromStr>(var: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(s) => s.trim().parse().map_err(|_| format!("{var}={s:?} is not a valid value")),
+    }
+}
+
+fn parse_list_or<T: FromStr + Clone>(
+    var: &str,
+    raw: Option<&str>,
+    default: &[T],
+) -> Result<Vec<T>, String> {
+    match raw {
+        None => Ok(default.to_vec()),
+        Some(s) => s
+            .split(',')
+            .map(|x| {
+                x.trim().parse().map_err(|_| format!("{var}={s:?}: {x:?} is not a valid entry"))
+            })
+            .collect(),
+    }
 }
 
 /// Decompose a query against a catalog.
 pub fn physical(cat: &Catalog, q: &Query) -> PhysicalPlan {
     decompose(cat, &q.root, q.dicts.clone())
-}
-
-/// TPC-H Q6 with the quantity threshold supplied by the caller: pass
-/// `PExpr::Param { idx: 0, .. }` for the bound path or `PExpr::ConstI(v)`
-/// for the rebake-per-literal baseline. Dates and discount bounds stay
-/// literal — one varying slot is what the bound/rebaked comparison needs.
-pub fn q6_qty_plan(qty: PExpr) -> PlanNode {
-    // lineitem cols: 4 = l_quantity, 5 = l_extendedprice, 6 = l_discount,
-    // 10 = l_shipdate (decimals stored ×100, dates as day numbers).
-    PlanNode::HashAgg {
-        input: Box::new(PlanNode::Scan {
-            table: "lineitem".into(),
-            cols: vec![4, 5, 6, 10],
-            filter: Some(PExpr::and(
-                PExpr::and(
-                    PExpr::cmp(
-                        CmpOp::Ge,
-                        false,
-                        PExpr::Col(3),
-                        PExpr::ConstI(parse_date("1994-01-01") as i64),
-                    ),
-                    PExpr::cmp(
-                        CmpOp::Le,
-                        false,
-                        PExpr::Col(3),
-                        PExpr::ConstI(parse_date("1994-12-31") as i64),
-                    ),
-                ),
-                PExpr::and(
-                    PExpr::and(
-                        PExpr::cmp(CmpOp::Ge, false, PExpr::Col(2), PExpr::ConstI(5)),
-                        PExpr::cmp(CmpOp::Le, false, PExpr::Col(2), PExpr::ConstI(7)),
-                    ),
-                    PExpr::cmp(CmpOp::Lt, false, PExpr::Col(0), qty),
-                ),
-            )),
-        }),
-        group_by: vec![],
-        aggs: vec![AggSpec {
-            func: AggFunc::SumI,
-            arg: Some(PExpr::arith(ArithOp::Mul, true, false, PExpr::Col(1), PExpr::Col(2))),
-        }],
-    }
 }
 
 /// Run one query end-to-end in a mode; returns (total wall time, report,
@@ -199,9 +177,27 @@ mod tests {
 
     #[test]
     fn env_parsing_defaults() {
-        assert_eq!(env_sf(0.25), 0.25);
-        assert_eq!(threads_from_env(3), 3);
-        assert_eq!(env_sf_list(&[0.1, 1.0]), vec![0.1, 1.0]);
+        assert_eq!(parse_or("AQE_SF", None, 0.25), Ok(0.25));
+        assert_eq!(parse_or("AQE_THREADS", None, 3usize), Ok(3));
+        assert_eq!(parse_list_or("AQE_SF_LIST", None, &[0.1, 1.0]), Ok(vec![0.1, 1.0]));
+    }
+
+    #[test]
+    fn env_parsing_reads_set_values() {
+        assert_eq!(parse_or("AQE_SF", Some("0.01"), 0.25), Ok(0.01));
+        assert_eq!(parse_or("AQE_THREADS", Some(" 2 "), 4usize), Ok(2));
+        assert_eq!(parse_list_or("AQE_WIDE_SIZES", Some("50, 100"), &[10usize]), Ok(vec![50, 100]));
+    }
+
+    #[test]
+    fn env_parsing_rejects_malformed_values() {
+        let e = parse_or("AQE_SF", Some("0.1x"), 0.25).unwrap_err();
+        assert!(e.contains("AQE_SF") && e.contains("0.1x"), "{e}");
+        assert!(parse_or("AQE_THREADS", Some("-1"), 4usize).is_err());
+        assert!(parse_or("AQE_THREADS", Some(""), 4usize).is_err());
+        let e = parse_list_or("AQE_SF_LIST", Some("0.01,abc"), &[0.1]).unwrap_err();
+        assert!(e.contains("AQE_SF_LIST") && e.contains("abc"), "{e}");
+        assert!(parse_list_or("AQE_WIDE_SIZES", Some("50,,100"), &[10usize]).is_err());
     }
 
     #[test]

@@ -327,11 +327,6 @@ pub struct ExecOptions {
     pub max_morsel: usize,
     /// Delay before the first adaptive evaluation (paper: 1 ms).
     pub first_eval: Duration,
-    /// Enable LIFO half-range work stealing between workers (the
-    /// single-cursor behaviour of PR 1 has no equivalent; disabling this
-    /// leaves static per-worker partitions, the honest no-stealing
-    /// baseline).
-    pub steal: bool,
     /// Consult and populate the engine's versioned query-result cache
     /// (`session::Engine`). Disable for benchmarks that must observe a
     /// real execution on every run.
@@ -359,7 +354,6 @@ impl Default for ExecOptions {
             min_morsel: 1024,
             max_morsel: 64 * 1024,
             first_eval: Duration::from_millis(1),
-            steal: true,
             cache_results: true,
             cancel: CancelToken::new(),
             admission: None,
@@ -567,7 +561,6 @@ impl PipelineRun<'_> {
             threads,
             opts.min_morsel as u64,
             opts.max_morsel as u64,
-            opts.steal,
         );
         let progress = Arc::new(PipelineProgress::new(threads));
         let controller = AdaptiveController::new(ControllerCtx {

@@ -66,7 +66,6 @@ pub struct MorselDispenser {
     total: u64,
     min_morsel: u64,
     max_morsel: u64,
-    steal_enabled: bool,
     steals: AtomicU64,
     stolen_tuples: AtomicU64,
 }
@@ -82,7 +81,6 @@ impl MorselDispenser {
         workers: usize,
         min_morsel: u64,
         max_morsel: u64,
-        steal: bool,
     ) -> MorselDispenser {
         assert!(workers > 0, "dispenser needs at least one worker");
         assert!(total_rows <= u32::MAX as u64, "pipeline exceeds the u32 morsel-range limit");
@@ -101,7 +99,6 @@ impl MorselDispenser {
             total: total_rows,
             min_morsel,
             max_morsel,
-            steal_enabled: steal,
             steals: AtomicU64::new(0),
             stolen_tuples: AtomicU64::new(0),
         }
@@ -144,15 +141,14 @@ impl MorselDispenser {
     }
 
     /// Claim the next morsel for `worker`: from the front of its own range,
-    /// or — once that runs dry and stealing is enabled — from the upper
-    /// half of the fullest other range. Returns `None` only when no rows
-    /// remain anywhere this worker is allowed to draw from.
+    /// or — once that runs dry — from the upper half of the fullest other
+    /// range. Returns `None` only when no rows remain anywhere.
     pub fn claim(&self, worker: usize) -> Option<Morsel> {
         loop {
             if let Some(m) = self.claim_front(worker) {
                 return Some(m);
             }
-            if !self.steal_enabled || !self.try_steal(worker) {
+            if !self.try_steal(worker) {
                 return None;
             }
         }
@@ -261,7 +257,7 @@ mod tests {
 
     #[test]
     fn single_worker_drains_in_order_with_growth() {
-        let d = MorselDispenser::new(10_000, 1, 16, 256, true);
+        let d = MorselDispenser::new(10_000, 1, 16, 256);
         let ms = drain_all(&d, 0);
         assert_eq!(ms[0].tuples(), 16);
         assert!(ms.iter().any(|m| m.tuples() == 256), "morsel size must grow to the cap");
@@ -271,7 +267,7 @@ mod tests {
 
     #[test]
     fn idle_worker_steals_the_tail() {
-        let d = MorselDispenser::new(1_000, 2, 8, 8, true);
+        let d = MorselDispenser::new(1_000, 2, 8, 8);
         // Worker 1 never touches its own partition; worker 0 drains its own
         // half, then steals from worker 1 until everything is done.
         let ms = drain_all(&d, 0);
@@ -282,18 +278,8 @@ mod tests {
     }
 
     #[test]
-    fn steal_disabled_leaves_foreign_partitions_alone() {
-        let d = MorselDispenser::new(1_000, 2, 64, 64, false);
-        let ms = drain_all(&d, 0);
-        let own = d.initial_partition(0);
-        assert_exact_coverage(ms, own.end);
-        assert_eq!(d.remaining(), 1_000 - own.end);
-        assert_eq!(d.steals(), 0);
-    }
-
-    #[test]
     fn more_workers_than_rows() {
-        let d = MorselDispenser::new(3, 8, 1024, 4096, true);
+        let d = MorselDispenser::new(3, 8, 1024, 4096);
         let mut all = Vec::new();
         for w in 0..8 {
             all.extend(drain_all(&d, w));
@@ -303,7 +289,7 @@ mod tests {
 
     #[test]
     fn empty_pipeline_yields_nothing() {
-        let d = MorselDispenser::new(0, 4, 1024, 4096, true);
+        let d = MorselDispenser::new(0, 4, 1024, 4096);
         for w in 0..4 {
             assert!(d.claim(w).is_none());
         }
@@ -311,7 +297,7 @@ mod tests {
 
     #[test]
     fn steal_takes_upper_half_lifo() {
-        let d = MorselDispenser::new(100, 2, 1, 1, true);
+        let d = MorselDispenser::new(100, 2, 1, 1);
         // Partition: worker 0 owns 0..50, worker 1 owns 50..100.
         // Drain worker 0's own range only (claim_front), then one steal.
         for _ in 0..50 {

@@ -42,10 +42,9 @@ proptest! {
         total in 0u64..30_000,
         workers in 1usize..7,
         min_morsel in 1u64..1500,
-        steal in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let d = MorselDispenser::new(total, workers, min_morsel, min_morsel * 8, steal);
+        let d = MorselDispenser::new(total, workers, min_morsel, min_morsel * 8);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut live: Vec<usize> = (0..workers).collect();
         let mut claimed: Vec<Morsel> = Vec::new();
@@ -60,15 +59,8 @@ proptest! {
             }
         }
         let claimed_rows: u64 = claimed.iter().map(|m| m.tuples()).sum();
-        if steal {
-            prop_assert_eq!(claimed_rows, total);
-            assert_exact_coverage(claimed, total);
-        } else {
-            // Without stealing each worker drains only its own static
-            // partition — still exactly once, still everything.
-            prop_assert_eq!(claimed_rows, total);
-            assert_exact_coverage(claimed, total);
-        }
+        prop_assert_eq!(claimed_rows, total);
+        assert_exact_coverage(claimed, total);
     }
 }
 
@@ -103,11 +95,10 @@ impl PipelineBackend for SkewedBackend {
 fn slow_backend_on_one_worker_is_rescued_by_stealing() {
     const TOTAL: u64 = 40_000;
     const WORKERS: usize = 4;
-    // The hot quarter is exactly worker 0's initial partition: with the
-    // static single-cursor-free partitions and no stealing, worker 0 would
-    // serialize the tail.
+    // The hot quarter is exactly worker 0's initial partition: left to its
+    // static partition, worker 0 would serialize the tail.
     let hot_end = TOTAL / WORKERS as u64;
-    let d = MorselDispenser::new(TOTAL, WORKERS, 256, 1024, true);
+    let d = MorselDispenser::new(TOTAL, WORKERS, 256, 1024);
     assert_eq!(d.initial_partition(0).end, hot_end);
     let progress = PipelineProgress::new(WORKERS);
     let handle =
@@ -154,7 +145,7 @@ fn uniform_threaded_drain_covers_exactly_once() {
     // against steal on a small-morsel dispenser.
     const TOTAL: u64 = 100_000;
     const WORKERS: usize = 8;
-    let d = MorselDispenser::new(TOTAL, WORKERS, 16, 64, true);
+    let d = MorselDispenser::new(TOTAL, WORKERS, 16, 64);
     let claimed: Mutex<Vec<Morsel>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for tid in 0..WORKERS {

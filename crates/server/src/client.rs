@@ -5,8 +5,8 @@
 //! round trip; the split [`submit`](Client::submit) /
 //! [`recv`](Client::recv) pair supports pipelined and open-loop use —
 //! many executions in flight on one connection, answers correlated by
-//! request id — which is exactly what `bench_server` and the
-//! cancellation tests need ([`cancel`](Client::cancel) races a running
+//! request id — which is exactly what the benchmark's served workload
+//! and the cancellation tests need ([`cancel`](Client::cancel) races a running
 //! query by design).
 
 use crate::protocol::{DecodeError, ErrorCode, FrameBuf, Request, Response};

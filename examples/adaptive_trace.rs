@@ -12,7 +12,8 @@ use aqe::queries::tpch;
 use aqe::storage::tpch as tpch_data;
 
 fn main() {
-    let sf = std::env::var("AQE_SF").ok().and_then(|s| s.parse().ok()).unwrap_or(0.2);
+    let sf: f64 = std::env::var("AQE_SF")
+        .map_or(0.2, |s| s.parse().unwrap_or_else(|_| panic!("AQE_SF={s:?} is not a number")));
     println!("generating TPC-H SF {sf}…");
     let engine = Engine::new(tpch_data::generate(sf));
     let session = engine.session();
