@@ -1,7 +1,8 @@
 //! Fig. 6 — IR instruction count vs compilation time for the TPC-H and
 //! TPC-DS query corpus (bytecode translation and both machine-code
 //! levels), plus the per-function linear fit `base + per_instr × instrs`
-//! the engine's `CostModel` defaults are taken from (EXPERIMENTS.md).
+//! the engine's `CostModel` defaults are taken from (EXPERIMENTS.md),
+//! printed beside those defaults.
 
 use aqe_bench::{bytecode_translate_time, ms, native_compile_time};
 use aqe_jit::compile::OptLevel;
@@ -75,20 +76,36 @@ fn main() {
         let q = aqe_queries::synthetic::wide_agg(n);
         run(&q.name.clone(), &tpch, &q, false);
     }
+    // The committed constants the controller decides with, printed beside
+    // the fresh fit so a reader sees how far this machine is from them.
+    let model = aqe_engine::CostModel::default();
+    let committed =
+        [(model.unopt_base_s, model.unopt_per_instr_s), (model.opt_base_s, model.opt_per_instr_s)];
     println!("\n# per-function least-squares fit over the TPC-H + TPC-DS worker functions");
+    println!("# (model = the committed CostModel::default() constants)");
     println!(
-        "{:<8} {:>10} {:>12} {:>16} {:>8}",
-        "level", "functions", "base[us]", "per-instr[us]", "R^2"
+        "{:<8} {:>10} {:>12} {:>16} {:>8} | {:>16} {:>20}",
+        "level",
+        "functions",
+        "base[us]",
+        "per-instr[us]",
+        "R^2",
+        "model base[us]",
+        "model per-instr[us]"
     );
-    for (label, points) in ["unopt", "opt"].into_iter().zip(&points) {
+    for ((label, points), (model_base, model_per)) in
+        ["unopt", "opt"].into_iter().zip(&points).zip(committed)
+    {
         let (base, per, r2) = fit(points);
         println!(
-            "{:<8} {:>10} {:>12.2} {:>16.4} {:>8.3}",
+            "{:<8} {:>10} {:>12.2} {:>16.4} {:>8.3} | {:>16.2} {:>20.4}",
             label,
             points.len(),
             base * 1e6,
             per * 1e6,
-            r2
+            r2,
+            model_base * 1e6,
+            model_per * 1e6
         );
     }
 }

@@ -81,8 +81,8 @@ pub fn physical(cat: &Catalog, q: &Query) -> PhysicalPlan {
 /// Each call builds a throwaway [`Engine`] with result caching disabled:
 /// the harness measures *cold* executions, so nothing may be reused or
 /// served from cache across calls. Long-lived-engine effects (prepared
-/// reuse, calibration persistence) are measured by the bins that construct
-/// their own `Engine`.
+/// reuse, warm starts) are measured by the bins that construct their own
+/// `Engine`.
 pub fn run_mode(
     cat: &Catalog,
     phys: &PhysicalPlan,

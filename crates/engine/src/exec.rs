@@ -9,16 +9,16 @@
 //! finished, all threads quickly switch to the compiled machine code."
 //!
 //! The *scheduling* half of that loop — who runs which rows, how progress
-//! is observed, when the controller compiles, and how the cost model is
-//! calibrated — lives in [`crate::sched`]; this module owns the per-query
-//! state, the handle indirection, and the pipeline-end sinks.
+//! is observed, and when the controller compiles — lives in
+//! [`crate::sched`]; this module owns the per-query state, the handle
+//! indirection, and the pipeline-end sinks.
 
 use crate::cancel::CancelToken;
 use crate::plan::{FieldTy, PhysicalPlan, Sink, Source};
 use crate::runtime::{merge_agg_tables, sort_rows, JoinHt, WorkerRt};
 use crate::sched::{
-    AdaptiveController, ControllerCtx, CostCalibrator, MorselDispenser, PipelineProgress,
-    PipelineQuarantine,
+    AdaptiveController, ControllerCtx, CostModel, MorselDispenser, PipelineProgress,
+    PipelineQuarantine, PipelineSchedReport,
 };
 use crate::simd::ScanKernel;
 use crate::tiers::TierTable;
@@ -31,19 +31,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
-// Execution modes & scheduler vocabulary (re-exports)
+// Execution modes (re-export)
 // ---------------------------------------------------------------------------
 
 /// Re-exported from `aqe-vm`: the mode vocabulary is shared by every
 /// backend implementation, so it lives next to [`PipelineBackend`].
 pub use aqe_vm::backend::{ExecMode, PipelineBackend};
-
-/// Re-exported from [`crate::sched`]: the cost model, the Fig. 7
-/// extrapolation, and the calibration/report vocabulary grew out of this
-/// module in PR 2 and keep their historical import paths.
-pub use crate::sched::{
-    extrapolate_pipeline_durations, CalibrationReport, CostModel, ExecLevel, PipelineSchedReport,
-};
 
 // ---------------------------------------------------------------------------
 // Function handles (Fig. 5)
@@ -181,11 +174,9 @@ pub struct Report {
     pub pipeline_labels: Vec<String>,
     /// IR instruction count of the module.
     pub ir_instrs: usize,
-    /// Per-pipeline scheduler summaries (morsels, steals, decisions, the
-    /// model each controller decided with).
+    /// Per-pipeline scheduler summaries (morsels, steals, decisions,
+    /// compiles).
     pub sched: Vec<PipelineSchedReport>,
-    /// What the query's cost calibrator learned (final model + counts).
-    pub calibration: CalibrationReport,
     /// The result came from the engine's versioned query-result cache:
     /// no codegen, no translation, no morsel ran (and `sched` is empty).
     pub result_cache_hit: bool,
@@ -382,9 +373,6 @@ pub(crate) struct QueryRun<'a> {
     /// Per-pipeline scan pre-filters (`None` where the plan has no
     /// vectorizable filter in front of a table scan), same indexing.
     pub kernels: &'a [Option<Arc<ScanKernel>>],
-    /// Per-query calibrator, possibly seeded from the engine's
-    /// cross-query `CalibrationStore`.
-    pub calibrator: &'a Arc<CostCalibrator>,
     pub opts: &'a ExecOptions,
     /// Bind-variable values for this execution, one `u64` bit pattern per
     /// entry of `plan.params` (`f64` parameters as `to_bits`). Empty for
@@ -407,18 +395,7 @@ pub(crate) fn run_pipelines(
     run: QueryRun<'_>,
     report: &mut Report,
 ) -> Result<ResultRows, ExecError> {
-    let QueryRun {
-        plan,
-        cat,
-        registry,
-        handles,
-        tiers,
-        kernels,
-        calibrator,
-        opts,
-        params,
-        quarantine,
-    } = run;
+    let QueryRun { plan, cat, registry, handles, tiers, kernels, opts, params, quarantine } = run;
 
     // ---- state assembly ---------------------------------------------------
     let mut state = QueryState {
@@ -494,7 +471,6 @@ pub(crate) fn run_pipelines(
             exec_start,
             compile_events: &compile_events,
             background_compiles: &background_compiles,
-            calibrator,
             quarantine: &quarantine[p.id],
         };
         pipeline.run(report, &mut state, &mut frames)?;
@@ -504,7 +480,6 @@ pub(crate) fn run_pipelines(
     report.exec = exec_start.elapsed();
     report.trace.extend(compile_events.lock().drain(..));
     report.trace.sort_by_key(|e| (e.thread, e.start_us));
-    report.calibration = calibrator.report();
 
     // ---- final output ------------------------------------------------------
     let rows = std::mem::take(&mut state.out_rows);
@@ -541,7 +516,6 @@ struct PipelineRun<'a> {
     exec_start: Instant,
     compile_events: &'a Arc<Mutex<Vec<TraceEvent>>>,
     background_compiles: &'a Arc<AtomicUsize>,
-    calibrator: &'a Arc<CostCalibrator>,
     quarantine: &'a PipelineQuarantine,
 }
 
@@ -569,7 +543,7 @@ impl PipelineRun<'_> {
             handle: self.handle.clone(),
             tiers: self.tiers.clone(),
             progress: progress.clone(),
-            calibrator: self.calibrator.clone(),
+            model: opts.model,
             compile_events: self.compile_events.clone(),
             background_compiles: self.background_compiles.clone(),
             exec_start: self.exec_start,
@@ -746,7 +720,7 @@ impl PipelineRun<'_> {
         });
 
         // Joins in-flight compiles (no detached-thread leak: their trace
-        // events and calibration feedback land before the report is read).
+        // events land before the report is read).
         let sched = controller.finalize(&dispenser);
         report.degraded += sched.degraded;
         report.quarantine_skips += self.quarantine.skips();

@@ -12,13 +12,13 @@
 //!   (Fig. 5), and pipeline sinks;
 //! * [`sched`] — the morsel scheduler subsystem: work-stealing
 //!   [`sched::MorselDispenser`], lock-free [`sched::PipelineProgress`],
-//!   the Fig. 7 [`sched::AdaptiveController`], and per-query cost-model
-//!   calibration ([`sched::CostCalibrator`]);
+//!   and the Fig. 7 [`sched::AdaptiveController`], which decides with the
+//!   six fitted constants of [`CostModel`];
 //! * [`tiers`] — the per-pipeline [`TierTable`]: one compile-once entry
 //!   per [`ExecLevel`], the single place a level's backend is built and
 //!   read (static modes, background compiles and warm starts alike);
 //! * [`session`] — the long-lived API: [`session::Engine`] (catalog
-//!   version, cross-query calibration store, versioned result cache),
+//!   epoch, tier quarantine, versioned result cache),
 //!   [`session::Session`], and [`session::PreparedQuery`] (code reuse
 //!   across executions).
 //!
@@ -45,13 +45,12 @@ pub mod tiers;
 
 pub use cancel::{CancelKind, CancelToken};
 pub use exec::{
-    AdmissionReport, CostModel, ExecMode, ExecOptions, FunctionHandle, ParamValue, PipelineBackend,
-    Report, ResultRows, TraceEvent,
+    AdmissionReport, ExecMode, ExecOptions, FunctionHandle, ParamValue, PipelineBackend, Report,
+    ResultRows, TraceEvent,
 };
 pub use plan::{PhysicalPlan, PlanNode};
-pub use sched::{CalibrationReport, ExecLevel, PipelineSchedReport};
+pub use sched::{CostModel, ExecLevel, PipelineSchedReport};
 pub use session::{
-    CacheStats, CalibrationStore, ConcurrencyStats, Engine, PreparedQuery, ServerCounters,
-    ServerStats, Session, WorkloadShape,
+    CacheStats, ConcurrencyStats, Engine, PreparedQuery, ServerCounters, ServerStats, Session,
 };
 pub use tiers::TierTable;

@@ -1,25 +1,23 @@
 //! The adaptive controller: Fig. 7 as a first-class type.
 //!
-//! PR 1 ran the whole decision — rate sampling, extrapolation, compile
-//! claim, trace emission — as an inline block in the worker loop, and
-//! detached its background-compile threads (`std::thread::spawn` handles
-//! were dropped: a compile finishing after the pipeline ended could push a
-//! trace event after `compile_events` was drained, and its work was
-//! silently wasted). [`AdaptiveController`] owns all of it: workers call
-//! [`maybe_decide`] after each morsel, the controller polls on a cadence,
-//! extrapolates from the lock-free progress window, claims the (single)
-//! compilation slot, spawns the compile on a *tracked* thread, and
-//! [`finalize`] joins every in-flight compile before the pipeline's
-//! results are read — no leaks, no lost trace events, and measured compile
-//! times plus observed post-switch rates flow into the per-query
-//! [`CostCalibrator`].
+//! [`AdaptiveController`] owns one pipeline run's decision loop: workers
+//! call [`maybe_decide`] after each morsel, the controller polls on a
+//! cadence, extrapolates from the lock-free progress window, claims the
+//! (single) compilation slot, spawns the compile on a *tracked* thread,
+//! and [`finalize`] joins every in-flight compile before the pipeline's
+//! results are read — no leaks, no lost trace events.
+//!
+//! The controller decides with exactly the [`CostModel`] it was given
+//! (`ExecOptions::model`). Its six constants are fitted once from Fig. 6
+//! and Table II (EXPERIMENTS.md) and are not adjusted at run time, so a
+//! decision is a pure function of (model, instrs, n, w, r0, level):
+//! [`extrapolate_pipeline_durations`].
 //!
 //! [`maybe_decide`]: AdaptiveController::maybe_decide
 //! [`finalize`]: AdaptiveController::finalize
 
 use crate::cancel::CancelToken;
 use crate::exec::{FunctionHandle, TraceEvent};
-use crate::sched::calibrate::{CostCalibrator, CostModel};
 use crate::sched::morsel::MorselDispenser;
 use crate::sched::progress::PipelineProgress;
 use crate::sched::quarantine::PipelineQuarantine;
@@ -70,10 +68,61 @@ impl ExecLevel {
     pub fn below(self) -> Option<ExecLevel> {
         (self as u8).checked_sub(1).map(ExecLevel::from_index)
     }
+}
 
-    /// Modelled speedup over bytecode at this level.
-    pub fn speedup(self, model: &CostModel) -> f64 {
-        model.speedup(self)
+/// The empirical model behind Fig. 7's `ctime(f)` and `speedup(f)`: compile
+/// time is linear in IR instruction count (Fig. 6: "the number of LLVM
+/// instructions of a query correlates very well with its compilation
+/// time"); speedups are global empirical factors (§V-D).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CostModel {
+    pub unopt_base_s: f64,
+    pub unopt_per_instr_s: f64,
+    pub opt_base_s: f64,
+    pub opt_per_instr_s: f64,
+    /// Execution speedup of unoptimized and optimized machine code over
+    /// bytecode, per scanned row. A scan's pre-filter runs in front of
+    /// every level alike, so it cancels out of these ratios.
+    pub speedup_unopt: f64,
+    pub speedup_opt: f64,
+}
+
+impl Default for CostModel {
+    fn default() -> Self {
+        // Fitted once from `fig06_compile_scaling` (per-function least
+        // squares) and `table2_exec` (single-threaded geometric means);
+        // table and procedure in EXPERIMENTS.md. Both binaries print these
+        // constants next to their fresh measurements.
+        CostModel {
+            unopt_base_s: 6.9e-6,
+            unopt_per_instr_s: 0.13e-6,
+            opt_base_s: 8.8e-6,
+            opt_per_instr_s: 0.60e-6,
+            speedup_unopt: 3.0,
+            speedup_opt: 3.3,
+        }
+    }
+}
+
+impl CostModel {
+    /// Modelled compile time for reaching `level` (zero for the level the
+    /// engine starts at — interpretation needs no compilation).
+    pub fn ctime(&self, level: ExecLevel, instrs: usize) -> f64 {
+        let (base, per) = match level {
+            ExecLevel::Interpreted => return 0.0,
+            ExecLevel::Unoptimized => (self.unopt_base_s, self.unopt_per_instr_s),
+            ExecLevel::Optimized => (self.opt_base_s, self.opt_per_instr_s),
+        };
+        base + per * instrs as f64
+    }
+
+    /// Modelled execution speedup of `level` over bytecode.
+    pub fn speedup(&self, level: ExecLevel) -> f64 {
+        match level {
+            ExecLevel::Interpreted => 1.0,
+            ExecLevel::Unoptimized => self.speedup_unopt,
+            ExecLevel::Optimized => self.speedup_opt,
+        }
     }
 }
 
@@ -100,7 +149,7 @@ pub fn extrapolate_pipeline_durations(
     if r0 <= 0.0 || n <= 0.0 {
         return None;
     }
-    let cur_speedup = current.speedup(model);
+    let cur_speedup = model.speedup(current);
     let t0 = n / r0 / w;
     let mut best = (t0, None);
     for cand in ExecLevel::COMPILED {
@@ -144,15 +193,10 @@ pub struct PipelineSchedReport {
     /// `total_rows`, `worker_tuples` and the controller's rates count
     /// *scanned* rows and include these.
     pub rows_skipped: u64,
-    /// Whether this pipeline's controller decided with a model that had
-    /// already received feedback from earlier pipelines of the query.
-    pub calibrated: bool,
     /// Background compiles that failed (or panicked) and were contained:
     /// the pipeline kept running at its current level and the broken
     /// tier was quarantined.
     pub degraded: u64,
-    /// The model the controller decided with.
-    pub model: CostModel,
 }
 
 /// Everything a pipeline's controller needs that outlives the worker loop
@@ -175,7 +219,8 @@ pub struct ControllerCtx {
     /// for every concurrent and later execution the moment it finishes.
     pub tiers: Arc<TierTable>,
     pub progress: Arc<PipelineProgress>,
-    pub calibrator: Arc<CostCalibrator>,
+    /// The model every decision of this pipeline run is made with.
+    pub model: CostModel,
     pub compile_events: Arc<Mutex<Vec<TraceEvent>>>,
     pub background_compiles: Arc<AtomicUsize>,
     /// Query start (trace timestamps are relative to it).
@@ -195,25 +240,9 @@ pub struct ControllerCtx {
     pub first_eval: Duration,
 }
 
-/// A claimed compilation whose post-switch rate is still to be observed.
-struct PendingSwitch {
-    /// Per-thread rate and level at claim time.
-    pre_rate: f64,
-    pre_level: ExecLevel,
-    level: ExecLevel,
-    /// Set by the compile thread once the backend is installed (it resets
-    /// the rate window at that moment, so the window measures the new
-    /// level only).
-    installed: Arc<AtomicBool>,
-}
-
 /// One pipeline run's adaptive controller (Fig. 7).
 pub struct AdaptiveController {
     ctx: ControllerCtx,
-    /// Snapshot of the calibrator's model at pipeline start: decisions
-    /// within one pipeline are stable even while feedback accrues.
-    model: CostModel,
-    calibrated: bool,
     /// Backend level installed when the controller was constructed.
     start_level: ExecLevel,
     /// Highest level the pipeline can reach (snapshotted once: the
@@ -226,7 +255,6 @@ pub struct AdaptiveController {
     deciding: AtomicBool,
     decisions: AtomicU64,
     compiles_started: AtomicU64,
-    pending: Mutex<Option<PendingSwitch>>,
     compile_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Failed/panicked background compiles, contained (see
     /// [`PipelineSchedReport::degraded`]). Shared with the compile jobs.
@@ -235,15 +263,11 @@ pub struct AdaptiveController {
 
 impl AdaptiveController {
     pub fn new(ctx: ControllerCtx) -> AdaptiveController {
-        let model = ctx.calibrator.model();
-        let calibrated = ctx.calibrator.is_calibrated();
         let start_level = ExecLevel::from_rank(ctx.handle.rank());
         let instrs = ctx.tiers.function().instruction_count();
         let first_us = ctx.first_eval.as_micros() as u64;
         let ceiling = ctx.tiers.ceiling();
         AdaptiveController {
-            model,
-            calibrated,
             start_level,
             ceiling,
             instrs,
@@ -253,17 +277,10 @@ impl AdaptiveController {
             deciding: AtomicBool::new(false),
             decisions: AtomicU64::new(0),
             compiles_started: AtomicU64::new(0),
-            pending: Mutex::new(None),
             compile_threads: Mutex::new(Vec::new()),
             degraded: Arc::new(AtomicU64::new(0)),
             ctx,
         }
-    }
-
-    /// The model this pipeline decides with (calibrated when earlier
-    /// pipelines of the query recorded feedback).
-    pub fn model(&self) -> &CostModel {
-        &self.model
     }
 
     /// Called by workers after every morsel: cheap cadence check, then at
@@ -302,7 +319,7 @@ impl AdaptiveController {
         // decision path never touches the handle's lock.
         let current = ExecLevel::from_rank(self.ctx.handle.rank());
         let target = extrapolate_pipeline_durations(
-            &self.model,
+            &self.ctx.model,
             self.instrs,
             n,
             w,
@@ -327,7 +344,7 @@ impl AdaptiveController {
         // have compiled this pipeline at (or above) the target level —
         // install that for free instead of burning a background thread.
         // Rate bookkeeping mirrors a compile install: reset the window so
-        // the post-switch rate is measured at the new level. (`install`
+        // the next decision's `r0` is measured at the new level. (`install`
         // only publishes: a compile of this pipeline's own that is still
         // in flight keeps its claim.)
         if self.ctx.tiers.best_level() >= level {
@@ -346,33 +363,16 @@ impl AdaptiveController {
         // (§III: compilation is single-threaded, the other workers keep
         // going) but keep its JoinHandle: `finalize` joins it, so a
         // compile can never outlive the pipeline's bookkeeping.
-        self.compiles_started.fetch_add(1, Ordering::Relaxed);
-        let installed = Arc::new(AtomicBool::new(false));
-        // An earlier switch may still be awaiting its post-switch rate; the
-        // current window rate *is* that rate (the window was reset at its
-        // install), so harvest the observation before displacing it.
-        let displaced = self.pending.lock().replace(PendingSwitch {
-            pre_rate: r0,
-            pre_level: current,
-            level,
-            installed: installed.clone(),
-        });
-        if let Some(p) = displaced {
-            self.record_switch_observation(&p, r0);
-        }
         let job = CompileJob {
             cancel: self.ctx.cancel.clone(),
             handle: self.ctx.handle.clone(),
             tiers: self.ctx.tiers.clone(),
             progress: progress.clone(),
-            calibrator: self.ctx.calibrator.clone(),
             events: self.ctx.compile_events.clone(),
             counter: self.ctx.background_compiles.clone(),
             exec_start: self.ctx.exec_start,
             pid: self.ctx.pid,
-            instrs: self.instrs,
             level,
-            installed,
             quarantine: self.ctx.quarantine.clone(),
             degraded: self.degraded.clone(),
         };
@@ -381,6 +381,7 @@ impl AdaptiveController {
             .spawn(move || job.run())
         {
             Ok(handle) => {
+                self.compiles_started.fetch_add(1, Ordering::Relaxed);
                 self.compile_threads.lock().push(handle);
                 progress.reset_window();
             }
@@ -392,31 +393,12 @@ impl AdaptiveController {
         }
     }
 
-    /// Feed one observed post-switch rate into the calibrator. The window
-    /// ratio measures new-level vs claim-time rate; rebase to "over
-    /// bytecode" via the level the pipeline ran at when the compile was
-    /// claimed.
-    fn record_switch_observation(&self, p: &PendingSwitch, post_rate: f64) {
-        if p.installed.load(Ordering::Acquire) && p.pre_rate > 0.0 && post_rate > 0.0 {
-            let observed = (post_rate / p.pre_rate) * p.pre_level.speedup(&self.model);
-            self.ctx.calibrator.record_speedup(p.level, observed);
-        }
-    }
-
     /// End of the pipeline run: join every in-flight compile (their trace
-    /// events and calibration feedback land before the report is read),
-    /// record the observed post-switch rate, and summarise.
+    /// events land before the report is read) and summarise.
     pub fn finalize(self, dispenser: &MorselDispenser) -> PipelineSchedReport {
         let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *self.compile_threads.lock());
         for t in threads {
             let _ = t.join();
-        }
-        if let Some(p) = self.pending.lock().take() {
-            let (tuples, secs) = self.ctx.progress.window();
-            if tuples > 0 && secs > 1e-6 {
-                let post_rate = tuples as f64 / secs / self.ctx.threads as f64;
-                self.record_switch_observation(&p, post_rate);
-            }
         }
         PipelineSchedReport {
             pipeline: self.ctx.pid,
@@ -431,9 +413,7 @@ impl AdaptiveController {
                 .map(|i| self.ctx.progress.worker(i).tuples())
                 .collect(),
             rows_skipped: self.ctx.progress.skipped(),
-            calibrated: self.calibrated,
             degraded: self.degraded.load(Ordering::Relaxed),
-            model: self.model,
         }
     }
 }
@@ -448,14 +428,11 @@ struct CompileJob {
     handle: Arc<FunctionHandle>,
     tiers: Arc<TierTable>,
     progress: Arc<PipelineProgress>,
-    calibrator: Arc<CostCalibrator>,
     events: Arc<Mutex<Vec<TraceEvent>>>,
     counter: Arc<AtomicUsize>,
     exec_start: Instant,
     pid: usize,
-    instrs: usize,
     level: ExecLevel,
-    installed: Arc<AtomicBool>,
     /// Records compile success/failure into the per-fingerprint
     /// quarantine so later executions skip a broken tier.
     quarantine: Option<PipelineQuarantine>,
@@ -496,18 +473,11 @@ impl CompileJob {
                     end_us: t_c1,
                     tuples: 0,
                 });
-                // Actual ctime feedback: measured wall time per IR
-                // instruction (nothing to feed back when a concurrent
-                // execution had already paid for the compile).
-                if let Some(t) = claimed.compiled_in {
-                    self.calibrator.record_compile(self.level, self.instrs, t);
-                }
                 // Publish into the handle: all workers switch on their next
-                // morsel. Reset the rate window so the post-switch rate is
-                // measured at the new level only.
+                // morsel. Reset the rate window so the next decision's `r0`
+                // is measured at the new level only.
                 if self.handle.install(claimed.backend) {
                     self.counter.fetch_add(1, Ordering::Relaxed);
-                    self.installed.store(true, Ordering::Release);
                     self.progress.reset_window();
                 }
                 // A successful compile clears any quarantine on the tier
@@ -553,14 +523,11 @@ mod tests {
             handle: handle.clone(),
             tiers: tiers.clone(),
             progress: Arc::new(PipelineProgress::new(1)),
-            calibrator: Arc::new(CostCalibrator::new(CostModel::default())),
             events: Arc::new(Mutex::new(Vec::new())),
             counter: Arc::new(AtomicUsize::new(0)),
             exec_start: Instant::now(),
             pid: 0,
-            instrs: 2,
             level: ExecLevel::Optimized,
-            installed: Arc::new(AtomicBool::new(false)),
             quarantine: None,
             degraded: Arc::new(AtomicU64::new(0)),
         };
@@ -663,5 +630,56 @@ mod tests {
         // No emitter: whatever the remaining work, nothing is proposed.
         let c = choose(2000, 1e9, 2e7, ExecLevel::Interpreted, ExecLevel::Interpreted);
         assert_eq!(c, None);
+    }
+
+    #[test]
+    fn ctime_is_linear_in_instrs() {
+        let m = CostModel::default();
+        let a = m.ctime(ExecLevel::Optimized, 1000);
+        let b = m.ctime(ExecLevel::Optimized, 2000);
+        assert!((b - a - m.opt_per_instr_s * 1000.0).abs() < 1e-12);
+    }
+
+    /// The Fig. 7 frontier with the default model, over seeded random
+    /// pipelines (`instrs`, `w`, `r0`, current level, ceiling) and a
+    /// log-spaced sweep of the remaining work `n`: the proposal never
+    /// falls as `n` grows, nothing is proposed from bytecode while the
+    /// remaining bytecode time is below the cheapest compile, and every
+    /// proposal is an upgrade at or below the ceiling.
+    #[test]
+    fn fig7_frontier_is_monotone_in_remaining_work() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let m = CostModel::default();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let levels = [ExecLevel::Interpreted, ExecLevel::Unoptimized, ExecLevel::Optimized];
+        for _ in 0..4000 {
+            let instrs = rng.random_range(10usize..=100_000);
+            let w = [1.0, 2.0, 3.0, 4.0, 8.0][rng.random_range(0usize..5)];
+            let r0 = 10f64.powf(4.0 + 4.0 * rng.random_range(0u32..=1_000_000) as f64 / 1e6);
+            let current = levels[rng.random_range(0usize..2)];
+            let ceiling = levels[rng.random_range(0usize..3)];
+            let mut prev = None;
+            for k in 0..200 {
+                let n = 10f64.powf(k as f64 / 20.0);
+                let got = extrapolate_pipeline_durations(&m, instrs, n, w, r0, current, ceiling);
+                let case = || format!("instrs={instrs} w={w} r0={r0:.0} n={n:.0} {current:?}");
+                assert!(got >= prev, "proposal fell from {prev:?} to {got:?}: {}", case());
+                if current == ExecLevel::Interpreted
+                    && n / (r0 * w) < m.ctime(ExecLevel::Unoptimized, instrs)
+                {
+                    assert_eq!(got, None, "compile proposed before it can pay: {}", case());
+                }
+                if let Some(level) = got {
+                    assert!(
+                        level > current && level <= ceiling,
+                        "{level:?} proposed under ceiling {ceiling:?}: {}",
+                        case()
+                    );
+                }
+                prev = got;
+            }
+        }
     }
 }

@@ -113,11 +113,6 @@ impl PipelineProgress {
         let secs = now_us.saturating_sub(start_us) as f64 / 1e6;
         (tuples, secs)
     }
-
-    /// Time since the pipeline's progress tracking began.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
 }
 
 #[cfg(test)]

@@ -26,19 +26,13 @@ use super::controller::ExecLevel;
 /// Executions a failed tier is skipped for before being probed again.
 pub const QUARANTINE_SKIPS: u32 = 8;
 
-#[derive(Default)]
-struct Entry {
-    /// Executions left before the tier is probed again; `0` = probe now.
-    remaining: u32,
-    /// Total failures recorded for this key (diagnostic).
-    failures: u64,
-}
-
 /// Engine-shared quarantine ledger. One per [`crate::session::Engine`],
 /// shared by every session and prepared query.
 #[derive(Default)]
 pub struct QuarantineStore {
-    map: Mutex<HashMap<(u64, usize, ExecLevel), Entry>>,
+    /// Per key, the executions left before the tier is probed again
+    /// (`0` = probe now).
+    map: Mutex<HashMap<(u64, usize, ExecLevel), u32>>,
 }
 
 impl QuarantineStore {
@@ -60,7 +54,7 @@ impl QuarantineStore {
 
     /// Quarantined keys currently holding a live skip budget.
     pub fn active(&self) -> usize {
-        self.map.lock().values().filter(|e| e.remaining > 0).count()
+        self.map.lock().values().filter(|&&remaining| remaining > 0).count()
     }
 
     /// Consult-and-decrement: true if the tier is still quarantined for
@@ -68,8 +62,8 @@ impl QuarantineStore {
     fn consult(&self, key: (u64, usize, ExecLevel)) -> bool {
         let mut map = self.map.lock();
         match map.get_mut(&key) {
-            Some(e) if e.remaining > 0 => {
-                e.remaining -= 1;
+            Some(remaining) if *remaining > 0 => {
+                *remaining -= 1;
                 true
             }
             _ => false,
@@ -77,10 +71,7 @@ impl QuarantineStore {
     }
 
     fn record_failure(&self, key: (u64, usize, ExecLevel)) {
-        let mut map = self.map.lock();
-        let e = map.entry(key).or_default();
-        e.remaining = QUARANTINE_SKIPS;
-        e.failures += 1;
+        self.map.lock().insert(key, QUARANTINE_SKIPS);
     }
 
     fn record_success(&self, key: (u64, usize, ExecLevel)) {

@@ -1,8 +1,8 @@
 //! The epoch cell: the one shared-state discipline of the session layer.
 //!
 //! Everything the engine shares between concurrent executions — the
-//! catalog, a prepared query's compiled state, the calibration store's
-//! read side — follows the same pattern: an immutable value behind an
+//! catalog and a prepared query's compiled state — follows the same
+//! pattern: an immutable value behind an
 //! `Arc`, published into a cell whose critical sections are a single
 //! pointer copy. Readers [`get`](EpochCell::get) a clone and then work
 //! lock-free on their private epoch for as long as they like; writers

@@ -2,17 +2,15 @@
 //!
 //! The paper's whole premise is amortizing compilation against execution,
 //! yet a one-shot execution re-runs codegen, bytecode translation, and the
-//! adaptive warm-up ladder on every call and throws away the calibrator's
-//! measured constants at query end. This subsystem is the
+//! adaptive warm-up ladder on every call. This subsystem is the
 //! connection/prepared-statement lifecycle that lets all of that outlive
 //! a single execution (DESIGN.md §6), built so that **concurrent traffic
 //! never serializes on shared state** (DESIGN.md §8):
 //!
 //! * [`Engine`] — owns the catalog as an immutable, versioned
-//!   [`CatalogSnapshot`] epoch swapped atomically on mutation, a
-//!   cross-query [`CalibrationStore`] with snapshot reads, and a sharded,
-//!   byte-budgeted result cache keyed by `(plan fingerprint, catalog
-//!   version)`;
+//!   [`CatalogSnapshot`] epoch swapped atomically on mutation, the
+//!   per-fingerprint tier quarantine, and a sharded, byte-budgeted result
+//!   cache keyed by `(plan fingerprint, catalog version)`;
 //! * [`Session`] — a per-client handle: `prepare` / `execute` plus the
 //!   session's [`ExecOptions`] defaults;
 //! * [`PreparedQuery`] — retains the generated module and, per pipeline,
@@ -30,11 +28,9 @@
 //! [`CatalogSnapshot::version`], which every mutation bumps.
 
 mod cache;
-mod calibration;
 mod epoch;
 
 pub use cache::CacheStats;
-pub use calibration::{CalibrationStore, WorkloadShape};
 
 use crate::cancel::CancelKind;
 use crate::codegen;
@@ -43,7 +39,7 @@ use crate::exec::{
     Report, ResultRows,
 };
 use crate::plan::{decompose, DictTable, FieldTy, PhysicalPlan, PlanNode, Source};
-use crate::sched::{CostCalibrator, CostModel, ExecLevel, PipelineQuarantine, QuarantineStore};
+use crate::sched::{ExecLevel, PipelineQuarantine, QuarantineStore};
 use crate::simd::ScanKernel;
 use crate::tiers::TierTable;
 use aqe_ir::{ExternDecl, Function, Module};
@@ -69,7 +65,6 @@ struct EngineShared {
     /// Serializes *mutators* only (so two `with_catalog_mut` calls cannot
     /// lose each other's update); readers never touch it.
     catalog_mut: Mutex<()>,
-    calibration: CalibrationStore,
     results: ResultCache,
     defaults: ExecOptions,
     stats: EngineStats,
@@ -269,7 +264,7 @@ pub struct ConcurrencyStats {
     pub peak_in_flight: usize,
 }
 
-/// The long-lived engine: catalog + caches + calibration memory.
+/// The long-lived engine: catalog + caches + tier quarantine.
 ///
 /// ```no_run
 /// use aqe_engine::session::Engine;
@@ -309,7 +304,6 @@ impl Engine {
             shared: Arc::new(EngineShared {
                 catalog: EpochCell::new(Arc::new(catalog.snapshot())),
                 catalog_mut: Mutex::new(()),
-                calibration: CalibrationStore::new(),
                 results: ResultCache::new(cache_budget_bytes),
                 defaults,
                 stats: EngineStats::default(),
@@ -361,11 +355,6 @@ impl Engine {
             self.shared.results.retain_version(version);
         }
         r
-    }
-
-    /// The engine's cross-query calibration store.
-    pub fn calibration(&self) -> &CalibrationStore {
-        &self.shared.calibration
     }
 
     /// Number of results currently cached.
@@ -662,24 +651,6 @@ impl Session {
             .collect();
         let handles = state.handles_for(opts.mode, &quarantine, &mut report);
 
-        // ---- calibration seed --------------------------------------------
-        // An explicitly customized cost model is an instruction, not a
-        // default the store may improve on: callers that nudge constants
-        // (demos forcing a compile, tests pinning decisions) keep exactly
-        // what they asked for even on a warm engine — and, symmetrically,
-        // what such a run "learns" is never absorbed back into the store,
-        // since its model blends fabricated constants no one measured.
-        let shape = WorkloadShape::new(plan.pipelines.len(), state.instrs);
-        let default_model = opts.model == CostModel::default();
-        let calibrator = Arc::new(if !default_model {
-            CostCalibrator::new(opts.model)
-        } else {
-            match self.shared.calibration.seed(shape) {
-                Some(model) => CostCalibrator::seeded(model),
-                None => CostCalibrator::new(opts.model),
-            }
-        });
-
         // ---- the morsel loops ---------------------------------------------
         let run = run_pipelines(
             QueryRun {
@@ -689,7 +660,6 @@ impl Session {
                 handles: &handles,
                 tiers: &state.tiers,
                 kernels: &state.kernels,
-                calibrator: &calibrator,
                 opts,
                 params,
                 quarantine: &quarantine,
@@ -716,16 +686,13 @@ impl Session {
         };
         report.cancelled = opts.cancel.kind().map(|k| k.reason().to_string());
 
-        // ---- persistence: calibration, results ----------------------------
+        // ---- persistence: results ----------------------------------------
         // (Code needs no step of its own: every compile of this run went
         // through *this* state object's tier tables. A concurrent catalog
         // mutation may have published a newer state in the meantime —
         // backends compiled from the old module sit in the old state,
         // which dies with its last `Arc`, so they can never leak across
         // versions.)
-        if default_model {
-            self.shared.calibration.absorb(shape, &report.calibration);
-        }
         if cacheable && self.shared.results.admits(cache::entry_bytes(&rows)) {
             self.shared.results.put(key, rows.clone());
         }

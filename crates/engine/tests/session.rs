@@ -6,16 +6,16 @@
 //!   morsel loop;
 //! * a catalog mutation bumps the version and invalidates both the cached
 //!   result and the retained code;
-//! * a second query on the same engine decides with a calibrated
-//!   (non-default) `CostModel` seeded from the `CalibrationStore`;
 //! * setup failures (bad module, wrong engine) surface as `ExecError`
-//!   values, and the deprecated one-shot shims still work.
+//!   values;
+//! * bound executions share one compiled statement across bindings and
+//!   never alias each other's cached rows.
 
 use aqe_engine::exec::{ExecMode, ExecOptions, ParamValue};
 use aqe_engine::plan::{
     decompose, AggFunc, AggSpec, ArithOp, CmpOp, FieldTy, PExpr, PhysicalPlan, PlanNode,
 };
-use aqe_engine::sched::{CostModel, ExecLevel};
+use aqe_engine::sched::ExecLevel;
 use aqe_engine::session::Engine;
 use aqe_storage::{tpch, Catalog, Column, DataType, Table};
 use aqe_vm::interp::ExecError;
@@ -78,23 +78,6 @@ fn eager_adaptive(threads: usize) -> ExecOptions {
     opts.model.speedup_unopt = 50.0;
     opts.model.speedup_opt = 100.0;
     opts
-}
-
-/// Adaptive options with the *default* cost model (runs whose feedback the
-/// engine's store absorbs — fabricated models are deliberately not
-/// absorbed) and a prompt first evaluation. Paired with a large
-/// `wide_plan`, the default-model extrapolation reliably chooses to
-/// compile: tens of bytecode instructions per tuple over ~100k rows dwarf
-/// a few ms of modelled compile time at any plausible machine speed.
-fn default_adaptive(threads: usize) -> ExecOptions {
-    ExecOptions {
-        mode: ExecMode::Adaptive,
-        threads,
-        min_morsel: 256,
-        first_eval: Duration::from_micros(50),
-        cache_results: false,
-        ..Default::default()
-    }
 }
 
 fn physical(cat: &Catalog, plan: &PlanNode) -> PhysicalPlan {
@@ -228,43 +211,6 @@ fn catalog_mutation_bumps_version_and_invalidates_caches() {
 }
 
 #[test]
-fn second_query_on_the_same_engine_is_calibrated() {
-    if !emitter() {
-        return; // no compiles, so nothing is ever measured or absorbed
-    }
-    let cat = tpch::generate(0.02);
-    let engine = Engine::new(cat.clone());
-    let session = engine.session();
-
-    // Query A: a default-model run whose compiles feed measured constants
-    // into the engine's calibration store (fabricated models would be
-    // refused by the absorb gate).
-    let a = session.prepare(&wide_plan(120), vec![]);
-    let (_, rep_a) = session.execute_with(&a, &default_adaptive(2)).expect("query A");
-    assert!(
-        rep_a.calibration.compile_observations >= 1,
-        "query A must record at least one measured compile"
-    );
-    assert!(!rep_a.sched[0].calibrated, "a cold engine has nothing to seed from");
-    assert!(engine.calibration().absorbed() >= 1);
-
-    // Query B: a different plan, default options — and still its *first*
-    // pipeline decides with a store-seeded, non-default model.
-    let b = session.prepare(&wide_plan(12), vec![]);
-    let opts = ExecOptions { threads: 2, cache_results: false, ..Default::default() };
-    let (_, rep_b) = session.execute_with(&b, &opts).expect("query B");
-    assert!(
-        rep_b.sched[0].calibrated,
-        "query B's first pipeline must start from the engine's calibration store"
-    );
-    assert_ne!(
-        rep_b.sched[0].model,
-        CostModel::default(),
-        "the seeded model must differ from the defaults"
-    );
-}
-
-#[test]
 fn module_override_queries_bypass_the_result_cache() {
     // A caller-supplied module is only trusted for its own statement: its
     // rows must never be cached under the plan's fingerprint, where an
@@ -312,39 +258,6 @@ fn bad_module_surfaces_as_a_setup_error_not_a_panic() {
     let prepared = session.prepare_module(phys, module);
     let err = session.execute(&prepared).unwrap_err();
     assert!(matches!(err, ExecError::Setup(_)), "got {err:?}");
-}
-
-#[test]
-fn explicit_cost_model_override_beats_the_store_seed() {
-    if !emitter() {
-        return; // no compiles, so the store never has a seed to override
-    }
-    let cat = tpch::generate(0.02);
-    let engine = Engine::new(cat.clone());
-    let session = engine.session();
-
-    // Warm the store with an honest default-model run.
-    let a = session.prepare(&wide_plan(120), vec![]);
-    session.execute_with(&a, &default_adaptive(2)).expect("query A");
-    assert!(engine.calibration().absorbed() >= 1);
-
-    // A caller-nudged model must be used verbatim, not replaced by the
-    // store's seed — nudging constants is the documented way to force (or
-    // forbid) compiles deterministically.
-    let absorbed_before = engine.calibration().absorbed();
-    let b = session.prepare(&wide_plan(12), vec![]);
-    let custom = eager_adaptive(2);
-    let (_, rep) = session.execute_with(&b, &custom).expect("query B");
-    assert!(
-        !rep.sched[0].calibrated,
-        "an explicit model is an instruction; the store must not override it"
-    );
-    assert_eq!(rep.sched[0].model, custom.model, "the custom constants are used verbatim");
-    assert_eq!(
-        engine.calibration().absorbed(),
-        absorbed_before,
-        "what a fabricated-model run 'learns' must not poison the store"
-    );
 }
 
 #[test]

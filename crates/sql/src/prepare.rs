@@ -3,9 +3,8 @@
 //!
 //! Planning (parse → bind → optimize → decompose) happens once, against
 //! the session's catalog; the returned statement can then be executed any
-//! number of times, with codegen, bytecode translation, compiled
-//! backends, and cost-model calibration amortized across executions by
-//! the session layer.
+//! number of times, with codegen, bytecode translation and compiled
+//! backends amortized across executions by the session layer.
 
 use crate::binder::{plan_sql, plan_sql_generalized, PlanError};
 use aqe_engine::exec::ParamValue;

@@ -28,8 +28,7 @@
 //!
 //! The public execution API is the long-lived session layer
 //! ([`Engine`] → [`Session`] → [`PreparedQuery`], re-exported here):
-//! prepared statements retain generated code across executions, the
-//! engine persists cost-model calibration across queries, and a
+//! prepared statements retain generated code across executions, and a
 //! versioned result cache answers repeated identical plans without
 //! running a morsel.
 //!

@@ -120,53 +120,6 @@ fn adaptive_mode_switches_backend_mid_query() {
 }
 
 #[test]
-fn later_pipelines_decide_with_calibrated_cost_model() {
-    // The calibration loop (sched::calibrate): pipeline 0's background
-    // compile feeds its *measured* wall time per IR instruction back into
-    // the per-query CostCalibrator; because the pipeline run joins its
-    // compile threads before finalizing, the feedback is guaranteed to
-    // land before the next pipeline constructs its controller — so every
-    // later pipeline decides with a calibrated (non-default) model.
-    if !emitter() {
-        return;
-    }
-    let cat = tpch_data::generate(0.02);
-    let q = synthetic::wide_agg(120);
-    let phys = decompose(&cat, &q.root, vec![]);
-
-    let mut opts =
-        ExecOptions { mode: ExecMode::Adaptive, threads: 2, trace: false, ..Default::default() };
-    opts.model.speedup_opt = 6.0;
-    opts.model.speedup_unopt = 3.0;
-    let engine = Engine::new(cat.clone());
-    let session = engine.session();
-    let prepared = session.prepare_plan(phys);
-    let (_, report) = session.execute_with(&prepared, &opts).expect("adaptive execution");
-
-    assert!(report.background_compiles >= 1, "test needs at least one background compile");
-    assert!(
-        report.calibration.compile_observations >= 1,
-        "the joined compile must have recorded its measured ctime"
-    );
-    assert!(report.sched.len() >= 2, "wide_agg must decompose into at least two pipelines");
-    let first = &report.sched[0];
-    let last = report.sched.last().unwrap();
-    assert!(!first.calibrated, "pipeline 0 has nothing to calibrate from yet");
-    assert!(
-        last.calibrated,
-        "later pipelines must decide with a model that received feedback: {report:?}"
-    );
-    assert_ne!(
-        last.model, opts.model,
-        "the calibrated model must differ from the query's starting constants"
-    );
-    // The compile-time constants moved toward measurements; the observed
-    // per-instruction cost of the emitter is strictly positive, so the
-    // calibrated constant stays positive too.
-    assert!(last.model.unopt_per_instr_s > 0.0 || last.model.opt_per_instr_s > 0.0);
-}
-
-#[test]
 fn work_stealing_is_observable_in_the_sched_report() {
     // A 4-thread run over a pipeline whose workers race to the end: the
     // per-pipeline scheduler report surfaces morsel and steal counts.
