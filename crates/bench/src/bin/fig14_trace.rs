@@ -33,7 +33,7 @@ fn main() {
                 let ch = match e.kind {
                     0 => b'b',
                     1 => b'u',
-                    4 => b'o',
+                    2 => b'o',
                     _ => b'C',
                 };
                 for c in line.iter_mut().take(b + 1).skip(a) {

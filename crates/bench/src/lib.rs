@@ -154,16 +154,6 @@ pub const MODES: [(ExecMode, &str); 4] = [
     (ExecMode::Adaptive, "adaptive"),
 ];
 
-/// Every backend the engine can publish into a pipeline's hot-swap handle,
-/// including the slow naive-IR baseline (Fig. 2's full latency spectrum).
-pub const ALL_MODES: [(ExecMode, &str); 5] = [
-    (ExecMode::NaiveIr, "naive-ir"),
-    (ExecMode::Bytecode, "bytecode"),
-    (ExecMode::NativeUnopt, "native-unopt"),
-    (ExecMode::Native, "native-opt"),
-    (ExecMode::Adaptive, "adaptive"),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,15 +195,12 @@ mod tests {
         let cat = aqe_storage::tpch::generate(0.001);
         let q = aqe_queries::tpch::q6(&cat);
         let phys = physical(&cat, &q);
-        let mut reference: Option<Vec<u64>> = None;
-        for (mode, label) in ALL_MODES {
+        let want = aqe_baselines::execute_volcano(&cat, &q.root, &phys).unwrap();
+        for (mode, label) in MODES {
             let (d, _, rows) = run_mode(&cat, &phys, mode, 1, false);
             assert!(d.as_nanos() > 0);
             assert_eq!(rows.row_count(), 1, "{label}");
-            match &reference {
-                None => reference = Some(rows.rows),
-                Some(want) => assert_eq!(&rows.rows, want, "{label} disagrees"),
-            }
+            assert_eq!(rows.rows, want, "{label} disagrees with Volcano");
         }
     }
 }

@@ -17,7 +17,7 @@ use crate::cancel::CancelToken;
 use crate::plan::{FieldTy, PhysicalPlan, Sink, Source};
 use crate::runtime::{merge_agg_tables, sort_rows, JoinHt, WorkerRt};
 use crate::sched::{
-    AdaptiveController, ControllerCtx, CostModel, MorselDispenser, PipelineProgress,
+    AdaptiveController, ControllerCtx, CostModel, ExecLevel, MorselDispenser, PipelineProgress,
     PipelineQuarantine, PipelineSchedReport,
 };
 use crate::simd::ScanKernel;
@@ -51,8 +51,8 @@ pub use aqe_vm::backend::{ExecMode, PipelineBackend};
 /// once per morsel and call through it without knowing (or branching on)
 /// which backend it is; a background compilation publishes a better
 /// representation with [`install`], and every worker picks it up on its
-/// next morsel. Swaps are monotonic in [`ExecMode::rank`], so execution
-/// only ever upgrades.
+/// next morsel. Swaps are monotonic in [`ExecLevel`], so execution only
+/// ever upgrades.
 ///
 /// [`load`]: FunctionHandle::load
 /// [`install`]: FunctionHandle::install
@@ -63,9 +63,9 @@ pub struct FunctionHandle {
     /// and costs slightly more), and writers only ever hold the lock for
     /// the duration of an `Arc` store.
     current: RwLock<Arc<dyn PipelineBackend>>,
-    /// Cached `rank()` of the current backend; the adaptive controller
-    /// polls this without touching the lock.
-    rank: AtomicU8,
+    /// Cached `level() as u8` of the current backend; workers and the
+    /// adaptive controller poll this without touching the lock.
+    level: AtomicU8,
     /// A compilation is in flight: set by [`try_begin_compile`], cleared
     /// only by the claimant's [`end_compile`] — never by [`install`],
     /// which anyone may call.
@@ -78,10 +78,10 @@ pub struct FunctionHandle {
 
 impl FunctionHandle {
     pub fn new(initial: Arc<dyn PipelineBackend>) -> Self {
-        let rank = initial.kind().rank();
+        let level = initial.level() as u8;
         FunctionHandle {
             current: RwLock::new(initial),
-            rank: AtomicU8::new(rank),
+            level: AtomicU8::new(level),
             compiling: AtomicBool::new(false),
         }
     }
@@ -92,27 +92,22 @@ impl FunctionHandle {
         self.current.read().clone()
     }
 
-    /// Rank of the current backend (see [`ExecMode::rank`]).
-    pub fn rank(&self) -> u8 {
-        self.rank.load(Ordering::Acquire)
+    /// Level of the current backend, read lock-free.
+    pub fn level(&self) -> ExecLevel {
+        ExecLevel::from_index(self.level.load(Ordering::Acquire))
     }
 
-    /// Kind of the current backend.
-    pub fn kind(&self) -> ExecMode {
-        self.current.read().kind()
-    }
-
-    /// Atomically publish `backend` if it outranks the current one.
+    /// Atomically publish `backend` if its level is above the current one.
     /// Returns whether the swap happened. Publishing is all it does: a
     /// compile claim stays with its claimant, so installing a backend some
     /// other execution compiled cannot free the slot under a compile of
     /// this pipeline's own that is still in flight.
     pub fn install(&self, backend: Arc<dyn PipelineBackend>) -> bool {
-        let rank = backend.kind().rank();
+        let level = backend.level();
         let mut cur = self.current.write();
-        if rank > cur.kind().rank() {
+        if level > cur.level() {
             *cur = backend;
-            self.rank.store(rank, Ordering::Release);
+            self.level.store(level as u8, Ordering::Release);
             true
         } else {
             false
@@ -144,9 +139,9 @@ impl FunctionHandle {
 pub struct TraceEvent {
     pub thread: u16,
     pub pipeline: u16,
-    /// [`ExecMode::trace_kind`] of the backend the morsel ran on —
-    /// 0 = bytecode, 1 = unoptimized machine code, 3 = naive IR,
-    /// 4 = optimized machine code — or 255 for a background compilation.
+    /// [`ExecLevel`] of the backend the morsel ran on, as its index —
+    /// 0 = interpreted, 1 = unoptimized machine code, 2 = optimized
+    /// machine code — or 255 for a background compilation.
     pub kind: u8,
     pub start_us: u64,
     pub end_us: u64,
@@ -559,17 +554,13 @@ impl PipelineRun<'_> {
         // against this execution's parameter block once for the whole
         // pipeline run; a binding that drops every conjunct leaves nothing
         // to filter with. It sits in front of whatever backend the handle
-        // holds — except under `NaiveIr`, the oracle the differential
-        // suites compare against, which must see every row itself.
-        let prefilter = match self.kernel {
-            Some(kernel) if opts.mode != ExecMode::NaiveIr => {
-                // SAFETY: `run_pipelines` installed the parameter-block
-                // pointer and checked its arity against `plan.params`.
-                let conjuncts = unsafe { kernel.resolve(state.slots.as_ptr()) };
-                (!conjuncts.is_empty()).then_some((kernel, conjuncts))
-            }
-            _ => None,
-        };
+        // holds.
+        let prefilter = self.kernel.and_then(|kernel| {
+            // SAFETY: `run_pipelines` installed the parameter-block pointer
+            // and checked its arity against `plan.params`.
+            let conjuncts = unsafe { kernel.resolve(state.slots.as_ptr()) };
+            (!conjuncts.is_empty()).then_some((kernel, conjuncts))
+        });
         // Workers poll only the flag (relaxed, once per morsel); the error
         // value itself is stored under the mutex on the cold path.
         let failed = AtomicBool::new(false);
@@ -620,13 +611,13 @@ impl PipelineRun<'_> {
                     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let wctx = wrt.wctx_ptr();
                         // The Fig. 5 indirection, loaded once and then refreshed
-                        // only when the handle's (atomic) rank says a better
+                        // only when the handle's (atomic) level says a better
                         // backend was published: the `Arc` clone + lock of a
                         // full `load()` happens once per *switch*, not once per
                         // morsel — the controller can't swap more often than
-                        // the rank changes, so nothing newer can be missed.
+                        // the level changes, so nothing newer can be missed.
                         let mut backend = handle.load();
-                        let mut backend_rank = backend.kind().rank();
+                        let mut backend_level = backend.level();
                         loop {
                             if failed.load(Ordering::Relaxed) {
                                 return;
@@ -662,10 +653,10 @@ impl PipelineRun<'_> {
                             // it runs dry; `None` means the pipeline is done.
                             let Some(m) = dispenser.claim(tid) else { return };
                             let t_m0 = exec_start.elapsed().as_micros() as u64;
-                            let rank = handle.rank();
-                            if rank != backend_rank {
+                            let level = handle.level();
+                            if level != backend_level {
                                 backend = handle.load();
-                                backend_rank = rank;
+                                backend_level = level;
                             }
                             let mut call = |begin, end| {
                                 let args = [wctx, state_ptr, begin, end];
@@ -696,7 +687,7 @@ impl PipelineRun<'_> {
                                 ttrace.push(TraceEvent {
                                     thread: tid as u16,
                                     pipeline: pid as u16,
-                                    kind: backend.kind().trace_kind(),
+                                    kind: backend.level() as u8,
                                     start_us: t_m0,
                                     end_us: exec_start.elapsed().as_micros() as u64,
                                     tuples: m.tuples(),
@@ -822,37 +813,36 @@ mod tests {
     fn handle_swaps_are_monotonic_upgrades() {
         let f = identity_function();
         let bc = translate(&f, &[], TranslateOptions::default()).unwrap();
-        let h = FunctionHandle::new(Arc::new(NaiveBackend::new(Arc::new(f.clone()))));
-        assert_eq!(h.kind(), ExecMode::NaiveIr);
+        let h = FunctionHandle::new(Arc::new(bc));
+        assert_eq!(h.level(), ExecLevel::Interpreted);
         assert!(h.try_begin_compile());
         assert!(!h.try_begin_compile(), "second compile attempt must be rejected");
         // A failed compile releases the slot instead of leaking it.
         h.end_compile();
         assert!(h.try_begin_compile(), "releasing must re-open the compile slot");
-
-        assert!(h.install(Arc::new(bc)));
-        assert_eq!(h.kind(), ExecMode::Bytecode);
         h.end_compile();
-        assert!(h.try_begin_compile(), "compiles allowed again once the claimant is done");
 
-        // Downgrades are refused: the handle only moves up the rank order.
+        // The two interpreters are one level: neither replaces the other.
         assert!(!h.install(Arc::new(NaiveBackend::new(Arc::new(f.clone())))));
-        assert_eq!(h.kind(), ExecMode::Bytecode);
+        assert_eq!(h.level(), ExecLevel::Interpreted);
 
         if !aqe_jit::native::enabled() {
             return;
         }
         let unopt = compile_native_at(&f, &[], OptLevel::Unoptimized).unwrap();
         assert!(h.install(Arc::new(unopt)));
-        assert_eq!(h.kind(), ExecMode::NativeUnopt);
+        assert_eq!(h.level(), ExecLevel::Unoptimized);
         let opt = compile_native_at(&f, &[], OptLevel::Optimized).unwrap();
         assert!(h.install(Arc::new(opt)));
-        assert_eq!(h.kind(), ExecMode::Native);
-        assert_eq!(h.rank(), ExecMode::Native.rank());
-        // A racing unoptimized compile arriving late is refused.
+        assert_eq!(h.level(), ExecLevel::Optimized);
+        assert_eq!(h.load().level(), ExecLevel::Optimized);
+        // Downgrades are refused: a racing unoptimized compile arriving
+        // late, or the interpreter.
         let late = compile_native_at(&f, &[], OptLevel::Unoptimized).unwrap();
         assert!(!h.install(Arc::new(late)));
-        assert_eq!(h.kind(), ExecMode::Native);
+        let bc = translate(&f, &[], TranslateOptions::default()).unwrap();
+        assert!(!h.install(Arc::new(bc)));
+        assert_eq!(h.level(), ExecLevel::Optimized);
     }
 
     #[test]
@@ -861,11 +851,25 @@ mod tests {
         // concurrent execution compiled while this pipeline's own compile
         // job may still be running: the job's claim must survive it, or the
         // next poll starts a second compile thread.
+        // A stand-in backend one level up, so the test needs no emitter.
+        struct Unopt;
+        impl PipelineBackend for Unopt {
+            fn call(
+                &self,
+                _: &[u64],
+                _: &Registry,
+                _: &mut Frame,
+            ) -> Result<Option<u64>, ExecError> {
+                Ok(None)
+            }
+            fn level(&self) -> ExecLevel {
+                ExecLevel::Unoptimized
+            }
+        }
         let f = identity_function();
-        let h = FunctionHandle::new(Arc::new(NaiveBackend::new(Arc::new(f.clone()))));
+        let h = FunctionHandle::new(Arc::new(NaiveBackend::new(Arc::new(f))));
         assert!(h.try_begin_compile(), "the claimant's compile is now in flight");
-        let bc = translate(&f, &[], TranslateOptions::default()).unwrap();
-        assert!(h.install(Arc::new(bc)), "a higher backend arrives from outside");
+        assert!(h.install(Arc::new(Unopt)), "a higher backend arrives from outside");
         assert!(!h.try_begin_compile(), "the claim is the claimant's to release");
         h.end_compile();
         assert!(h.try_begin_compile());
@@ -892,7 +896,7 @@ mod tests {
         for b in backends {
             let h = FunctionHandle::new(b);
             let got = h.load().call(&[42], &rt, &mut frame).unwrap();
-            assert_eq!(got, Some(42), "backend {:?}", h.kind());
+            assert_eq!(got, Some(42), "backend {:?}", h.level());
         }
     }
 }

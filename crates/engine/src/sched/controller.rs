@@ -22,53 +22,12 @@ use crate::sched::morsel::MorselDispenser;
 use crate::sched::progress::PipelineProgress;
 use crate::sched::quarantine::PipelineQuarantine;
 use crate::tiers::TierTable;
-use aqe_vm::backend::ExecMode;
+use aqe_vm::backend::ExecLevel;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The rungs of the ladder (paper Fig. 3): what a pipeline is running at,
-/// what a compilation targets, and the index of a pipeline's
-/// [`TierTable`]. `Interpreted` is the bytecode VM (or the naive IR walker
-/// it degrades to); `Unoptimized` and `Optimized` are the two
-/// configurations of the native emitter.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum ExecLevel {
-    Interpreted,
-    Unoptimized,
-    Optimized,
-}
-
-impl ExecLevel {
-    /// The levels a compilation can target, in rank order.
-    pub const COMPILED: [ExecLevel; 2] = [ExecLevel::Unoptimized, ExecLevel::Optimized];
-
-    /// Number of levels (the size of a tier table).
-    pub const COUNT: usize = Self::COMPILED.len() + 1;
-
-    /// The level with discriminant `i` (`Optimized` for anything larger).
-    pub fn from_index(i: u8) -> ExecLevel {
-        match i {
-            0 => ExecLevel::Interpreted,
-            1 => ExecLevel::Unoptimized,
-            _ => ExecLevel::Optimized,
-        }
-    }
-
-    /// Classify a backend rank (see `ExecMode::rank`): the two
-    /// interpreters are one level, every rank above is a level of its own.
-    pub fn from_rank(rank: u8) -> ExecLevel {
-        ExecLevel::from_index(rank.saturating_sub(ExecMode::Bytecode.rank()))
-    }
-
-    /// The next rung down (`None` below `Interpreted`): where a pipeline
-    /// degrades to when this level cannot be compiled.
-    pub fn below(self) -> Option<ExecLevel> {
-        (self as u8).checked_sub(1).map(ExecLevel::from_index)
-    }
-}
 
 /// The empirical model behind Fig. 7's `ctime(f)` and `speedup(f)`: compile
 /// time is linear in IR instruction count (Fig. 6: "the number of LLVM
@@ -189,7 +148,7 @@ pub struct PipelineSchedReport {
     pub worker_tuples: Vec<u64>,
     /// Rows the scan's vectorized pre-filter proved failing (cleared mask
     /// bits, summed over every morsel). Zero on a pipeline without a scan
-    /// kernel and under `ExecMode::NaiveIr`, which is never pre-filtered.
+    /// kernel, whatever backend it runs on.
     /// `total_rows`, `worker_tuples` and the controller's rates count
     /// *scanned* rows and include these.
     pub rows_skipped: u64,
@@ -263,7 +222,7 @@ pub struct AdaptiveController {
 
 impl AdaptiveController {
     pub fn new(ctx: ControllerCtx) -> AdaptiveController {
-        let start_level = ExecLevel::from_rank(ctx.handle.rank());
+        let start_level = ctx.handle.level();
         let instrs = ctx.tiers.function().instruction_count();
         let first_us = ctx.first_eval.as_micros() as u64;
         let ceiling = ctx.tiers.ceiling();
@@ -315,9 +274,9 @@ impl AdaptiveController {
         let w = self.ctx.threads as f64;
         let r0 = if win_secs > 0.0 { win_tuples as f64 / win_secs / w } else { 0.0 };
         let n = self.ctx.total_rows.saturating_sub(progress.total()) as f64;
-        // Lock-free poll of the current backend via the cached rank — the
+        // Lock-free poll of the current backend via the cached level — the
         // decision path never touches the handle's lock.
-        let current = ExecLevel::from_rank(self.ctx.handle.rank());
+        let current = self.ctx.handle.level();
         let target = extrapolate_pipeline_durations(
             &self.ctx.model,
             self.instrs,
@@ -534,31 +493,13 @@ mod tests {
         job.run();
         // Nothing published anywhere — the query stopped paying — and the
         // compile claim is re-opened (same discipline as a failed compile).
-        assert_eq!(handle.kind(), ExecMode::Bytecode);
+        assert_eq!(handle.level(), ExecLevel::Interpreted);
         assert_eq!(
             tiers.best_level(),
             ExecLevel::Interpreted,
             "a cancelled compile must not fill the tier table"
         );
         assert!(handle.try_begin_compile(), "cancelled job must re-open the compile slot");
-    }
-
-    #[test]
-    fn exec_level_classifies_ranks() {
-        assert_eq!(ExecLevel::from_rank(ExecMode::NaiveIr.rank()), ExecLevel::Interpreted);
-        assert_eq!(ExecLevel::from_rank(ExecMode::Bytecode.rank()), ExecLevel::Interpreted);
-        assert_eq!(ExecLevel::from_rank(ExecMode::NativeUnopt.rank()), ExecLevel::Unoptimized);
-        assert_eq!(ExecLevel::from_rank(ExecMode::Native.rank()), ExecLevel::Optimized);
-        assert!(ExecLevel::Interpreted < ExecLevel::Unoptimized);
-        assert!(ExecLevel::Unoptimized < ExecLevel::Optimized);
-        for (i, level) in
-            [ExecLevel::Interpreted].into_iter().chain(ExecLevel::COMPILED).enumerate()
-        {
-            assert_eq!(level as usize, i);
-            assert_eq!(ExecLevel::from_index(i as u8), level);
-        }
-        assert_eq!(ExecLevel::Optimized.below(), Some(ExecLevel::Unoptimized));
-        assert_eq!(ExecLevel::Interpreted.below(), None);
     }
 
     /// `extrapolate_pipeline_durations` with the default model on a

@@ -25,8 +25,9 @@ pub mod morsel;
 pub mod progress;
 pub mod quarantine;
 
+pub use aqe_vm::backend::ExecLevel;
 pub use controller::{
-    extrapolate_pipeline_durations, AdaptiveController, ControllerCtx, CostModel, ExecLevel,
+    extrapolate_pipeline_durations, AdaptiveController, ControllerCtx, CostModel,
     PipelineSchedReport,
 };
 pub use morsel::{Morsel, MorselDispenser};

@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use super::controller::ExecLevel;
+use aqe_vm::backend::ExecLevel;
 
 /// Executions a failed tier is skipped for before being probed again.
 pub const QUARANTINE_SKIPS: u32 = 8;

@@ -922,7 +922,7 @@ impl PreparedState {
     }
 
     /// Fresh per-run hot-swap handles holding each pipeline's initial
-    /// backend for `mode`: the naive walker, the level a static mode pins
+    /// backend for `mode`: the level a static mode pins
     /// ([`static_backend`](Self::static_backend)), or — adaptive — the best
     /// backend any prior or concurrently running execution compiled, on
     /// top of the interpreted floor.
@@ -938,9 +938,6 @@ impl PreparedState {
                     self.static_backend(i, level, &quarantine[i], report)
                 };
                 let backend = match mode {
-                    ExecMode::NaiveIr => {
-                        Arc::new(NaiveBackend::new(self.tiers[i].function().clone()))
-                    }
                     ExecMode::Bytecode => pin(ExecLevel::Interpreted, report),
                     ExecMode::NativeUnopt => pin(ExecLevel::Unoptimized, report),
                     ExecMode::Native => pin(ExecLevel::Optimized, report),

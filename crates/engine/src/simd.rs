@@ -11,9 +11,9 @@
 //! 64-row blocks, the kernel evaluates the conjuncts into a selection
 //! bitmask (`u64`, bit *i* = row passes), and only the surviving row *runs*
 //! reach the worker function — on whatever backend the pipeline's handle
-//! holds at that moment (bytecode, unoptimized or optimized machine code).
-//! `ExecMode::NaiveIr` is exempt: it is the oracle the differential suites
-//! compare against and shares no code with what it checks.
+//! holds at that moment (bytecode, unoptimized or optimized machine code,
+//! or the naive IR walker a pipeline falls to when translation fails),
+//! with no exception.
 //!
 //! ## Correctness: the superset-mask contract
 //!

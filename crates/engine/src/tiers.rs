@@ -142,7 +142,6 @@ impl TierTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqe_vm::backend::ExecMode;
 
     fn table() -> TierTable {
         use aqe_ir::{FunctionBuilder, Type};
@@ -178,8 +177,8 @@ mod tests {
         // A lower level arriving late fills its own entry and leaves best.
         t.get_or_compile(ExecLevel::Unoptimized).unwrap();
         assert_eq!(t.best_level(), ExecLevel::Optimized);
-        assert_eq!(t.best().unwrap().kind(), ExecMode::Native);
-        assert_eq!(t.get(ExecLevel::Unoptimized).unwrap().kind(), ExecMode::NativeUnopt);
+        assert_eq!(t.best().unwrap().level(), ExecLevel::Optimized);
+        assert_eq!(t.get(ExecLevel::Unoptimized).unwrap().level(), ExecLevel::Unoptimized);
         assert!(t.get(ExecLevel::Interpreted).is_none());
         assert_eq!(t.builds(), 2);
     }

@@ -2,17 +2,21 @@
 //! differential harness. Whatever `aqe_fault` injects — failed compiles
 //! at any tier, bytecode translation errors, panicking background
 //! compile jobs, panicking morsel workers — an execution must end in
-//! exactly one of two ways: a bit-identical result produced by a
-//! degraded ladder, or a *typed* error (`ExecError::Internal`). Never an
-//! abort, never a wrong answer, never a poisoned engine.
+//! exactly one of two ways: a result bit-identical to the Volcano oracle
+//! (`aqe_baselines::execute_volcano`, which no fault site reaches)
+//! produced by a degraded ladder, or a *typed* error
+//! (`ExecError::Internal`). Never an abort, never a wrong answer, never a
+//! poisoned engine.
 
+use aqe_baselines::execute_volcano;
 use aqe_engine::exec::{ExecMode, ExecOptions};
-use aqe_engine::plan::{AggFunc, AggSpec, ArithOp, CmpOp, PExpr, PlanNode};
+use aqe_engine::plan::{decompose, AggFunc, AggSpec, ArithOp, CmpOp, PExpr, PlanNode};
 use aqe_engine::sched::QUARANTINE_SKIPS;
 use aqe_engine::session::Engine;
 use aqe_storage::{tpch, Catalog};
 use aqe_vm::interp::ExecError;
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// The fault schedule is process-global: every test that arms one holds
 /// this lock for its whole body.
@@ -37,15 +41,8 @@ fn quiet_injected_panics() {
     });
 }
 
-fn all_modes() -> [ExecMode; 5] {
-    [
-        ExecMode::NaiveIr,
-        ExecMode::Bytecode,
-        ExecMode::NativeUnopt,
-        ExecMode::Native,
-        ExecMode::Adaptive,
-    ]
-}
+const MODES: [ExecMode; 4] =
+    [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive];
 
 /// A Q6-like single-group aggregation: selective filter, checked
 /// arithmetic, every tier has a lowering for it.
@@ -80,13 +77,12 @@ fn run_once(
     session.execute_with(&prepared, &opts).map(|(res, report)| (res.rows, report))
 }
 
-/// Oracle rows computed with no faults armed.
+/// Oracle rows: the Volcano engine over the same plan tree.
 fn oracle(cat: &Catalog, plan: &PlanNode) -> Vec<u64> {
-    assert!(!aqe_fault::armed(), "oracle must run clean");
-    run_once(cat, plan, ExecMode::Bytecode, 1).expect("clean oracle run").0
+    execute_volcano(cat, plan, &decompose(cat, plan, vec![])).expect("volcano run")
 }
 
-/// Every machine-code compile fails, including the W^X map: all five
+/// Every machine-code compile fails, including the W^X map: all four
 /// modes still answer, bit-identical, through degraded ladders.
 #[test]
 fn forced_compile_failures_degrade_not_error() {
@@ -97,7 +93,7 @@ fn forced_compile_failures_degrade_not_error() {
     let expect = oracle(&cat, &plan);
 
     let _armed = aqe_fault::arm("native_compile=err,wx_map=err", 1).unwrap();
-    for mode in all_modes() {
+    for mode in MODES {
         for threads in [1, 4] {
             let (rows, report) = run_once(&cat, &plan, mode, threads)
                 .unwrap_or_else(|e| panic!("{mode:?}/{threads} must degrade, got {e}"));
@@ -108,6 +104,37 @@ fn forced_compile_failures_degrade_not_error() {
             let compiled = matches!(mode, ExecMode::NativeUnopt | ExecMode::Native);
             if aqe_jit::native::enabled() && compiled {
                 assert!(report.degraded > 0, "{mode:?}/{threads} should count its degradation");
+            }
+        }
+    }
+}
+
+/// Every bytecode translation fails: a pipeline that needs the interpreted
+/// floor falls to the naive IR walker, never pays a translation, counts
+/// the fall, and still has the scan pre-filter in front of it. Pinned
+/// machine code never needs the floor, so with the emitter those modes
+/// answer without a fall.
+#[test]
+fn translation_failure_falls_to_the_ir_walker_behind_the_kernel() {
+    let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    quiet_injected_panics();
+    let cat = tpch::generate(0.01);
+    let plan = q6_plan();
+    let expect = oracle(&cat, &plan);
+
+    let _armed = aqe_fault::arm("bc_translate=err", 1).unwrap();
+    for mode in MODES {
+        for threads in [1, 4] {
+            let (rows, report) = run_once(&cat, &plan, mode, threads)
+                .unwrap_or_else(|e| panic!("{mode:?}/{threads} must fall to the walker, got {e}"));
+            assert_eq!(rows, expect, "{mode:?}/{threads} walker result mismatch");
+            assert_eq!(report.bc_translate, Duration::ZERO, "{mode:?}/{threads} translated");
+            assert!(report.sched[0].rows_skipped > 0, "{mode:?}/{threads}: no pre-filter");
+            let compiled = matches!(mode, ExecMode::NativeUnopt | ExecMode::Native);
+            if aqe_jit::native::enabled() && compiled {
+                assert_eq!(report.degraded, 0, "{mode:?}/{threads} needs no floor");
+            } else {
+                assert!(report.degraded >= 1, "{mode:?}/{threads} must count its fall");
             }
         }
     }
@@ -250,7 +277,7 @@ fn randomized_fault_schedules_never_abort_or_corrupt() {
                             compile_job=panic:0.3,worker=panic:0.02";
     for seed in [1u64, 7, 42] {
         let _armed = aqe_fault::arm(SCHEDULE, seed).unwrap();
-        for mode in all_modes() {
+        for mode in MODES {
             for threads in [1, 4] {
                 match run_once(&cat, &plan, mode, threads) {
                     Ok((rows, _)) => {

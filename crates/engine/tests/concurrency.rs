@@ -5,8 +5,9 @@
 //! What the epoch/snapshot design must guarantee under this load:
 //!
 //! * **result correctness** — every successful execution returns exactly
-//!   the single-threaded reference rows, no matter which catalog epoch or
-//!   retained backend it picked up;
+//!   the rows of the Volcano engine (`aqe_baselines::execute_volcano`, the
+//!   oracle sharing no code with this engine), no matter which catalog
+//!   epoch or retained backend it picked up;
 //! * **no torn snapshots** — an execution's `Report::snapshot_version`
 //!   names one epoch, and the versions a thread observes are monotonic
 //!   (the catalog cell only ever publishes forward);
@@ -21,8 +22,9 @@
 //! * **eager invalidation** — a mutation purges every result cached for
 //!   older versions.
 
+use aqe_baselines::execute_volcano;
 use aqe_engine::exec::{ExecMode, ExecOptions, ParamValue, PipelineBackend};
-use aqe_engine::plan::{AggFunc, AggSpec, ArithOp, CmpOp, FieldTy, PExpr, PlanNode};
+use aqe_engine::plan::{decompose, AggFunc, AggSpec, ArithOp, CmpOp, FieldTy, PExpr, PlanNode};
 use aqe_engine::session::{Engine, PreparedQuery};
 use aqe_engine::ExecLevel;
 use aqe_storage::{tpch, Column, DataType, Table};
@@ -65,6 +67,13 @@ fn agg_plan_over(aggs: usize, filter: Option<PExpr>) -> PlanNode {
     }
 }
 
+/// The oracle's rows for `plan` over the engine's current catalog.
+fn volcano(engine: &Engine, plan: &PlanNode) -> Vec<u64> {
+    engine.with_catalog(|cat| {
+        execute_volcano(cat, plan, &decompose(cat, plan, vec![])).expect("volcano run")
+    })
+}
+
 fn no_cache_opts() -> ExecOptions {
     ExecOptions { mode: ExecMode::Adaptive, threads: 1, cache_results: false, ..Default::default() }
 }
@@ -77,16 +86,7 @@ fn scratch_table(n: i64) -> Table {
 fn racing_cold_executions_build_the_compiled_state_once() {
     let engine = Arc::new(Engine::new(tpch::generate(0.005)));
     let prepared = Arc::new(engine.session().prepare(&agg_plan(8), vec![]));
-
-    let reference = {
-        // A twin prepared query computes the reference without touching
-        // the shared one's cold latch.
-        let (rows, _) = engine
-            .session()
-            .execute_with(&engine.session().prepare(&agg_plan(8), vec![]), &no_cache_opts())
-            .expect("reference run");
-        rows.rows
-    };
+    let reference = volcano(&engine, &agg_plan(8));
 
     std::thread::scope(|scope| {
         for _ in 0..8 {
@@ -103,9 +103,9 @@ fn racing_cold_executions_build_the_compiled_state_once() {
     });
 
     let stats = engine.concurrency();
-    // The twin built once; the 8 racers built the shared query's state
-    // exactly once between them, no matter how the race interleaved.
-    assert_eq!(stats.cold_builds, 2, "racing executions must share one cold build");
+    // The 8 racers built the shared query's state exactly once between
+    // them, no matter how the race interleaved.
+    assert_eq!(stats.cold_builds, 1, "racing executions must share one cold build");
     assert!(stats.warm_executions >= 7, "losers of the build race reuse the published state");
     assert_eq!(stats.in_flight, 0);
     assert_eq!(stats.executions_started, stats.executions_completed);
@@ -154,17 +154,7 @@ fn racing_modes_compile_each_tier_table_entry_once() {
         o.model.opt_per_instr_s = 0.0;
         o
     };
-    // The single-threaded bytecode reference, on a twin prepared query so
-    // the shared one stays cold.
-    let reference = {
-        let session = engine.session();
-        let bytecode = ExecOptions { threads: 1, ..opts(ExecMode::Bytecode) };
-        session
-            .execute_with(&session.prepare(&plan(), vec![]), &bytecode)
-            .expect("reference")
-            .0
-            .rows
-    };
+    let reference = volcano(&engine, &plan());
 
     let prepared = Arc::new(engine.session().prepare(&plan(), vec![]));
     let start = Barrier::new(RACERS);
@@ -226,9 +216,8 @@ fn stress_warm_executions_against_a_mutating_catalog() {
     let engine = Arc::new(Engine::new(tpch::generate(0.005)));
     let session = engine.session();
     let prepared = Arc::new(session.prepare(&agg_plan(8), vec![]));
-    let (reference, first) =
-        session.execute_with(&prepared, &no_cache_opts()).expect("reference run");
-    let base_version = first.snapshot_version;
+    let reference = volcano(&engine, &agg_plan(8));
+    let base_version = engine.catalog_version();
 
     let stop = AtomicBool::new(false);
     let max_seen_version = AtomicU64::new(base_version);
@@ -262,7 +251,7 @@ fn stress_warm_executions_against_a_mutating_catalog() {
                     let (rows, report) =
                         session.execute_with(&prepared, &no_cache_opts()).expect("warm run");
                     assert_eq!(
-                        rows.rows, reference.rows,
+                        &rows.rows, reference,
                         "an execution under concurrent mutation returned wrong rows"
                     );
                     // One snapshot per run, and only ever forward: a torn
@@ -314,7 +303,7 @@ fn executions_pinned_to_an_epoch_survive_table_drops() {
     let engine = Arc::new(Engine::new(tpch::generate(0.002)));
     let session = engine.session();
     let prepared = Arc::new(session.prepare(&agg_plan(6), vec![]));
-    let (reference, _) = session.execute_with(&prepared, &no_cache_opts()).expect("reference");
+    let reference = volcano(&engine, &agg_plan(6));
     let lineitem = engine.with_catalog(|c| c.get("lineitem").unwrap().as_ref().clone());
 
     let successes = AtomicU64::new(0);
@@ -333,7 +322,7 @@ fn executions_pinned_to_an_epoch_survive_table_drops() {
                 while !stop.load(Ordering::Acquire) {
                     match session.execute_with(&prepared, &no_cache_opts()) {
                         Ok((rows, _)) => {
-                            assert_eq!(rows.rows, reference.rows, "epoch-pinned run wrong rows");
+                            assert_eq!(&rows.rows, reference, "epoch-pinned run wrong rows");
                             successes.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(ExecError::Setup(msg)) => {
@@ -364,41 +353,10 @@ fn executions_pinned_to_an_epoch_survive_table_drops() {
     assert_eq!(engine.concurrency().in_flight, 0);
 }
 
-/// [`agg_plan`] with the scan filtered on `l_quantity < $1`: one
-/// fingerprint whose answer depends on the bound value.
-fn bound_agg_plan(aggs: usize) -> PlanNode {
-    let specs = (0..aggs)
-        .map(|k| AggSpec {
-            func: AggFunc::SumI,
-            arg: Some(PExpr::arith(
-                ArithOp::Add,
-                true,
-                false,
-                PExpr::arith(
-                    ArithOp::Mul,
-                    true,
-                    false,
-                    PExpr::Col(k % 3),
-                    PExpr::ConstI(k as i64 + 1),
-                ),
-                PExpr::Col((k + 1) % 3),
-            )),
-        })
-        .collect();
-    PlanNode::HashAgg {
-        input: Box::new(PlanNode::Scan {
-            table: "lineitem".into(),
-            cols: vec![4, 5, 6],
-            filter: Some(PExpr::cmp(
-                CmpOp::Lt,
-                false,
-                PExpr::Col(0),
-                PExpr::Param { idx: 0, ty: FieldTy::I64 },
-            )),
-        }),
-        group_by: vec![],
-        aggs: specs,
-    }
+/// [`agg_plan`] with the scan filtered on `l_quantity < bound`: with a
+/// `$1` bound, one fingerprint whose answer depends on the bound value.
+fn bound_agg_plan(aggs: usize, bound: PExpr) -> PlanNode {
+    agg_plan_over(aggs, Some(PExpr::cmp(CmpOp::Lt, false, PExpr::Col(0), bound)))
 }
 
 #[test]
@@ -414,18 +372,12 @@ fn concurrent_bindings_of_one_prepared_query_never_cross_results() {
 
     let engine = Arc::new(Engine::new(tpch::generate(0.005)));
     let session = engine.session();
-    let prepared = Arc::new(session.prepare(&bound_agg_plan(8), vec![]));
+    let param = PExpr::Param { idx: 0, ty: FieldTy::I64 };
+    let prepared = Arc::new(session.prepare(&bound_agg_plan(8, param), vec![]));
 
-    // Single-threaded, cache-off references — one per binding.
-    let reference: Vec<_> = BINDINGS
-        .iter()
-        .map(|&v| {
-            let (rows, _) = session
-                .execute_bound_with(&prepared, &[ParamValue::I64(v)], &no_cache_opts())
-                .expect("reference run");
-            rows.rows
-        })
-        .collect();
+    // One oracle run per binding, over the plan with the value as a literal.
+    let reference: Vec<_> =
+        BINDINGS.iter().map(|&v| volcano(&engine, &bound_agg_plan(8, PExpr::ConstI(v)))).collect();
     assert!(
         reference.iter().zip(reference.iter().skip(1)).all(|(a, b)| a != b),
         "the bindings must produce pairwise-distinct answers for aliasing to be observable"

@@ -1,11 +1,13 @@
-//! End-to-end engine tests: every execution mode — naive IR interpretation,
-//! bytecode, unoptimized and optimized machine code, adaptive — must
-//! produce identical results, at 1 and 4 threads, matching a host-computed
-//! reference. On platforms without the native emitter (or with
-//! `AQE_NATIVE=0`) the compiled modes run bytecode and the same assertions
-//! hold. Filtered scans run behind the vectorized pre-filter in every mode
-//! but `NaiveIr`, which is therefore the oracle of the kernel differentials.
+//! End-to-end engine tests: every execution mode — bytecode, unoptimized
+//! and optimized machine code, adaptive — must produce identical results,
+//! at 1 and 4 threads, matching a reference that shares no code with the
+//! engine: a host-computed value or the Volcano engine
+//! (`aqe_baselines::execute_volcano`) over the same plan tree. On platforms
+//! without the native emitter (or with `AQE_NATIVE=0`) the compiled modes
+//! run bytecode and the same assertions hold. Filtered scans run behind the
+//! vectorized pre-filter in every mode.
 
+use aqe_baselines::execute_volcano;
 use aqe_engine::exec::{ExecMode, ExecOptions, ParamValue};
 use aqe_engine::plan::{
     decompose, AggFunc, AggSpec, ArithOp, CmpOp, FieldTy, JoinKind, PExpr, PlanNode, SortKey,
@@ -13,20 +15,13 @@ use aqe_engine::plan::{
 use aqe_engine::session::Engine;
 use aqe_storage::{tpch, Catalog, Column, DataType, Table};
 
-fn all_modes() -> [ExecMode; 5] {
-    [
-        ExecMode::NaiveIr,
-        ExecMode::Bytecode,
-        ExecMode::NativeUnopt,
-        ExecMode::Native,
-        ExecMode::Adaptive,
-    ]
-}
-
-/// The modes whose filtered scans sit behind the vectorized pre-filter —
-/// all but the `NaiveIr` oracle.
-const PREFILTERED_MODES: [ExecMode; 4] =
+const MODES: [ExecMode; 4] =
     [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive];
+
+/// The oracle: the Volcano engine over the same plan tree.
+fn volcano(cat: &Catalog, plan: &PlanNode) -> Vec<u64> {
+    execute_volcano(cat, plan, &decompose(cat, plan, vec![])).expect("volcano run")
+}
 
 fn run(cat: &Catalog, plan: &PlanNode, mode: ExecMode, threads: usize) -> Vec<u64> {
     let engine = Engine::new(cat.clone());
@@ -85,7 +80,7 @@ fn q6_like_sum_matches_reference_in_all_modes() {
         }],
     };
 
-    for mode in all_modes() {
+    for mode in MODES {
         for threads in [1, 4] {
             let rows = run(&cat, &plan, mode, threads);
             assert_eq!(rows.len(), 1, "{mode:?}/{threads}");
@@ -121,15 +116,14 @@ fn group_by_agg_matches_reference() {
         ],
     };
 
-    let reference = run(&cat, &plan, ExecMode::Bytecode, 1);
-    let ref_rows = normalized(reference, 3);
+    let ref_rows = normalized(volcano(&cat, &plan), 3);
     assert_eq!(ref_rows.len(), expect.len());
     for row in &ref_rows {
         let (sum, cnt) = expect[&row[0]];
         assert_eq!(row[1] as i64, sum);
         assert_eq!(row[2] as i64, cnt);
     }
-    for mode in all_modes() {
+    for mode in MODES {
         for threads in [1, 4] {
             let rows = normalized(run(&cat, &plan, mode, threads), 3);
             assert_eq!(rows, ref_rows, "{mode:?}/{threads}");
@@ -182,7 +176,7 @@ fn hash_join_matches_reference() {
         e.1 += 1;
     }
 
-    for mode in all_modes() {
+    for mode in MODES {
         for threads in [1, 4] {
             let rows = normalized(run(&cat, &plan, mode, threads), 3);
             assert_eq!(rows.len(), expect.len(), "{mode:?}/{threads}");
@@ -249,13 +243,13 @@ fn sort_with_limit_is_ordered_and_stable_across_modes() {
         ],
         limit: Some(10),
     };
-    let reference = run(&cat, &plan, ExecMode::Bytecode, 1);
+    let reference = volcano(&cat, &plan);
     assert_eq!(reference.len(), 20);
     // descending by sum
     for w in reference.chunks_exact(2).collect::<Vec<_>>().windows(2) {
         assert!(w[0][1] as i64 >= w[1][1] as i64);
     }
-    for mode in all_modes() {
+    for mode in MODES {
         for threads in [1, 4] {
             assert_eq!(run(&cat, &plan, mode, threads), reference, "{mode:?}/{threads}");
         }
@@ -281,7 +275,7 @@ fn overflow_in_generated_code_is_reported() {
     let engine = Engine::new(cat.clone());
     let session = engine.session();
     let prepared = session.prepare(&plan, vec![]);
-    for mode in all_modes() {
+    for mode in MODES {
         let opts = ExecOptions { mode, threads: 2, ..Default::default() };
         let r = session.execute_with(&prepared, &opts);
         assert!(r.is_err(), "{mode:?} must report the overflow");
@@ -336,7 +330,7 @@ fn adaptive_mode_compiles_hot_pipelines_eventually() {
 /// row count that is not a multiple of any lane width (nor of the 64-row
 /// mask block). Every mode behind the pre-filter, at thread counts that cut
 /// the rows into differently aligned morsels, must agree exactly with the
-/// `NaiveIr` oracle (which is never pre-filtered) and with a host-computed
+/// Volcano oracle (which has no pre-filter) and with a host-computed
 /// reference.
 #[test]
 fn scan_kernel_differential_nan_boundaries_odd_rows() {
@@ -407,10 +401,10 @@ fn scan_kernel_differential_nan_boundaries_odd_rows() {
         }
     }
     assert!(count > 0 && (count as usize) < rows, "predicate must be selective");
-    let oracle = run(&cat, &plan, ExecMode::NaiveIr, 1);
+    let oracle = volcano(&cat, &plan);
     assert_eq!(oracle, vec![count, sum_a as u64, min_b.to_bits()], "oracle vs host");
 
-    for mode in PREFILTERED_MODES {
+    for mode in MODES {
         for threads in [1, 2, 3] {
             assert_eq!(run(&cat, &plan, mode, threads), oracle, "{mode:?}/{threads}");
         }
@@ -422,10 +416,11 @@ fn scan_kernel_differential_nan_boundaries_odd_rows() {
 /// variable. One prepared query per mode is swept through bindings that
 /// include lane-domain escapes (an `i32` column compared against
 /// `i32::MAX + 1`), a NaN float parameter, negative zero, and the `i64`
-/// extremes. Every pre-filtered mode must stay bit-identical to the
-/// naive-IR oracle on every binding: the retained kernel skeleton is
-/// re-resolved per execution (and, out of domain, drops conjuncts)
-/// instead of baking the first value in.
+/// extremes. Every mode must stay bit-identical on every binding to the
+/// Volcano oracle run over the same plan with the binding's values as
+/// literals: the retained kernel skeleton is re-resolved per execution
+/// (and, out of domain, drops conjuncts) instead of baking the first value
+/// in.
 #[test]
 fn bound_q6_differential_is_bit_identical_across_all_modes() {
     let rows = 64 * 16 + 37;
@@ -455,20 +450,19 @@ fn bound_q6_differential_is_bit_identical_across_all_modes() {
         ],
     ));
 
-    // a < $1 AND b < $2 AND c >= $3 — the Q6 shape with every constant
-    // generalized.
-    let pred = PExpr::and(
-        PExpr::cmp(CmpOp::Lt, false, PExpr::Col(0), PExpr::Param { idx: 0, ty: FieldTy::I64 }),
-        PExpr::and(
-            PExpr::cmp(CmpOp::Lt, true, PExpr::Col(1), PExpr::Param { idx: 1, ty: FieldTy::F64 }),
-            PExpr::cmp(CmpOp::Ge, false, PExpr::Col(2), PExpr::Param { idx: 2, ty: FieldTy::I64 }),
-        ),
-    );
-    let plan = PlanNode::HashAgg {
+    // a < $1 AND b < $2 AND c >= $3 — the Q6 shape, with every constant
+    // generalized (the prepared plan) or given as a literal (the oracle's).
+    let q6 = |[p0, p1, p2]: [PExpr; 3]| PlanNode::HashAgg {
         input: Box::new(PlanNode::Scan {
             table: "t".into(),
             cols: vec![0, 1, 2],
-            filter: Some(pred),
+            filter: Some(PExpr::and(
+                PExpr::cmp(CmpOp::Lt, false, PExpr::Col(0), p0),
+                PExpr::and(
+                    PExpr::cmp(CmpOp::Lt, true, PExpr::Col(1), p1),
+                    PExpr::cmp(CmpOp::Ge, false, PExpr::Col(2), p2),
+                ),
+            )),
         }),
         group_by: vec![],
         aggs: vec![
@@ -477,6 +471,11 @@ fn bound_q6_differential_is_bit_identical_across_all_modes() {
             AggSpec { func: AggFunc::MinF, arg: Some(PExpr::Col(1)) },
         ],
     };
+    let plan = q6([
+        PExpr::Param { idx: 0, ty: FieldTy::I64 },
+        PExpr::Param { idx: 1, ty: FieldTy::F64 },
+        PExpr::Param { idx: 2, ty: FieldTy::I64 },
+    ]);
 
     // Bindings chosen per the boundary corpus: in-domain, i32 lane-domain
     // escapes in both directions (the scan kernel must drop the conjunct,
@@ -497,7 +496,7 @@ fn bound_q6_differential_is_bit_identical_across_all_modes() {
 
     // Host reference per binding, with the generated code's exact widening
     // semantics. Bindings that select rows are checked against it; the
-    // empty ones are still pinned mode-to-mode below.
+    // empty ones are still pinned to the oracle below.
     let host: Vec<Option<Vec<u64>>> = bindings
         .iter()
         .map(|p| {
@@ -520,30 +519,22 @@ fn bound_q6_differential_is_bit_identical_across_all_modes() {
     assert!(host.iter().filter(|h| h.is_some()).count() >= 3, "corpus must select rows somewhere");
     assert!(host.iter().any(|h| h.is_none()), "corpus must include an empty binding");
 
-    // Oracle: the naive IR walker, one warm prepared query over all
-    // bindings in sequence (a stale re-resolution would show up here).
-    let oracle: Vec<Vec<u64>> = {
-        let engine = Engine::new(cat.clone());
-        let session = engine.session();
-        let prepared = session.prepare(&plan, vec![]);
-        let opts = ExecOptions {
-            mode: ExecMode::NaiveIr,
-            threads: 1,
-            cache_results: false,
-            ..Default::default()
-        };
-        bindings
-            .iter()
-            .map(|p| session.execute_bound_with(&prepared, p, &opts).expect("oracle").0.rows)
-            .collect()
+    // Oracle: Volcano over one literal plan per binding.
+    let literal = |p: &ParamValue| match *p {
+        ParamValue::I64(v) => PExpr::ConstI(v),
+        ParamValue::F64(v) => PExpr::ConstF(v),
     };
+    let oracle: Vec<Vec<u64>> =
+        bindings.iter().map(|p| volcano(&cat, &q6(p.each_ref().map(literal)))).collect();
     for (bi, h) in host.iter().enumerate() {
         if let Some(h) = h {
             assert_eq!(&oracle[bi], h, "oracle disagrees with host on binding {bi}");
         }
     }
 
-    for mode in PREFILTERED_MODES {
+    // One warm prepared query per mode over all bindings in sequence: a
+    // stale re-resolution would show up here.
+    for mode in MODES {
         for threads in [1, 2, 3] {
             let engine = Engine::new(cat.clone());
             let session = engine.session();
@@ -561,8 +552,8 @@ fn bound_q6_differential_is_bit_identical_across_all_modes() {
 /// on a selective scan every mode skips rows from its first morsel on —
 /// the cleared mask bits of *all* morsels add up to exactly the rows that
 /// fail the vectorized conjunct, whatever backend ran behind the kernel —
-/// while the `NaiveIr` oracle and a pipeline without a kernel skip nothing.
-/// Holds with or without the native emitter.
+/// while a pipeline without a kernel skips nothing. Holds with or without
+/// the native emitter.
 #[test]
 fn every_mode_skips_rows_on_a_selective_scan_from_its_first_morsel() {
     let cat = tpch::generate(0.02);
@@ -587,15 +578,14 @@ fn every_mode_skips_rows_on_a_selective_scan_from_its_first_morsel() {
         assert_eq!(report.sched[0].total_rows, rows as u64, "rates stay in scanned rows");
         (res.rows, report.sched[0].rows_skipped)
     };
-    let (oracle, oracle_skipped) = scan(&selective, ExecMode::NaiveIr);
-    assert_eq!(oracle_skipped, 0, "the oracle is never pre-filtered");
-    for mode in PREFILTERED_MODES {
+    let oracle = volcano(&cat, &selective);
+    for mode in MODES {
         let (got, n) = scan(&selective, mode);
         assert_eq!(got, oracle, "{mode:?}");
         assert_eq!(n, failing, "{mode:?}: every morsel went through the kernel");
     }
     // No filter, no kernel: nothing to skip in any mode.
-    for mode in all_modes() {
+    for mode in MODES {
         assert_eq!(scan(&scan_agg(None), mode).1, 0, "{mode:?} on a kernel-less pipeline");
     }
 }

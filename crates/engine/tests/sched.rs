@@ -6,8 +6,8 @@
 //!    partition still finishes via stealing — the hot region is
 //!    redistributed instead of serializing the tail.
 
-use aqe_engine::exec::{ExecMode, FunctionHandle, PipelineBackend};
-use aqe_engine::sched::{Morsel, MorselDispenser, PipelineProgress};
+use aqe_engine::exec::{FunctionHandle, PipelineBackend};
+use aqe_engine::sched::{ExecLevel, Morsel, MorselDispenser, PipelineProgress};
 use aqe_vm::interp::{ExecError, Frame};
 use aqe_vm::rt::Registry;
 use parking_lot::Mutex;
@@ -86,8 +86,8 @@ impl PipelineBackend for SkewedBackend {
         }
         Ok(None)
     }
-    fn kind(&self) -> ExecMode {
-        ExecMode::Bytecode
+    fn level(&self) -> ExecLevel {
+        ExecLevel::Interpreted
     }
 }
 

@@ -261,23 +261,6 @@ fn bad_module_surfaces_as_a_setup_error_not_a_panic() {
 }
 
 #[test]
-fn naive_ir_mode_never_pays_bytecode_translation() {
-    let cat = tpch::generate(0.001);
-    let engine = Engine::new(cat);
-    let session = engine.session();
-    let prepared = session.prepare(&wide_plan(3), vec![]);
-    let opts = ExecOptions { mode: ExecMode::NaiveIr, ..Default::default() };
-    let (_, report) = session.execute_with(&prepared, &opts).expect("naive run");
-    assert_eq!(report.bc_translate, Duration::ZERO, "the IR walker needs no bytecode");
-    // A later adaptive run on the same prepared query pays it exactly once.
-    let adaptive = ExecOptions { cache_results: false, ..Default::default() };
-    let (_, r2) = session.execute_with(&prepared, &adaptive).expect("adaptive run");
-    assert!(r2.bc_translate > Duration::ZERO);
-    let (_, r3) = session.execute_with(&prepared, &adaptive).expect("warm adaptive run");
-    assert_eq!(r3.bc_translate, Duration::ZERO);
-}
-
-#[test]
 fn dropping_a_scanned_table_errors_for_plain_prepared_queries_too() {
     // Same scenario as below but through the codegen path (`prepare`, no
     // module override): the rebuild after the mutation must fail as a

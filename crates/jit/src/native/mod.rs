@@ -1,5 +1,5 @@
 //! The native x86-64 machine-code backend: both compiled levels of the
-//! ladder (`ExecMode::NativeUnopt`, `ExecMode::Native`).
+//! ladder (`ExecLevel::Unoptimized`, `ExecLevel::Optimized`).
 //!
 //! A worker function is compiled to a step stream by [`compile`] at an
 //! [`OptLevel`], the stream is lowered to real x86-64 instructions (the
@@ -31,7 +31,7 @@ mod regalloc;
 
 use crate::compile::{compile, CompileStats, OptLevel};
 use aqe_ir::{ExternDecl, Function};
-use aqe_vm::backend::{ExecMode, PipelineBackend};
+use aqe_vm::backend::{ExecLevel, PipelineBackend};
 use aqe_vm::interp::{ExecError, Frame, STACK_FRAME_BYTES};
 use aqe_vm::rt::Registry;
 use std::fmt;
@@ -85,8 +85,8 @@ pub struct NativeStats {
 
 /// A function compiled to executable x86-64 machine code.
 ///
-/// Implements [`PipelineBackend`]; `kind()` is `ExecMode::NativeUnopt` or
-/// `ExecMode::Native` after the [`OptLevel`] it was compiled at.
+/// Implements [`PipelineBackend`]; `level()` is `ExecLevel::Unoptimized`
+/// or `ExecLevel::Optimized` after the [`OptLevel`] it was compiled at.
 pub struct NativeFunction {
     pub name: String,
     pub level: OptLevel,
@@ -325,10 +325,10 @@ impl PipelineBackend for NativeFunction {
         unreachable!("NativeFunction cannot be constructed without the emitter")
     }
 
-    fn kind(&self) -> ExecMode {
+    fn level(&self) -> ExecLevel {
         match self.level {
-            OptLevel::Unoptimized => ExecMode::NativeUnopt,
-            OptLevel::Optimized => ExecMode::Native,
+            OptLevel::Unoptimized => ExecLevel::Unoptimized,
+            OptLevel::Optimized => ExecLevel::Optimized,
         }
     }
 }
@@ -400,10 +400,9 @@ mod tests {
         require_native!();
         let f = sum_fn();
         let opt = compile_native(&f, &[]).unwrap();
-        assert_eq!(opt.kind(), ExecMode::Native);
+        assert_eq!(opt.level(), ExecLevel::Optimized);
         let unopt = compile_native_at(&f, &[], OptLevel::Unoptimized).unwrap();
-        assert_eq!(unopt.kind(), ExecMode::NativeUnopt);
-        assert!(unopt.kind().rank() < opt.kind().rank());
+        assert_eq!(unopt.level(), ExecLevel::Unoptimized);
         assert!(opt.stats.code_bytes > 0 && unopt.stats.code_bytes > 0);
     }
 

@@ -16,7 +16,7 @@ use aqe_jit::compile::{compile, OptLevel};
 use aqe_jit::exec::execute_compiled;
 use aqe_jit::native::compile_native_at;
 use aqe_jit::passes::optimize;
-use aqe_vm::backend::{ExecMode, PipelineBackend};
+use aqe_vm::backend::{ExecLevel, PipelineBackend};
 use aqe_vm::interp::{ExecError, Frame};
 use aqe_vm::naive;
 use aqe_vm::rt::Registry;
@@ -247,7 +247,7 @@ proptest! {
     /// Every rung of the ladder is a pipeline backend: dispatched uniformly
     /// through `Arc<dyn PipelineBackend>` (the handle the engine swaps
     /// mid-query), bytecode and both machine-code levels still agree with
-    /// the naive oracle and advertise the right kind.
+    /// the naive oracle and advertise the right level.
     #[test]
     fn backends_agree_through_trait_dispatch(
         stmts in prop::collection::vec(stmt_strategy(), 1..16),
@@ -259,20 +259,20 @@ proptest! {
         let expect = naive::interpret_pure(&f, &args);
         let rt = Registry::new();
         let mut frame = Frame::new();
-        let mut backends: Vec<(Arc<dyn PipelineBackend>, ExecMode)> = vec![(
+        let mut backends: Vec<(Arc<dyn PipelineBackend>, ExecLevel)> = vec![(
             Arc::new(translate(&f, &[], TranslateOptions::default()).expect("translate")),
-            ExecMode::Bytecode,
+            ExecLevel::Interpreted,
         )];
         if aqe_jit::native::enabled() {
-            for (level, kind) in LEVELS.into_iter().zip([ExecMode::NativeUnopt, ExecMode::Native]) {
-                let nf = compile_native_at(&f, &[], level).expect("native compilation");
-                backends.push((Arc::new(nf), kind));
+            for (opt, level) in LEVELS.into_iter().zip(ExecLevel::COMPILED) {
+                let nf = compile_native_at(&f, &[], opt).expect("native compilation");
+                backends.push((Arc::new(nf), level));
             }
         }
-        for (backend, kind) in backends {
-            prop_assert_eq!(backend.kind(), kind);
+        for (backend, level) in backends {
+            prop_assert_eq!(backend.level(), level);
             let got = backend.call(&args, &rt, &mut frame);
-            prop_assert_eq!(&expect, &got, "kind {:?}", kind);
+            prop_assert_eq!(&expect, &got, "level {:?}", level);
         }
     }
 

@@ -122,18 +122,16 @@ mod tests {
         let engine = Engine::new(cat.clone());
         let session = engine.session();
         for q in startup_batch() {
-            let prepared = session.prepare(&q.root, q.dicts.clone());
-            let mut last = None;
+            let phys = aqe_engine::plan::decompose(&cat, &q.root, q.dicts.clone());
+            let want = aqe_baselines::execute_volcano(&cat, &q.root, &phys).unwrap();
+            let prepared = session.prepare_plan(phys);
             for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Adaptive] {
                 let opts =
                     ExecOptions { mode, threads: 1, cache_results: false, ..Default::default() };
                 let (res, _) = session
                     .execute_with(&prepared, &opts)
                     .unwrap_or_else(|e| panic!("{}: {e}", q.name));
-                if let Some(prev) = &last {
-                    assert_eq!(prev, &res.rows, "{} mode {:?}", q.name, mode);
-                }
-                last = Some(res.rows);
+                assert_eq!(res.rows, want, "{} mode {:?} disagrees with Volcano", q.name, mode);
             }
         }
     }

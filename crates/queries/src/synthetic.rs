@@ -77,16 +77,15 @@ mod tests {
         let phys = decompose(&cat, &q.root, vec![]);
         let engine = Engine::new(cat.clone());
         let session = engine.session();
+        let want = aqe_baselines::execute_volcano(&cat, &q.root, &phys).unwrap();
         // One prepared query, two modes: the result cache must be off for
         // the second run to actually exercise the unoptimized backend.
         let prepared = session.prepare_plan(phys);
-        let run = |mode| {
+        for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt] {
             let opts = ExecOptions { mode, threads: 1, cache_results: false, ..Default::default() };
-            session.execute_with(&prepared, &opts).unwrap().0
-        };
-        let bc = run(ExecMode::Bytecode);
-        let un = run(ExecMode::NativeUnopt);
-        assert_eq!(bc.rows, un.rows);
-        assert_eq!(bc.row_count(), 1);
+            let res = session.execute_with(&prepared, &opts).unwrap().0;
+            assert_eq!(res.rows, want, "{mode:?} disagrees with Volcano");
+            assert_eq!(res.row_count(), 1);
+        }
     }
 }

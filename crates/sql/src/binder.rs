@@ -864,8 +864,16 @@ fn e_name(e: &Ast) -> String {
 mod tests {
     use super::*;
     use aqe_engine::exec::{ExecMode, ExecOptions, ParamValue};
+    use aqe_engine::plan::decompose;
     use aqe_engine::session::Engine;
     use aqe_storage::tpch;
+
+    /// The oracle: the Volcano engine over the statement's plan.
+    fn volcano_sql(cat: &Catalog, sql: &str) -> Vec<u64> {
+        let bound = plan_sql(cat, sql).unwrap();
+        let phys = decompose(cat, &bound.root, bound.dicts.clone());
+        aqe_baselines::execute_volcano(cat, &bound.root, &phys).unwrap()
+    }
 
     fn run_sql(cat: &Catalog, sql: &str, mode: ExecMode) -> Vec<u64> {
         let engine = Engine::new(cat.clone());
@@ -916,8 +924,10 @@ mod tests {
         let sql = "SELECT n_name, count(*) AS cnt, sum(s_acctbal) AS bal FROM supplier \
                    JOIN nation ON s_nationkey = n_nationkey \
                    WHERE s_acctbal > 0 GROUP BY n_name ORDER BY cnt DESC, n_name LIMIT 5";
-        let reference = run_sql(&cat, sql, ExecMode::Bytecode);
-        for mode in [ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive] {
+        let reference = volcano_sql(&cat, sql);
+        for mode in
+            [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive]
+        {
             assert_eq!(run_sql(&cat, sql, mode), reference, "{mode:?}");
         }
         assert!(!reference.is_empty());
@@ -955,12 +965,11 @@ mod tests {
     #[test]
     fn sql_bound_params_match_literal_plan() {
         let cat = tpch::generate(0.005);
-        let expect = run_sql(
+        let expect = volcano_sql(
             &cat,
             "SELECT sum(l_extendedprice * l_discount) FROM lineitem \
              WHERE l_shipdate >= date '1994-01-01' AND l_shipdate <= date '1994-12-31' \
              AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24",
-            ExecMode::Bytecode,
         );
         let engine = Engine::new(cat.clone());
         let session = engine.session();
@@ -1003,7 +1012,7 @@ mod tests {
         for (p, v, sql) in [(&pa, &va, sql_a), (&pb, &vb, sql_b)] {
             let ps: Vec<ParamValue> = v.iter().map(|&x| ParamValue::I64(x)).collect();
             let rows = session.execute_bound(p, &ps).unwrap().0.rows;
-            assert_eq!(rows, run_sql(&cat, sql, ExecMode::Bytecode), "{sql}");
+            assert_eq!(rows, volcano_sql(&cat, sql), "{sql}");
         }
     }
 

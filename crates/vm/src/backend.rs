@@ -7,26 +7,25 @@
 //! adaptive controller switches a pipeline mid-flight by atomically
 //! publishing a different backend into that handle.
 //!
-//! The trait lives here, at the bottom of the crate stack, because its
-//! vocabulary types ([`Frame`], [`Registry`], [`ExecError`]) do and because
-//! both `aqe-vm` and `aqe-jit` provide implementations.
+//! Two vocabularies meet here: [`ExecMode`] is what a caller asks for,
+//! [`ExecLevel`] is what a backend is. The trait lives at the bottom of
+//! the crate stack because its vocabulary types ([`Frame`], [`Registry`],
+//! [`ExecError`]) do and because both `aqe-vm` and `aqe-jit` provide
+//! implementations.
 
 use crate::interp::{ExecError, Frame};
 use crate::rt::Registry;
 
-/// How to execute a query (Fig. 3's modes plus the naive interpreter
-/// baseline of Fig. 2). The first four name concrete backends; `Adaptive`
-/// is the engine policy that starts at `Bytecode` and upgrades at runtime.
-/// Where `aqe-jit` has no emitter (off x86-64 Linux, or `AQE_NATIVE=0`)
-/// the two compiled modes run the bytecode backend.
+/// How to execute a query (Fig. 3's four modes). The first three pin a
+/// level of the ladder; `Adaptive` is the engine policy that starts
+/// interpreted and upgrades at runtime. Where `aqe-jit` has no emitter
+/// (off x86-64 Linux, or `AQE_NATIVE=0`) the two compiled modes run the
+/// bytecode backend.
 ///
 /// A filtered scan's vectorized pre-filter is not a mode: the engine's
-/// morsel loop runs it in front of whichever backend the mode installs —
-/// except under `NaiveIr`, the oracle, which sees every row.
+/// morsel loop runs it in front of whichever backend the mode installs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ExecMode {
-    /// Direct IR interpretation (the "LLVM interpreter" stand-in).
-    NaiveIr,
     /// Bytecode VM for every morsel.
     Bytecode,
     /// Compile every pipeline to machine code without optimization up
@@ -41,30 +40,39 @@ pub enum ExecMode {
     Adaptive,
 }
 
-impl ExecMode {
-    /// Total order of backend quality used by the hot-swap handle: a
-    /// backend may only ever be replaced by a higher-ranked one.
-    /// `Adaptive` ranks as its starting backend (bytecode).
-    pub fn rank(self) -> u8 {
-        match self {
-            ExecMode::NaiveIr => 0,
-            ExecMode::Bytecode | ExecMode::Adaptive => 1,
-            ExecMode::NativeUnopt => 2,
-            ExecMode::Native => 3,
+/// The rungs of the ladder (paper Fig. 3): what a backend is, what a
+/// pipeline is running at, what a compilation targets, and the index of a
+/// pipeline's tier table. `Interpreted` is the bytecode VM (or the naive
+/// IR walker it degrades to); `Unoptimized` and `Optimized` are the two
+/// configurations of the native emitter. The discriminant is also the
+/// backend code of an execution trace (Fig. 14).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum ExecLevel {
+    Interpreted,
+    Unoptimized,
+    Optimized,
+}
+
+impl ExecLevel {
+    /// The levels a compilation can target, in rank order.
+    pub const COMPILED: [ExecLevel; 2] = [ExecLevel::Unoptimized, ExecLevel::Optimized];
+
+    /// Number of levels (the size of a tier table).
+    pub const COUNT: usize = Self::COMPILED.len() + 1;
+
+    /// The level with discriminant `i` (`Optimized` for anything larger).
+    pub fn from_index(i: u8) -> ExecLevel {
+        match i {
+            0 => ExecLevel::Interpreted,
+            1 => ExecLevel::Unoptimized,
+            _ => ExecLevel::Optimized,
         }
     }
 
-    /// Compact code used in execution traces (Fig. 14): 0 = bytecode,
-    /// 1 = unoptimized machine code, 3 = naive IR, 4 = optimized machine
-    /// code. (2 and 5 are unassigned; 255 marks a compilation event and
-    /// never names a backend.)
-    pub fn trace_kind(self) -> u8 {
-        match self {
-            ExecMode::Bytecode | ExecMode::Adaptive => 0,
-            ExecMode::NativeUnopt => 1,
-            ExecMode::NaiveIr => 3,
-            ExecMode::Native => 4,
-        }
+    /// The next rung down (`None` below `Interpreted`): where a pipeline
+    /// degrades to when this level cannot be compiled.
+    pub fn below(self) -> Option<ExecLevel> {
+        (self as u8).checked_sub(1).map(ExecLevel::from_index)
     }
 }
 
@@ -88,9 +96,8 @@ pub trait PipelineBackend: Send + Sync {
         frame: &mut Frame,
     ) -> Result<Option<u64>, ExecError>;
 
-    /// Which backend this is (never `Adaptive` — that is a policy, not a
-    /// backend).
-    fn kind(&self) -> ExecMode;
+    /// The rung of the ladder this backend is.
+    fn level(&self) -> ExecLevel;
 }
 
 #[cfg(test)]
@@ -98,19 +105,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ranks_are_ordered_and_adaptive_starts_at_bytecode() {
-        assert!(ExecMode::NaiveIr.rank() < ExecMode::Bytecode.rank());
-        assert!(ExecMode::Bytecode.rank() < ExecMode::NativeUnopt.rank());
-        assert!(ExecMode::NativeUnopt.rank() < ExecMode::Native.rank());
-        assert_eq!(ExecMode::Adaptive.rank(), ExecMode::Bytecode.rank());
+    fn levels_are_ordered_and_indexed_by_discriminant() {
+        assert!(ExecLevel::Interpreted < ExecLevel::Unoptimized);
+        assert!(ExecLevel::Unoptimized < ExecLevel::Optimized);
+        for (i, level) in
+            [ExecLevel::Interpreted].into_iter().chain(ExecLevel::COMPILED).enumerate()
+        {
+            assert_eq!(level as usize, i);
+            assert_eq!(ExecLevel::from_index(i as u8), level);
+        }
+        assert_eq!(ExecLevel::Optimized.below(), Some(ExecLevel::Unoptimized));
+        assert_eq!(ExecLevel::Interpreted.below(), None);
     }
 
     #[test]
     fn trace_kinds_match_fig14_legend() {
-        assert_eq!(ExecMode::Bytecode.trace_kind(), 0);
-        assert_eq!(ExecMode::NativeUnopt.trace_kind(), 1);
-        assert_eq!(ExecMode::NaiveIr.trace_kind(), 3);
-        assert_eq!(ExecMode::Native.trace_kind(), 4);
+        // A morsel's trace kind is its backend's level; 255 marks a
+        // compile and never names a level.
+        assert_eq!(ExecLevel::Interpreted as u8, 0);
+        assert_eq!(ExecLevel::Unoptimized as u8, 1);
+        assert_eq!(ExecLevel::Optimized as u8, 2);
+        assert_eq!(ExecLevel::COUNT, 3);
     }
 
     #[test]
@@ -125,8 +140,8 @@ mod tests {
             ) -> Result<Option<u64>, ExecError> {
                 Ok(None)
             }
-            fn kind(&self) -> ExecMode {
-                ExecMode::Bytecode
+            fn level(&self) -> ExecLevel {
+                ExecLevel::Interpreted
             }
         }
         let b: std::sync::Arc<dyn PipelineBackend> = std::sync::Arc::new(Null);

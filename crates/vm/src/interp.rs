@@ -657,8 +657,8 @@ impl crate::backend::PipelineBackend for BcFunction {
         execute(self, args, rt, frame)
     }
 
-    fn kind(&self) -> crate::backend::ExecMode {
-        crate::backend::ExecMode::Bytecode
+    fn level(&self) -> crate::backend::ExecLevel {
+        crate::backend::ExecLevel::Interpreted
     }
 }
 

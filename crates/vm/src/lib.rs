@@ -9,8 +9,9 @@
 //! * [`backend`] — the [`backend::PipelineBackend`] trait: the uniform,
 //!   hot-swappable seam through which the engine invokes *any* executable
 //!   representation of a worker function (VM bytecode, direct IR walking,
-//!   or `aqe-jit`'s machine code), plus the [`backend::ExecMode`]
-//!   vocabulary shared by all of them;
+//!   or `aqe-jit`'s machine code), plus the vocabulary shared by all of
+//!   them: [`backend::ExecMode`] (what a caller asks for) and
+//!   [`backend::ExecLevel`] (what a backend is);
 //! * [`bytecode`] — the fixed-length, statically-typed instruction format
 //!   (16 bytes per instruction: opcode + three register byte-offsets + a
 //!   64-bit literal) and the compiled [`bytecode::BcFunction`] container;
@@ -49,7 +50,7 @@ pub mod regalloc;
 pub mod rt;
 pub mod translate;
 
-pub use backend::{ExecMode, PipelineBackend};
+pub use backend::{ExecLevel, ExecMode, PipelineBackend};
 pub use bytecode::{BcFunction, BcInstr, Op};
 pub use interp::{execute, ExecError, Frame};
 pub use regalloc::AllocStrategy;

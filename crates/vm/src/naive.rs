@@ -354,8 +354,8 @@ impl crate::backend::PipelineBackend for NaiveBackend {
         interpret(&self.function, args, rt)
     }
 
-    fn kind(&self) -> crate::backend::ExecMode {
-        crate::backend::ExecMode::NaiveIr
+    fn level(&self) -> crate::backend::ExecLevel {
+        crate::backend::ExecLevel::Interpreted
     }
 }
 

@@ -9,7 +9,7 @@
 //! strategy and with fusion on and off.
 
 use aqe_ir::{BinOp, CmpPred, Constant, Function, FunctionBuilder, Operand, OvfOp, Type, ValueId};
-use aqe_vm::backend::{ExecMode, PipelineBackend};
+use aqe_vm::backend::{ExecLevel, PipelineBackend};
 use aqe_vm::interp::{execute, ExecError, Frame};
 use aqe_vm::naive::{self, NaiveBackend};
 use aqe_vm::regalloc::AllocStrategy;
@@ -224,8 +224,8 @@ proptest! {
         let bc = translate(&f, &[], TranslateOptions::default()).expect("translation");
         let backends: [Arc<dyn PipelineBackend>; 2] =
             [Arc::new(NaiveBackend::new(Arc::new(f))), Arc::new(bc)];
-        prop_assert_eq!(backends[0].kind(), ExecMode::NaiveIr);
-        prop_assert_eq!(backends[1].kind(), ExecMode::Bytecode);
+        prop_assert_eq!(backends[0].level(), ExecLevel::Interpreted);
+        prop_assert_eq!(backends[1].level(), ExecLevel::Interpreted);
         let rt = Registry::new();
         let mut frame = Frame::new();
         let args = [x as u64, y as u64];

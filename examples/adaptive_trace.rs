@@ -50,8 +50,7 @@ fn main() {
         let mode = match k {
             0 => "bytecode",
             1 => "native-unopt",
-            3 => "naive-ir",
-            4 => "native-opt",
+            2 => "native-opt",
             _ => "?",
         };
         println!("  p{p} {mode:<12} {morsels:>6} morsels {tuples:>12} tuples");

@@ -21,7 +21,10 @@
 //! All execution backends plug into one seam: the object-safe
 //! [`vm::backend::PipelineBackend`] trait (re-exported here as
 //! [`PipelineBackend`]), implemented by the bytecode VM, the naive IR
-//! interpreter and both machine-code levels. The engine's morsel loop
+//! interpreter and both machine-code levels. A caller asks for an
+//! [`ExecMode`]; a backend reports the [`vm::backend::ExecLevel`] it is — the bytecode
+//! VM and the naive IR walker (the floor a pipeline falls to when bytecode
+//! translation fails) are both `Interpreted`. The engine's morsel loop
 //! calls through a hot-swappable `Arc<dyn PipelineBackend>` handle per
 //! pipeline, which is what lets a query switch representation mid-flight
 //! — from bytecode to optimized machine code.

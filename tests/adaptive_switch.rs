@@ -3,25 +3,32 @@
 //! 1. a large synthetic query started in `ExecMode::Adaptive` must actually
 //!    *switch* backends mid-pipeline (a background compilation appears in
 //!    the trace and compiled morsels follow interpreted ones), and
-//! 2. every one of the six `ExecMode`s — i.e. every backend that can sit
-//!    in a pipeline's `Arc<dyn PipelineBackend>` handle — produces
-//!    identical `ResultRows` on a TPC-H subset (without the emitter the
-//!    compiled modes run bytecode and must still agree), and
+//! 2. every one of the four `ExecMode`s produces the `ResultRows` of the
+//!    Volcano engine on a TPC-H subset (without the emitter the compiled
+//!    modes run bytecode and must still agree), and
 //! 3. with an irresistible optimized-level speedup model, the Fig. 7
 //!    controller climbs straight to optimized machine code mid-query: the
-//!    trace shows morsels on that backend (kind 4) after interpreted ones.
+//!    trace shows morsels on that backend (kind 2) after interpreted ones.
 //!
+//! Every result is checked against `aqe::baselines::execute_volcano`,
+//! which shares no code with the engine but storage and the plan tree.
 //! Without the emitter (`AQE_NATIVE=0`, or off x86-64 Linux) the engine is
 //! bytecode only: there is no switch to observe and tests 1 and 3 return
 //! early.
 
+use aqe::baselines::execute_volcano;
 use aqe::engine::exec::{ExecMode, ExecOptions, TraceEvent};
 use aqe::engine::plan::decompose;
 use aqe::engine::session::Engine;
+use aqe::engine::ExecLevel;
 use aqe::queries::{synthetic, tpch};
 use aqe::storage::tpch as tpch_data;
 
-/// Trace kind marking a background compilation (see `TraceEvent::kind`).
+/// Trace kinds (see `TraceEvent::kind`): a morsel's backend level, or a
+/// background compilation.
+const KIND_INTERPRETED: u8 = ExecLevel::Interpreted as u8;
+const KIND_UNOPTIMIZED: u8 = ExecLevel::Unoptimized as u8;
+const KIND_OPTIMIZED: u8 = ExecLevel::Optimized as u8;
 const KIND_COMPILE: u8 = 255;
 
 fn normalized(rows: &[u64], width: usize, sorted: bool) -> Vec<Vec<u64>> {
@@ -33,6 +40,16 @@ fn normalized(rows: &[u64], width: usize, sorted: bool) -> Vec<Vec<u64>> {
         out.sort();
     }
     out
+}
+
+/// The oracle's rows for `root`, normalized like the engine's.
+fn volcano(
+    cat: &aqe::storage::Catalog,
+    root: &aqe::engine::plan::PlanNode,
+    phys: &aqe::engine::plan::PhysicalPlan,
+) -> Vec<Vec<u64>> {
+    let rows = execute_volcano(cat, root, phys).expect("volcano run");
+    normalized(&rows, phys.output_tys.len(), phys.sorted_output)
 }
 
 /// Whether anything can compile in this process (see the module docs).
@@ -73,17 +90,16 @@ fn adaptive_mode_switches_backend_mid_query() {
     assert!(!compiles.is_empty(), "trace must contain a compilation event");
 
     // The switch must be *observable in executed morsels*: interpreted
-    // (bytecode, kind 0) morsels first, machine-code (kind 1 unoptimized
-    // or 4 optimized) morsels after the backend was published into the
-    // handle.
+    // morsels first, machine-code (unoptimized or optimized) morsels after
+    // the backend was published into the handle.
     let morsel_kinds: std::collections::BTreeSet<u8> =
         report.trace.iter().filter(|e| e.kind != KIND_COMPILE).map(|e| e.kind).collect();
     assert!(
-        morsel_kinds.contains(&0),
+        morsel_kinds.contains(&KIND_INTERPRETED),
         "query must start on the bytecode backend, kinds seen: {morsel_kinds:?}"
     );
     assert!(
-        morsel_kinds.contains(&1) || morsel_kinds.contains(&4),
+        morsel_kinds.contains(&KIND_UNOPTIMIZED) || morsel_kinds.contains(&KIND_OPTIMIZED),
         "no morsel ran on a compiled backend — no switch happened; \
          kinds seen: {morsel_kinds:?}"
     );
@@ -102,20 +118,11 @@ fn adaptive_mode_switches_backend_mid_query() {
     }
     assert!(per_thread_switches >= 1, "at least one worker must switch backends");
 
-    // And the switch must not have changed the answer (cache off: the
-    // comparison run must really execute on the bytecode backend).
-    let bc_opts = ExecOptions {
-        mode: ExecMode::Bytecode,
-        threads: 2,
-        cache_results: false,
-        ..Default::default()
-    };
-    let (bc_rows, _) = session.execute_with(&prepared, &bc_opts).expect("bytecode execution");
-    let w = phys.output_tys.len();
+    // And the switch must not have changed the answer.
     assert_eq!(
-        normalized(&rows.rows, w, phys.sorted_output),
-        normalized(&bc_rows.rows, w, phys.sorted_output),
-        "adaptive result differs from pure bytecode result"
+        normalized(&rows.rows, phys.output_tys.len(), phys.sorted_output),
+        volcano(&cat, &q.root, &phys),
+        "adaptive result differs from Volcano"
     );
 }
 
@@ -150,11 +157,10 @@ fn work_stealing_is_observable_in_the_sched_report() {
 }
 
 #[test]
-fn all_five_modes_agree_on_tpch_subset() {
+fn all_four_modes_agree_with_volcano_on_tpch_subset() {
     let cat = tpch_data::generate(0.005);
     let all = tpch::all(&cat);
-    // A subset that covers scan+filter+agg, joins, and sorted output while
-    // keeping the naive IR interpreter's runtime tolerable.
+    // A subset that covers scan+filter+agg, joins, and sorted output.
     let subset = ["q1", "q3", "q6", "q14"];
     let mut covered = 0;
     let engine = Engine::new(cat.clone());
@@ -162,27 +168,17 @@ fn all_five_modes_agree_on_tpch_subset() {
     for q in all.iter().filter(|q| subset.contains(&q.name.as_str())) {
         covered += 1;
         let phys = decompose(&cat, &q.root, q.dicts.clone());
-        let width = phys.output_tys.len();
+        let want = volcano(&cat, &q.root, &phys);
         let prepared = session.prepare_plan(phys.clone());
-        let mut reference: Option<Vec<Vec<u64>>> = None;
-        for mode in [
-            ExecMode::NaiveIr,
-            ExecMode::Bytecode,
-            ExecMode::NativeUnopt,
-            ExecMode::Native,
-            ExecMode::Adaptive,
-        ] {
+        for mode in
+            [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native, ExecMode::Adaptive]
+        {
             let opts = ExecOptions { mode, threads: 2, cache_results: false, ..Default::default() };
             let (res, _) = session
                 .execute_with(&prepared, &opts)
                 .unwrap_or_else(|e| panic!("{} {mode:?}: {e}", q.name));
-            let got = normalized(&res.rows, width, phys.sorted_output);
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => {
-                    assert_eq!(&got, want, "{} {mode:?} disagrees with NaiveIr", q.name)
-                }
-            }
+            let got = normalized(&res.rows, phys.output_tys.len(), phys.sorted_output);
+            assert_eq!(got, want, "{} {mode:?} disagrees with Volcano", q.name);
         }
     }
     assert_eq!(covered, subset.len(), "TPC-H subset lookup failed");
@@ -214,26 +210,18 @@ fn adaptive_controller_skips_straight_to_optimized_code() {
     assert!(report.background_compiles >= 1, "a background compile must have landed");
     let morsel_kinds: std::collections::BTreeSet<u8> =
         report.trace.iter().filter(|e| e.kind != KIND_COMPILE).map(|e| e.kind).collect();
-    assert!(morsel_kinds.contains(&0), "query starts interpreted: {morsel_kinds:?}");
+    assert!(morsel_kinds.contains(&KIND_INTERPRETED), "query starts interpreted: {morsel_kinds:?}");
     assert!(
-        morsel_kinds.contains(&4),
+        morsel_kinds.contains(&KIND_OPTIMIZED),
         "no morsel ran on optimized machine code — the switch did not happen; \
          kinds seen: {morsel_kinds:?}"
     );
 
     // The switch must not change the answer.
-    let bc_opts = ExecOptions {
-        mode: ExecMode::Bytecode,
-        threads: 2,
-        cache_results: false,
-        ..Default::default()
-    };
-    let (bc_rows, _) = session.execute_with(&prepared, &bc_opts).expect("bytecode execution");
-    let w = phys.output_tys.len();
     assert_eq!(
-        normalized(&rows.rows, w, phys.sorted_output),
-        normalized(&bc_rows.rows, w, phys.sorted_output),
-        "switched result differs from pure bytecode result"
+        normalized(&rows.rows, phys.output_tys.len(), phys.sorted_output),
+        volcano(&cat, &q.root, &phys),
+        "switched result differs from Volcano"
     );
 }
 
@@ -242,7 +230,7 @@ fn native_mode_runs_machine_code_or_bytecode_cleanly() {
     // `ExecMode::Native` must work on every target: real machine code
     // where the emitter exists, bytecode elsewhere (and under
     // AQE_NATIVE=0) — without counting a degradation. Either way the rows
-    // match a bytecode run.
+    // match Volcano's.
     let cat = tpch_data::generate(0.01);
     let q = synthetic::wide_agg(40);
     let phys = decompose(&cat, &q.root, vec![]);
@@ -260,17 +248,18 @@ fn native_mode_runs_machine_code_or_bytecode_cleanly() {
     let kinds: std::collections::BTreeSet<u8> =
         report.trace.iter().filter(|e| e.kind != KIND_COMPILE).map(|e| e.kind).collect();
     if emitter() {
-        assert_eq!(kinds, [4u8].into(), "every morsel must run on machine code: {kinds:?}");
+        assert_eq!(
+            kinds,
+            [KIND_OPTIMIZED].into(),
+            "every morsel must run on machine code: {kinds:?}"
+        );
     } else {
-        assert_eq!(kinds, [0u8].into(), "no emitter means bytecode only: {kinds:?}");
+        assert_eq!(kinds, [KIND_INTERPRETED].into(), "no emitter means bytecode only: {kinds:?}");
     }
     assert_eq!(report.degraded, 0, "an unavailable emitter is not a fault");
-    let bc_opts = ExecOptions {
-        mode: ExecMode::Bytecode,
-        threads: 2,
-        cache_results: false,
-        ..Default::default()
-    };
-    let (bc_rows, _) = session.execute_with(&prepared, &bc_opts).expect("bytecode execution");
-    assert_eq!(rows.rows, bc_rows.rows, "native must agree with bytecode");
+    assert_eq!(
+        normalized(&rows.rows, phys.output_tys.len(), phys.sorted_output),
+        volcano(&cat, &q.root, &phys),
+        "native must agree with Volcano"
+    );
 }
