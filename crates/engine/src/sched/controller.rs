@@ -502,6 +502,37 @@ mod tests {
         assert!(handle.try_begin_compile(), "cancelled job must re-open the compile slot");
     }
 
+    #[test]
+    fn exec_level_classifies_ranks() {
+        use aqe_ir::{FunctionBuilder, Type};
+
+        assert!(ExecLevel::Interpreted < ExecLevel::Unoptimized);
+        assert!(ExecLevel::Unoptimized < ExecLevel::Optimized);
+        for (i, level) in
+            [ExecLevel::Interpreted].into_iter().chain(ExecLevel::COMPILED).enumerate()
+        {
+            assert_eq!(level as usize, i);
+            assert_eq!(ExecLevel::from_index(i as u8), level);
+        }
+        assert_eq!(ExecLevel::Optimized.below(), Some(ExecLevel::Unoptimized));
+        assert_eq!(ExecLevel::Interpreted.below(), None);
+
+        // The controller reads a pipeline's level off its handle: the level
+        // of the backend installed there, at every rung this process reaches.
+        let mut b = FunctionBuilder::new("f", &[Type::I64], Some(Type::I64));
+        let p = b.param(0);
+        b.ret(Some(p.into()));
+        let f = b.finish().unwrap();
+        let tiers = TierTable::new(Arc::new(f), Arc::new(Vec::new()));
+        let mut level = Some(tiers.ceiling());
+        while let Some(l) = level {
+            let backend = tiers.get_or_compile(l).unwrap().backend;
+            assert_eq!(backend.level(), l);
+            assert_eq!(FunctionHandle::new(backend).level(), l);
+            level = l.below();
+        }
+    }
+
     /// `extrapolate_pipeline_durations` with the default model on a
     /// 4-worker pipeline of `instrs` IR instructions.
     fn choose(

@@ -105,17 +105,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn levels_are_ordered_and_indexed_by_discriminant() {
+    fn ranks_are_ordered_and_adaptive_starts_at_bytecode() {
+        // A backend's rank is its level. `Adaptive` has no rank of its own:
+        // it starts on the bottom rung, which the bytecode VM shares with
+        // the IR walker it degrades to.
+        use crate::naive::NaiveBackend;
+        use crate::translate::{translate, TranslateOptions};
+        use aqe_ir::{FunctionBuilder, Type};
+
         assert!(ExecLevel::Interpreted < ExecLevel::Unoptimized);
         assert!(ExecLevel::Unoptimized < ExecLevel::Optimized);
-        for (i, level) in
-            [ExecLevel::Interpreted].into_iter().chain(ExecLevel::COMPILED).enumerate()
-        {
-            assert_eq!(level as usize, i);
-            assert_eq!(ExecLevel::from_index(i as u8), level);
-        }
-        assert_eq!(ExecLevel::Optimized.below(), Some(ExecLevel::Unoptimized));
-        assert_eq!(ExecLevel::Interpreted.below(), None);
+        let mut b = FunctionBuilder::new("f", &[Type::I64], Some(Type::I64));
+        let p = b.param(0);
+        b.ret(Some(p.into()));
+        let f = std::sync::Arc::new(b.finish().unwrap());
+        let bc = translate(&f, &[], TranslateOptions::default()).unwrap();
+        assert_eq!(bc.level(), ExecLevel::Interpreted);
+        assert_eq!(NaiveBackend::new(f).level(), ExecLevel::Interpreted);
     }
 
     #[test]
