@@ -2,8 +2,9 @@
 //! (sign-extended integers / f64 bit patterns — the same representation the
 //! compiling engine uses, so results compare exactly).
 
-use aqe_engine::plan::{ArithOp, CmpOp, PExpr, PhysicalPlan};
+use aqe_engine::plan::{ArithOp, CmpOp, PExpr, PhysicalPlan, SortKey};
 use aqe_vm::interp::ExecError;
+use std::cmp::Ordering;
 
 /// Evaluate an expression against one tuple. `dicts` resolves
 /// `PExpr::DictLookup` tables.
@@ -109,6 +110,35 @@ pub fn truthy(v: u64) -> bool {
     v & 1 != 0
 }
 
+/// Order rows by `keys` and keep the first `limit`. The sort is stable
+/// (ties keep their input order); integers compare as `i64`, floats by
+/// `f64::total_cmp`, and a descending key reverses its order — the
+/// contract the engine's sort sink implements, written out separately so
+/// that a bug in the engine's sort shows up against these engines.
+pub fn sort_rows(rows: &mut Vec<Vec<u64>>, keys: &[SortKey], limit: Option<usize>) {
+    rows.sort_by(|x, y| {
+        keys.iter()
+            .map(|k| {
+                let (a, b) = (x[k.field], y[k.field]);
+                let ord = if k.float {
+                    f64::from_bits(a).total_cmp(&f64::from_bits(b))
+                } else {
+                    (a as i64).cmp(&(b as i64))
+                };
+                if k.asc {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    if let Some(l) = limit {
+        rows.truncate(l);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +183,27 @@ mod tests {
         let row = [2.5f64.to_bits()];
         let e = E::arith(ArithOp::Mul, false, true, E::Col(0), E::ConstF(4.0));
         assert_eq!(f64::from_bits(eval(&e, &row, &p).unwrap()), 10.0);
+    }
+
+    #[test]
+    fn sort_is_stable_per_key_direction_and_limited() {
+        let key = |field, asc, float| SortKey { field, asc, float };
+        // (a, b): a ascending, b descending; the last column tags input order.
+        let mut rows =
+            vec![vec![2, 10, 0], vec![1, 20, 1], vec![2, 30, 2], vec![1, 5, 3], vec![2, 10, 4]];
+        sort_rows(&mut rows, &[key(0, true, false), key(1, false, false)], None);
+        let tags: Vec<u64> = rows.iter().map(|r| r[2]).collect();
+        assert_eq!(tags, vec![1, 3, 2, 0, 4], "ties keep their input order");
+
+        let mut neg = vec![vec![5], vec![(-7i64) as u64], vec![0]];
+        sort_rows(&mut neg, &[key(0, true, false)], Some(2));
+        assert_eq!(neg, vec![vec![(-7i64) as u64], vec![0]], "signed compare, then LIMIT");
+
+        let mut floats: Vec<Vec<u64>> =
+            [3.5f64, 1.5, 9.0, -2.0].iter().map(|f| vec![f.to_bits()]).collect();
+        sort_rows(&mut floats, &[key(0, false, true)], Some(2));
+        let vals: Vec<f64> = floats.iter().map(|r| f64::from_bits(r[0])).collect();
+        assert_eq!(vals, vec![9.0, 3.5]);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! immediately applied, joins and aggregations loop over materialised
 //! inputs.
 
+use crate::eval::sort_rows;
 use aqe_engine::plan::{AggFunc, ArithOp, CmpOp, JoinKind, PExpr, PhysicalPlan, PlanNode};
-use aqe_engine::runtime::sort_rows;
 use aqe_storage::Catalog;
 use aqe_vm::interp::ExecError;
 use std::collections::HashMap;
@@ -255,19 +255,15 @@ fn execute_node(node: &PlanNode, cat: &Catalog, plan: &PhysicalPlan) -> Result<C
         }
         PlanNode::Sort { input, keys, limit } => {
             let chunk = execute_node(input, cat, plan)?;
-            let width = chunk.cols.len();
-            let mut flat = Vec::with_capacity(chunk.len * width);
-            for r in 0..chunk.len {
-                flat.extend(chunk.row(r));
-            }
-            sort_rows(&mut flat, width, keys, *limit);
-            let len = flat.len().checked_div(width).unwrap_or(0);
-            let mut cols: Vec<Vec<u64>> = vec![Vec::with_capacity(len); width];
-            for row in flat.chunks_exact(width.max(1)) {
+            let mut rows: Vec<Vec<u64>> = (0..chunk.len).map(|r| chunk.row(r)).collect();
+            sort_rows(&mut rows, keys, *limit);
+            let mut cols: Vec<Vec<u64>> = vec![Vec::with_capacity(rows.len()); chunk.cols.len()];
+            for row in &rows {
                 for (c, &v) in row.iter().enumerate() {
                     cols[c].push(v);
                 }
             }
+            let len = cols.first().map(|c| c.len()).unwrap_or(0);
             Ok(Chunk { cols, len })
         }
     }

@@ -5,9 +5,8 @@
 //! tuple. This is the execution model whose interpretation overhead
 //! compilation eliminates (paper §I).
 
-use crate::eval::{eval, truthy};
+use crate::eval::{eval, sort_rows, truthy};
 use aqe_engine::plan::{AggFunc, AggSpec, JoinKind, PExpr, PhysicalPlan, PlanNode, SortKey};
-use aqe_engine::runtime::sort_rows;
 use aqe_storage::{Catalog, Table};
 use aqe_vm::interp::ExecError;
 use std::collections::HashMap;
@@ -193,20 +192,17 @@ struct SortOp {
     input: Option<Box<dyn Operator>>,
     keys: Vec<SortKey>,
     limit: Option<usize>,
-    width: usize,
     out: std::vec::IntoIter<Tuple>,
 }
 
 impl Operator for SortOp {
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
         if let Some(mut input) = self.input.take() {
-            let mut flat: Vec<u64> = Vec::new();
+            let mut rows: Vec<Tuple> = Vec::new();
             while let Some(t) = input.next()? {
-                flat.extend(t);
+                rows.push(t);
             }
-            sort_rows(&mut flat, self.width, &self.keys, self.limit);
-            let rows: Vec<Tuple> =
-                flat.chunks_exact(self.width.max(1)).map(|r| r.to_vec()).collect();
+            sort_rows(&mut rows, &self.keys, self.limit);
             self.out = rows.into_iter();
         }
         Ok(self.out.next())
@@ -251,16 +247,12 @@ fn build_op(node: &PlanNode, cat: &Catalog, plan: &Arc<PhysicalPlan>) -> Box<dyn
             plan: plan.clone(),
             out: Vec::new(),
         }),
-        PlanNode::Sort { input, keys, limit } => {
-            let width = input.output_types(cat).len();
-            Box::new(SortOp {
-                input: Some(build_op(input, cat, plan)),
-                keys: keys.clone(),
-                limit: *limit,
-                width,
-                out: Vec::new().into_iter(),
-            })
-        }
+        PlanNode::Sort { input, keys, limit } => Box::new(SortOp {
+            input: Some(build_op(input, cat, plan)),
+            keys: keys.clone(),
+            limit: *limit,
+            out: Vec::new().into_iter(),
+        }),
     }
 }
 

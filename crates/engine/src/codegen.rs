@@ -20,14 +20,14 @@ use aqe_storage::{CatalogSnapshot, DataType};
 use std::collections::HashMap;
 
 /// Extern indices, fixed per module (order matches `runtime_fns`).
-pub const EXT_JOIN_APPEND: u32 = 0;
-pub const EXT_AGG_INSERT: u32 = 1;
-pub const EXT_MAT_APPEND: u32 = 2;
-pub const EXT_EMIT: u32 = 3;
+pub(crate) const EXT_JOIN_APPEND: u32 = 0;
+pub(crate) const EXT_AGG_INSERT: u32 = 1;
+pub(crate) const EXT_MAT_APPEND: u32 = 2;
+pub(crate) const EXT_EMIT: u32 = 3;
 
 /// The runtime function table matching the module's extern declarations
 /// (used to build the VM registry).
-pub fn runtime_fns() -> Vec<(&'static str, aqe_vm::rt::RtFn)> {
+pub(crate) fn runtime_fns() -> Vec<(&'static str, aqe_vm::rt::RtFn)> {
     vec![
         ("rt_join_append", crate::runtime::rt_join_append as aqe_vm::rt::RtFn),
         ("rt_agg_insert", crate::runtime::rt_agg_insert as aqe_vm::rt::RtFn),

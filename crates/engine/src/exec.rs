@@ -9,8 +9,8 @@
 //! finished, all threads quickly switch to the compiled machine code."
 //!
 //! The *scheduling* half of that loop — who runs which rows, how progress
-//! is observed, and when the controller compiles — lives in
-//! [`crate::sched`]; this module owns the per-query state, the handle
+//! is observed, and when the controller compiles — lives in the crate's
+//! `sched` module; this module owns the per-query state, the handle
 //! indirection, and the pipeline-end sinks.
 
 use crate::cancel::CancelToken;
@@ -56,7 +56,7 @@ pub use aqe_vm::backend::{ExecMode, PipelineBackend};
 ///
 /// [`load`]: FunctionHandle::load
 /// [`install`]: FunctionHandle::install
-pub struct FunctionHandle {
+pub(crate) struct FunctionHandle {
     /// The current backend. An uncontended RwLock read is cheap relative
     /// to a morsel's worth of work (with the real `parking_lot` it is a
     /// single atomic op; the vendored offline stand-in wraps `std::sync`
@@ -164,11 +164,11 @@ pub struct Report {
     pub upfront_compile: Duration,
     pub exec: Duration,
     pub background_compiles: usize,
+    /// One event per morsel and per background compile, ordered by thread
+    /// and start time. Empty unless [`ExecOptions::trace`] was set.
     pub trace: Vec<TraceEvent>,
     /// Pipeline labels, by pipeline id (for rendering traces).
     pub pipeline_labels: Vec<String>,
-    /// IR instruction count of the module.
-    pub ir_instrs: usize,
     /// Per-pipeline scheduler summaries (morsels, steals, decisions,
     /// compiles).
     pub sched: Vec<PipelineSchedReport>,
@@ -185,46 +185,16 @@ pub struct Report {
     /// registry resolution) under the cold-compile latch. Warm executions
     /// reuse the published state without ever taking that latch.
     pub cold_build: bool,
-    /// Executions in flight on the engine (this one included) when this
-    /// execution started — the contention observability counter for the
-    /// concurrency benchmark.
-    pub concurrent_executions: usize,
-    /// How this execution fared in the front-door server's admission
-    /// controller (`None` for direct library calls): queue wait, the
-    /// priority it was admitted at, and the server's cumulative shed
-    /// count at dispatch time. Copied verbatim from
-    /// [`ExecOptions::admission`].
-    pub admission: Option<AdmissionReport>,
-    /// `Some(reason)` when this execution's [`CancelToken`] was poisoned.
-    /// An execution that observed the poison returns
-    /// `ExecError::Cancelled` instead of a report; this field covers the
-    /// complementary race — the cancel landed after the last claim, so
-    /// the run completed anyway.
-    pub cancelled: Option<String>,
     /// Compilations (up-front or background) that failed or panicked and
     /// were contained by ladder degradation: the execution continued one
     /// rung down instead of surfacing `ExecError::Compile`. The broken
-    /// tier is quarantined (see [`crate::sched::QuarantineStore`]).
+    /// tier is quarantined: later executions of the plan skip it for a
+    /// while ([`Report::quarantine_skips`]).
     pub degraded: u64,
     /// Tiers this execution skipped because an earlier execution
     /// quarantined them (no compile was attempted; the ladder topped out
     /// one rung lower).
     pub quarantine_skips: u64,
-}
-
-/// What the server's admission controller did to an execution before the
-/// engine saw it ([`Report::admission`]). Produced by `crates/server` at
-/// dispatch time and threaded through [`ExecOptions::admission`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct AdmissionReport {
-    /// Time between submission and dispatch onto an engine executor.
-    pub queue_wait: Duration,
-    /// Priority tier the request was admitted at (0 = lowest).
-    pub priority: u8,
-    /// The server's cumulative shed count when this request dispatched —
-    /// a load signal: a fast-rising value means the request ran under
-    /// active shedding.
-    pub shed_at_dispatch: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -304,6 +274,7 @@ impl From<f64> for ParamValue {
 pub struct ExecOptions {
     pub mode: ExecMode,
     pub threads: usize,
+    /// Record [`Report::trace`].
     pub trace: bool,
     pub model: CostModel,
     /// Initial morsel size; grows ×2 up to `max_morsel` ("we can further
@@ -324,10 +295,6 @@ pub struct ExecOptions {
     /// *shares* the token — callers that cancel should install a fresh
     /// token per execution, as the server does.
     pub cancel: CancelToken,
-    /// Admission-controller provenance to surface in
-    /// [`Report::admission`]. Set by the server at dispatch; `None` for
-    /// direct library calls.
-    pub admission: Option<AdmissionReport>,
 }
 
 impl Default for ExecOptions {
@@ -342,7 +309,6 @@ impl Default for ExecOptions {
             first_eval: Duration::from_millis(1),
             cache_results: true,
             cancel: CancelToken::new(),
-            admission: None,
         }
     }
 }
@@ -473,8 +439,10 @@ pub(crate) fn run_pipelines(
 
     report.background_compiles += background_compiles.load(Ordering::Relaxed);
     report.exec = exec_start.elapsed();
-    report.trace.extend(compile_events.lock().drain(..));
-    report.trace.sort_by_key(|e| (e.thread, e.start_us));
+    if opts.trace {
+        report.trace.extend(compile_events.lock().drain(..));
+        report.trace.sort_by_key(|e| (e.thread, e.start_us));
+    }
 
     // ---- final output ------------------------------------------------------
     let rows = std::mem::take(&mut state.out_rows);
@@ -544,7 +512,7 @@ impl PipelineRun<'_> {
             exec_start: self.exec_start,
             total_rows: self.total_rows as u64,
             threads,
-            quarantine: Some(self.quarantine.clone()),
+            quarantine: self.quarantine.clone(),
             adaptive: opts.mode == ExecMode::Adaptive,
             first_eval: opts.first_eval,
         });
@@ -571,7 +539,7 @@ impl PipelineRun<'_> {
         let row_buf_slots = plan_max_row_width(self.plan);
         let mut worker_rts: Vec<Box<WorkerRt>> = (0..threads)
             .map(|_| {
-                WorkerRt::with_row_buf(
+                WorkerRt::new(
                     self.plan.join_hts.len(),
                     self.agg_shapes,
                     self.plan.mats.len(),

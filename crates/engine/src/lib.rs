@@ -7,26 +7,25 @@
 //! * [`plan`] — physical plans, their decomposition into pipelines, and
 //!   the stable [`plan::PhysicalPlan::fingerprint`] cache identity;
 //! * [`codegen`] — pipelines → IR worker functions (Fig. 4);
-//! * [`runtime`] — hash tables, buffers, and the runtime-call surface;
-//! * [`exec`] — the pipeline-loop core, hot-swappable function handles
-//!   (Fig. 5), and pipeline sinks;
-//! * [`sched`] — the morsel scheduler subsystem: work-stealing
-//!   [`sched::MorselDispenser`], lock-free [`sched::PipelineProgress`],
-//!   and the Fig. 7 [`sched::AdaptiveController`], which decides with the
-//!   six fitted constants of [`CostModel`];
-//! * [`tiers`] — the per-pipeline [`TierTable`]: one compile-once entry
-//!   per [`ExecLevel`], the single place a level's backend is built and
-//!   read (static modes, background compiles and warm starts alike);
+//! * [`exec`] — execution options, reports, and the pipeline-loop core
+//!   with its pipeline sinks;
 //! * [`session`] — the long-lived API: [`session::Engine`] (catalog
 //!   epoch, tier quarantine, versioned result cache),
 //!   [`session::Session`], and [`session::PreparedQuery`] (code reuse
-//!   across executions).
+//!   across executions);
+//! * [`cancel`] — the per-execution [`CancelToken`].
+//!
+//! Inside the crate, the morsel scheduler hands out work-stealing row
+//! ranges and runs the Fig. 7 controller, which decides with the six
+//! fitted constants of [`CostModel`]; each pipeline keeps one
+//! compile-once backend per [`ExecLevel`]; and a scan's filter runs as a
+//! vectorized pre-filter in front of whichever backend executes it.
 //!
 //! Execution is backend-agnostic: every morsel runs through a single
 //! `Arc<dyn PipelineBackend>` per pipeline (the trait lives in
 //! [`aqe_vm::backend`]), and the adaptive controller switches backends by
-//! atomically publishing a better one into the pipeline's
-//! [`exec::FunctionHandle`].
+//! atomically publishing a better one into the pipeline's function
+//! handle (Fig. 5).
 //!
 //! Executions are cooperatively cancellable: [`cancel::CancelToken`] is a
 //! shared poison flag (plus optional deadline) the morsel loop checks on
@@ -37,20 +36,18 @@ pub mod cancel;
 pub mod codegen;
 pub mod exec;
 pub mod plan;
-pub mod runtime;
-pub mod sched;
+pub(crate) mod runtime;
+pub(crate) mod sched;
 pub mod session;
-pub mod simd;
-pub mod tiers;
+pub(crate) mod simd;
+pub(crate) mod tiers;
 
 pub use cancel::{CancelKind, CancelToken};
 pub use exec::{
-    AdmissionReport, ExecMode, ExecOptions, FunctionHandle, ParamValue, PipelineBackend, Report,
-    ResultRows, TraceEvent,
+    ExecMode, ExecOptions, ParamValue, PipelineBackend, Report, ResultRows, TraceEvent,
 };
 pub use plan::{PhysicalPlan, PlanNode};
 pub use sched::{CostModel, ExecLevel, PipelineSchedReport};
 pub use session::{
     CacheStats, ConcurrencyStats, Engine, PreparedQuery, ServerCounters, ServerStats, Session,
 };
-pub use tiers::TierTable;

@@ -37,14 +37,14 @@ pub const FNV_PRIME: u64 = 0x100_0000_01b3;
 // ---------------------------------------------------------------------------
 
 /// An immutable chained hash table built once per join (two-phase build).
-/// Entry layout in the arena: `[next_addr, key0.., payload0..]`.
+/// Entry layout in the arena: `[next_addr, key0.., payload0..]`. Generated
+/// code probes it through `buckets` and `mask`.
 pub struct JoinHt {
     pub buckets: Vec<u64>,
-    pub entries: Vec<u64>,
+    /// The arena the bucket chains point into; never read by name, but it
+    /// must live as long as the table.
+    _entries: Vec<u64>,
     pub mask: u64,
-    pub nkeys: usize,
-    pub stride: usize,
-    pub rows: usize,
 }
 
 impl JoinHt {
@@ -72,25 +72,7 @@ impl JoinHt {
                 e += 1;
             }
         }
-        JoinHt { buckets, entries, mask, nkeys, stride, rows }
-    }
-
-    /// Probe on the host side (used by finalize steps and tests).
-    pub fn probe(&self, keys: &[u64]) -> Vec<&[u64]> {
-        let mut out = Vec::new();
-        if self.buckets.is_empty() {
-            return out;
-        }
-        let h = hash_keys(keys);
-        let mut addr = self.buckets[(h & self.mask) as usize];
-        while addr != 0 {
-            let entry = unsafe { std::slice::from_raw_parts(addr as *const u64, self.stride) };
-            if &entry[1..1 + self.nkeys] == keys {
-                out.push(&entry[1..]);
-            }
-            addr = entry[0];
-        }
-        out
+        JoinHt { buckets, _entries: entries, mask }
     }
 }
 
@@ -117,7 +99,6 @@ pub struct AggTable {
     buckets: Vec<u64>,
     chunks: Vec<Vec<u64>>,
     pub nkeys: usize,
-    pub naccs: usize,
     pub stride: usize,
     pub count: usize,
     init: Vec<u64>,
@@ -125,8 +106,7 @@ pub struct AggTable {
 
 impl AggTable {
     pub fn new(nkeys: usize, aggs: &[AggFunc]) -> AggTable {
-        let naccs = aggs.len();
-        let stride = 1 + nkeys + naccs;
+        let stride = 1 + nkeys + aggs.len();
         let nbuckets = 64usize;
         let buckets = vec![0u64; nbuckets];
         let mut t = AggTable {
@@ -134,7 +114,6 @@ impl AggTable {
             buckets,
             chunks: vec![Vec::with_capacity(AGG_CHUNK_ROWS * stride)],
             nkeys,
-            naccs,
             stride,
             count: 0,
             init: aggs.iter().map(|a| a.init_bits()).collect(),
@@ -318,11 +297,9 @@ pub struct WorkerRt {
 }
 
 impl WorkerRt {
-    pub fn new(njoins: usize, agg_shapes: &[(usize, Vec<AggFunc>)], nmats: usize) -> Box<WorkerRt> {
-        Self::with_row_buf(njoins, agg_shapes, nmats, ROW_BUF_SLOTS)
-    }
-
-    pub fn with_row_buf(
+    /// A worker's runtime state; the row buffer holds `row_buf_slots`
+    /// values, at least [`ROW_BUF_SLOTS`].
+    pub fn new(
         njoins: usize,
         agg_shapes: &[(usize, Vec<AggFunc>)],
         nmats: usize,
@@ -434,27 +411,45 @@ pub unsafe fn rt_emit(args: *const u64, _ret: *mut u64) {
 mod tests {
     use super::*;
 
+    /// Walk one bucket chain the way generated probe code does: the rows
+    /// (`[keys.., payload..]`, `width` values each) whose keys equal `keys`.
+    fn probe<'a>(ht: &'a JoinHt, width: usize, keys: &[u64]) -> Vec<&'a [u64]> {
+        let mut out = Vec::new();
+        let mut addr = ht.buckets[(hash_keys(keys) & ht.mask) as usize];
+        while addr != 0 {
+            // SAFETY: every chain address points at a `1 + width` entry of
+            // the arena `ht` owns.
+            let entry = unsafe { std::slice::from_raw_parts(addr as *const u64, 1 + width) };
+            if &entry[1..1 + keys.len()] == keys {
+                out.push(&entry[1..]);
+            }
+            addr = entry[0];
+        }
+        out
+    }
+
     #[test]
     fn join_ht_build_and_probe() {
         // rows: key, payload
         let t0 = vec![1u64, 100, 2, 200, 1, 101];
         let t1 = vec![3u64, 300];
         let ht = JoinHt::build(1, 1, &[t0, t1]);
-        assert_eq!(ht.rows, 4);
-        let m1 = ht.probe(&[1]);
+        let all: usize = [1, 2, 3].iter().map(|&k| probe(&ht, 2, &[k]).len()).sum();
+        assert_eq!(all, 4, "every built row is reachable from its bucket");
+        let m1 = probe(&ht, 2, &[1]);
         assert_eq!(m1.len(), 2);
         let payloads: Vec<u64> = m1.iter().map(|e| e[1]).collect();
         assert!(payloads.contains(&100) && payloads.contains(&101));
-        assert_eq!(ht.probe(&[3]).len(), 1);
-        assert!(ht.probe(&[99]).is_empty());
+        assert_eq!(probe(&ht, 2, &[3]).len(), 1);
+        assert!(probe(&ht, 2, &[99]).is_empty());
     }
 
     #[test]
     fn join_ht_multi_key() {
         let rows = vec![1u64, 2, 77, 1, 3, 88];
         let ht = JoinHt::build(2, 1, &[rows]);
-        assert_eq!(ht.probe(&[1, 2])[0][2], 77);
-        assert!(ht.probe(&[2, 1]).is_empty(), "key order matters");
+        assert_eq!(probe(&ht, 3, &[1, 2])[0][2], 77);
+        assert!(probe(&ht, 3, &[2, 1]).is_empty(), "key order matters");
     }
 
     #[test]
@@ -548,7 +543,7 @@ mod tests {
 
     #[test]
     fn worker_rt_layout() {
-        let mut w = WorkerRt::new(2, &[(1, vec![AggFunc::SumI])], 1);
+        let mut w = WorkerRt::new(2, &[(1, vec![AggFunc::SumI])], 1, 0);
         let ptr = w.wctx_ptr() as *const u64;
         unsafe {
             assert_eq!(*ptr.add(WCTX_RT), &*w as *const WorkerRt as u64);
@@ -559,7 +554,7 @@ mod tests {
 
     #[test]
     fn rt_calls_append_rows() {
-        let mut w = WorkerRt::new(1, &[], 0);
+        let mut w = WorkerRt::new(1, &[], 0, 0);
         w.row_buf[0] = 11;
         w.row_buf[1] = 22;
         let args = [w.wctx_ptr(), 0, 2];

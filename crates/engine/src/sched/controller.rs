@@ -143,13 +143,10 @@ pub struct PipelineSchedReport {
     /// Fig. 7 evaluations performed.
     pub decisions: u64,
     pub compiles_started: u64,
-    /// Tuples processed per worker — individually observable thanks to the
-    /// per-worker partitions (a global cursor could not attribute them).
-    pub worker_tuples: Vec<u64>,
     /// Rows the scan's vectorized pre-filter proved failing (cleared mask
     /// bits, summed over every morsel). Zero on a pipeline without a scan
     /// kernel, whatever backend it runs on.
-    /// `total_rows`, `worker_tuples` and the controller's rates count
+    /// `total_rows` and the controller's rates count
     /// *scanned* rows and include these.
     pub rows_skipped: u64,
     /// Background compiles that failed (or panicked) and were contained:
@@ -190,7 +187,7 @@ pub struct ControllerCtx {
     /// compiles failed recently are skipped by `decide` (the ladder
     /// degrades one rung instead), and compile outcomes are recorded
     /// back into the engine-shared store.
-    pub quarantine: Option<PipelineQuarantine>,
+    pub quarantine: PipelineQuarantine,
     /// `false` pins the initial backend (static modes): `maybe_decide`
     /// becomes a no-op and only the sched report is produced.
     pub adaptive: bool,
@@ -291,12 +288,10 @@ impl AdaptiveController {
         // quarantined — fall to the next-lower rung that is still an
         // upgrade, or do nothing this round (the next execution after
         // the skip budget is spent probes the tier again).
-        if let Some(q) = &self.ctx.quarantine {
-            while q.blocked(level) {
-                match level.below() {
-                    Some(lower) if lower > current => level = lower,
-                    _ => return,
-                }
+        while self.ctx.quarantine.blocked(level) {
+            match level.below() {
+                Some(lower) if lower > current => level = lower,
+                _ => return,
             }
         }
         // A concurrent execution of the same prepared query may already
@@ -368,9 +363,6 @@ impl AdaptiveController {
             stolen_tuples: dispenser.stolen_tuples(),
             decisions: self.decisions.load(Ordering::Relaxed),
             compiles_started: self.compiles_started.load(Ordering::Relaxed),
-            worker_tuples: (0..self.ctx.progress.worker_count())
-                .map(|i| self.ctx.progress.worker(i).tuples())
-                .collect(),
             rows_skipped: self.ctx.progress.skipped(),
             degraded: self.degraded.load(Ordering::Relaxed),
         }
@@ -394,7 +386,7 @@ struct CompileJob {
     level: ExecLevel,
     /// Records compile success/failure into the per-fingerprint
     /// quarantine so later executions skip a broken tier.
-    quarantine: Option<PipelineQuarantine>,
+    quarantine: PipelineQuarantine,
     /// Controller-shared count of contained compile failures.
     degraded: Arc<AtomicU64>,
 }
@@ -441,17 +433,13 @@ impl CompileJob {
                 }
                 // A successful compile clears any quarantine on the tier
                 // (this is how a probe recovers it).
-                if let Some(q) = &self.quarantine {
-                    q.record_success(self.level);
-                }
+                self.quarantine.record_success(self.level);
             }
             Ok(Err(_)) | Err(_) => {
                 // The failure degrades, never surfaces: quarantine the
                 // level that did not compile and count it.
                 self.degraded.fetch_add(1, Ordering::Relaxed);
-                if let Some(q) = &self.quarantine {
-                    q.record_failure(self.level);
-                }
+                self.quarantine.record_failure(self.level);
             }
         }
     }
@@ -461,6 +449,7 @@ impl CompileJob {
 mod tests {
     use super::*;
     use crate::cancel::CancelKind;
+    use crate::sched::quarantine::QuarantineStore;
 
     #[test]
     fn cancelled_compile_job_publishes_nothing_and_reopens_the_slot() {
@@ -487,7 +476,7 @@ mod tests {
             exec_start: Instant::now(),
             pid: 0,
             level: ExecLevel::Optimized,
-            quarantine: None,
+            quarantine: Arc::new(QuarantineStore::new()).pipeline(0, 0),
             degraded: Arc::new(AtomicU64::new(0)),
         };
         job.run();

@@ -13,23 +13,184 @@
 //! * [`quarantine`] — the per-fingerprint [`QuarantineStore`] that lets a
 //!   broken tier degrade the ladder one rung instead of failing a query.
 //!
-//! [`MorselDispenser`]: morsel::MorselDispenser
 //! [`WorkerProgress`]: progress::WorkerProgress
-//! [`AdaptiveController`]: controller::AdaptiveController
 //! [`extrapolate_pipeline_durations`]: controller::extrapolate_pipeline_durations
-//! [`CostModel`]: controller::CostModel
-//! [`QuarantineStore`]: quarantine::QuarantineStore
 
-pub mod controller;
-pub mod morsel;
-pub mod progress;
-pub mod quarantine;
+pub(crate) mod controller;
+pub(crate) mod morsel;
+pub(crate) mod progress;
+pub(crate) mod quarantine;
 
 pub use aqe_vm::backend::ExecLevel;
-pub use controller::{
-    extrapolate_pipeline_durations, AdaptiveController, ControllerCtx, CostModel,
-    PipelineSchedReport,
-};
-pub use morsel::{Morsel, MorselDispenser};
-pub use progress::{PipelineProgress, WorkerProgress};
-pub use quarantine::{PipelineQuarantine, QuarantineStore, QUARANTINE_SKIPS};
+pub use controller::{AdaptiveController, ControllerCtx, CostModel, PipelineSchedReport};
+pub use morsel::MorselDispenser;
+pub use progress::PipelineProgress;
+pub use quarantine::{PipelineQuarantine, QuarantineStore};
+
+// Scheduler tests (DESIGN.md §5/§10):
+//
+// 1. a property test that per-worker ranges plus steals cover
+//    `0..total_rows` exactly once under random steal interleavings,
+// 2. a threaded test that a deliberately slow backend on one worker's
+//    partition still finishes via stealing — the hot region is
+//    redistributed instead of serializing the tail.
+#[cfg(test)]
+mod tests {
+    use super::morsel::{Morsel, MorselDispenser};
+    use super::ExecLevel;
+    use crate::exec::{FunctionHandle, PipelineBackend};
+    use aqe_vm::interp::{ExecError, Frame};
+    use aqe_vm::rt::Registry;
+    use parking_lot::Mutex;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// Sorted morsels must tile `0..total` exactly: no gap, no overlap, no
+    /// duplicate — the dispenser's core invariant.
+    fn assert_exact_coverage(mut morsels: Vec<Morsel>, total: u64) {
+        morsels.sort_by_key(|m| m.begin);
+        let mut at = 0;
+        for m in &morsels {
+            assert_eq!(m.begin, at, "gap or overlap at row {at}");
+            assert!(m.end > m.begin, "empty morsel {m:?}");
+            at = m.end;
+        }
+        assert_eq!(at, total, "rows {at}..{total} never dispensed");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random worker counts, totals, morsel sizes, and claim
+        /// interleavings (the seed drives which worker claims next, so
+        /// steals interleave with front-claims in arbitrary orders): every
+        /// row is dispensed exactly once.
+        #[test]
+        fn ranges_plus_steals_cover_rows_exactly_once(
+            total in 0u64..30_000,
+            workers in 1usize..7,
+            min_morsel in 1u64..1500,
+            seed in any::<u64>(),
+        ) {
+            let d = MorselDispenser::new(total, workers, min_morsel, min_morsel * 8);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut live: Vec<usize> = (0..workers).collect();
+            let mut claimed: Vec<Morsel> = Vec::new();
+            while !live.is_empty() {
+                let pick = rng.random_range(0..live.len());
+                let w = live[pick];
+                match d.claim(w) {
+                    Some(m) => claimed.push(m),
+                    None => {
+                        live.swap_remove(pick);
+                    }
+                }
+            }
+            let claimed_rows: u64 = claimed.iter().map(|m| m.tuples()).sum();
+            prop_assert_eq!(claimed_rows, total);
+            assert_exact_coverage(claimed, total);
+        }
+    }
+
+    /// A backend that simulates skewed per-morsel cost: morsels whose rows
+    /// lie in the hot region sleep, everything else is free. Implements the
+    /// real `PipelineBackend` seam so the test goes through
+    /// `FunctionHandle::load` exactly like the engine's worker loop.
+    struct SkewedBackend {
+        hot_end: u64,
+        delay: Duration,
+    }
+
+    impl PipelineBackend for SkewedBackend {
+        fn call(
+            &self,
+            args: &[u64],
+            _rt: &Registry,
+            _frame: &mut Frame,
+        ) -> Result<Option<u64>, ExecError> {
+            let begin = args[2];
+            if begin < self.hot_end {
+                std::thread::sleep(self.delay);
+            }
+            Ok(None)
+        }
+        fn level(&self) -> ExecLevel {
+            ExecLevel::Interpreted
+        }
+    }
+
+    #[test]
+    fn slow_backend_on_one_worker_is_rescued_by_stealing() {
+        const TOTAL: u64 = 40_000;
+        const WORKERS: usize = 4;
+        // The hot quarter is exactly worker 0's initial partition: left to
+        // its static partition, worker 0 would serialize the tail.
+        let hot_end = TOTAL / WORKERS as u64;
+        let d = MorselDispenser::new(TOTAL, WORKERS, 256, 1024);
+        let first = d.claim(1).unwrap();
+        assert_eq!(first.begin, hot_end, "worker 1's partition starts where the hot quarter ends");
+        let handle = FunctionHandle::new(Arc::new(SkewedBackend {
+            hot_end,
+            delay: Duration::from_micros(300),
+        }));
+        let claimed: Mutex<Vec<(usize, Morsel)>> = Mutex::new(vec![(1, first)]);
+
+        std::thread::scope(|scope| {
+            for tid in 0..WORKERS {
+                let d = &d;
+                let handle = &handle;
+                let claimed = &claimed;
+                scope.spawn(move || {
+                    let rt = Registry::new();
+                    let mut frame = Frame::new();
+                    while let Some(m) = d.claim(tid) {
+                        let backend = handle.load();
+                        backend.call(&[0, 0, m.begin, m.end], &rt, &mut frame).unwrap();
+                        claimed.lock().push((tid, m));
+                    }
+                });
+            }
+        });
+
+        // Every row ran exactly once, steals happened, and the slow region
+        // was redistributed: worker 0 did *not* have to grind through its
+        // whole partition alone (the fast workers finished their cold
+        // partitions and stole the hot tail long before worker 0 could).
+        let claimed = claimed.into_inner();
+        let w0: u64 = claimed.iter().filter(|(w, _)| *w == 0).map(|(_, m)| m.tuples()).sum();
+        assert_exact_coverage(claimed.into_iter().map(|(_, m)| m).collect(), TOTAL);
+        assert!(d.steals() >= 1, "skewed pipeline must trigger at least one steal");
+        assert!(
+            w0 < hot_end,
+            "worker 0 processed its entire hot partition ({w0} rows) — stealing never rebalanced it"
+        );
+    }
+
+    #[test]
+    fn uniform_threaded_drain_covers_exactly_once() {
+        // No artificial skew, just real thread interleavings racing claim
+        // against steal on a small-morsel dispenser.
+        const TOTAL: u64 = 100_000;
+        const WORKERS: usize = 8;
+        let d = MorselDispenser::new(TOTAL, WORKERS, 16, 64);
+        let claimed: Mutex<Vec<Morsel>> = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for tid in 0..WORKERS {
+                let d = &d;
+                let claimed = &claimed;
+                scope.spawn(move || {
+                    let mut local = Vec::new();
+                    while let Some(m) = d.claim(tid) {
+                        local.push(m);
+                    }
+                    claimed.lock().extend(local);
+                });
+            }
+        });
+        assert_exact_coverage(claimed.into_inner(), TOTAL);
+        assert!((0..WORKERS).all(|w| d.claim(w).is_none()), "no rows left to claim");
+    }
+}

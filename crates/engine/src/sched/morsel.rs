@@ -1,11 +1,9 @@
 //! Morsel dispensing: per-worker range partitions with LIFO half-range
 //! work stealing.
 //!
-//! PR 1's scheduler was a single shared `AtomicU64` cursor: correct, but a
-//! worker stalled inside `call` (or one expensive morsel) serialized the
-//! tail, and per-worker rates were unobservable because every worker drew
-//! from the same pool. The dispenser instead gives each worker a contiguous
-//! partition of `0..total_rows`. A worker claims morsels from the *front*
+//! A single shared cursor would let a worker stalled inside `call` (or one
+//! expensive morsel) serialize the tail. The dispenser instead gives each
+//! worker a contiguous partition of `0..total_rows`. A worker claims morsels from the *front*
 //! of its own range; when the range runs dry it steals the *upper half* of
 //! the largest remaining range (LIFO with respect to the victim's claim
 //! order — the thief takes the rows the victim would have reached last)
@@ -15,9 +13,8 @@
 //! Every range is one `AtomicU64` packing `(start, end)` as two `u32`s, so
 //! both the owner's front-claim and a thief's back-steal are single CAS
 //! transitions on the same word: rows move between slots without ever
-//! being duplicated or dropped (the property test in
-//! `crates/engine/tests/sched.rs` exercises exactly this invariant under
-//! random interleavings).
+//! being duplicated or dropped (the property test in `sched`'s tests
+//! exercises exactly this invariant under random interleavings).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,7 +60,6 @@ struct Slot {
 /// Work-stealing morsel dispenser over `0..total_rows`.
 pub struct MorselDispenser {
     slots: Vec<Slot>,
-    total: u64,
     min_morsel: u64,
     max_morsel: u64,
     steals: AtomicU64,
@@ -96,20 +92,11 @@ impl MorselDispenser {
             .collect();
         MorselDispenser {
             slots,
-            total: total_rows,
             min_morsel,
             max_morsel,
             steals: AtomicU64::new(0),
             stolen_tuples: AtomicU64::new(0),
         }
-    }
-
-    pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn total_rows(&self) -> u64 {
-        self.total
     }
 
     /// Successful steal transitions so far.
@@ -120,24 +107,6 @@ impl MorselDispenser {
     /// Tuples moved between workers by stealing.
     pub fn stolen_tuples(&self) -> u64 {
         self.stolen_tuples.load(Ordering::Relaxed)
-    }
-
-    /// The initial static partition of `worker` (for tests and reports).
-    pub fn initial_partition(&self, worker: usize) -> Morsel {
-        let w = self.slots.len() as u64;
-        let i = worker as u64;
-        Morsel { begin: self.total * i / w, end: self.total * (i + 1) / w }
-    }
-
-    /// Rows not yet claimed by any worker (racy snapshot).
-    pub fn remaining(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| {
-                let (b, e) = unpack(s.range.load(Ordering::Acquire));
-                e.saturating_sub(b)
-            })
-            .sum()
     }
 
     /// Claim the next morsel for `worker`: from the front of its own range,

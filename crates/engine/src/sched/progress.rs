@@ -1,12 +1,9 @@
 //! Lock-free execution-progress accounting.
 //!
-//! PR 1 tracked the pipeline rate with a shared `since_reset: AtomicU64`
-//! plus a `reset_at: Mutex<Instant>` — every rate read took a lock, and
-//! only the *aggregate* rate was observable. Here each worker owns a
-//! cache-line-padded [`WorkerProgress`] counter (so the hot `record` path
-//! never contends), and the rate window is two atomics: the total at the
-//! last reset and the reset timestamp in microseconds since pipeline
-//! start. Readers race benignly against resets; rates are advisory inputs
+//! Each worker owns a cache-line-padded [`WorkerProgress`] counter (so the
+//! hot `record` path never contends), and the rate window is two atomics:
+//! the total at the last reset and the reset timestamp in microseconds
+//! since pipeline start; no rate read takes a lock. Readers race benignly against resets; rates are advisory inputs
 //! to the Fig. 7 extrapolation, not accounting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,16 +19,6 @@ pub struct WorkerProgress {
     /// Rows of those `tuples` the scan pre-filter kept from the worker
     /// function.
     skipped: AtomicU64,
-}
-
-impl WorkerProgress {
-    pub fn tuples(&self) -> u64 {
-        self.tuples.load(Ordering::Relaxed)
-    }
-
-    pub fn morsels(&self) -> u64 {
-        self.morsels.load(Ordering::Relaxed)
-    }
 }
 
 /// Aggregated pipeline progress: per-worker counters plus the rate window
@@ -86,16 +73,6 @@ impl PipelineProgress {
         self.workers.iter().map(|w| w.morsels.load(Ordering::Relaxed)).sum()
     }
 
-    /// The individually observable per-worker counters (what the global
-    /// cursor of PR 1 could not provide).
-    pub fn worker(&self, i: usize) -> &WorkerProgress {
-        &self.workers[i]
-    }
-
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Start a new rate window (called when a compilation is claimed and
     /// again when the compiled backend is installed, so post-switch rates
     /// are measured at the new level only).
@@ -127,9 +104,9 @@ mod tests {
         p.record(0, 25);
         assert_eq!(p.total(), 175);
         assert_eq!(p.morsels(), 3);
-        assert_eq!(p.worker(0).tuples(), 125);
-        assert_eq!(p.worker(0).morsels(), 2);
-        assert_eq!(p.worker(2).tuples(), 0);
+        assert_eq!(p.workers[0].tuples.load(Ordering::Relaxed), 125);
+        assert_eq!(p.workers[0].morsels.load(Ordering::Relaxed), 2);
+        assert_eq!(p.workers[2].tuples.load(Ordering::Relaxed), 0);
         // Skipped rows are a separate ledger: totals stay in scanned rows.
         p.record_skipped(1, 40);
         p.record_skipped(0, 2);

@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use aqe_vm::backend::ExecLevel;
 
 /// Executions a failed tier is skipped for before being probed again.
-pub const QUARANTINE_SKIPS: u32 = 8;
+pub(crate) const QUARANTINE_SKIPS: u32 = 8;
 
 /// Engine-shared quarantine ledger. One per [`crate::session::Engine`],
 /// shared by every session and prepared query.

@@ -9,36 +9,35 @@
 //! produced by the bytecode interpreter serves a later native-mode
 //! submission of the same plan bit-identically.
 //!
-//! **Sharding.** PR 3's cache was one mutex; under concurrent traffic
-//! every hit, miss, and insert of every session serialized on it. The
-//! cache is now `N` independently mutexed shards (default
-//! [`DEFAULT_SHARDS`]), an entry's shard chosen by its fingerprint, so
-//! sessions executing *different* queries touch different locks and only
-//! identical-fingerprint traffic — which shares a cache entry anyway —
-//! shares a shard. The byte budget splits evenly across shards and
-//! eviction is per-shard, which keeps the victim scan O(shard), at the
-//! cost of the budget being enforced per fingerprint-class rather than
-//! globally exactly (a skew of hot fingerprints into one shard evicts
-//! within that shard while others sit under-full — bounded by design to
-//! `budget/N` per shard).
+//! **Sharding.** One mutex would serialize every hit, miss, and insert
+//! of every session under concurrent traffic. The cache is `N`
+//! independently mutexed shards ([`DEFAULT_SHARDS`]), an entry's shard
+//! chosen by its fingerprint, so sessions executing *different* queries
+//! touch different locks and only identical-fingerprint traffic — which
+//! shares a cache entry anyway — shares a shard. The byte budget splits
+//! evenly across shards and eviction is per-shard, which keeps the victim
+//! scan O(shard), at the cost of the budget being enforced per
+//! fingerprint-class rather than globally exactly (a skew of hot
+//! fingerprints into one shard evicts within that shard while others sit
+//! under-full — bounded by design to `budget/N` per shard).
 //!
-//! Sizing is a **total-byte budget**. Eviction is **size-weighted LRU**:
-//! recency orders the victims, but between entries of similar recency the
-//! larger one goes first (small results get a bounded recency grace — see
-//! [`Entry::score`]). Admission refuses any single result over a quarter
-//! of its shard's budget, so one giant answer cannot wipe a shard for a
-//! miss that may never repeat.
+//! Sizing is a fixed **total-byte budget** ([`BUDGET_BYTES`]). Eviction is
+//! **size-weighted LRU**: recency orders the victims, but between entries
+//! of similar recency the larger one goes first (small results get a
+//! bounded recency grace — see [`Entry::score`]). Admission refuses any
+//! single result over a quarter of its shard's budget, so one giant answer
+//! cannot wipe a shard for a miss that may never repeat.
 //!
 //! **Counters.** Hits, misses, insertions, admission rejections, and
 //! evictions are engine-lifetime atomics surfaced via
-//! [`ResultCache::stats`] (→ `Engine::cache_stats`), so load tests and
-//! the concurrency benchmark report cache behavior directly instead of
-//! inferring it from per-execution `Report::result_cache_hit` flags.
+//! [`ResultCache::stats`] (→ `Engine::cache_stats`), so load tests report
+//! cache behavior directly instead of inferring it from per-execution
+//! `Report::result_cache_hit` flags.
 
 use crate::exec::ResultRows;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cache key: `(generalized plan fingerprint, catalog version, bind
 /// values)`. A parameterized statement has one fingerprint across all of
@@ -47,10 +46,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// queries carry an empty value vector.
 pub(crate) type ResultKey = (u64, u64, Vec<u64>);
 
-/// Default total budget: 64 MiB of cached result rows.
-pub(crate) const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
+/// Total budget: 64 MiB of cached result rows.
+pub(crate) const BUDGET_BYTES: usize = 64 << 20;
 
-/// Default shard count: enough to make same-lock collisions of unrelated
+/// Shard count: enough to make same-lock collisions of unrelated
 /// queries rare at realistic session counts, small enough that the
 /// per-shard budget (total/8) still admits multi-megabyte results.
 pub(crate) const DEFAULT_SHARDS: usize = 8;
@@ -75,8 +74,7 @@ pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
     pub insertions: u64,
-    /// Results refused at admission (over the per-entry ceiling, or the
-    /// cache is disabled).
+    /// Results refused at admission (over the per-entry ceiling).
     pub admission_rejections: u64,
     /// Entries displaced by the size-weighted LRU to stay under budget.
     pub evictions: u64,
@@ -102,21 +100,20 @@ impl Entry {
 
 #[derive(Default)]
 struct Shard {
-    budget: usize,
     used: usize,
     tick: u64,
     map: HashMap<ResultKey, Entry>,
 }
 
 impl Shard {
-    /// Evict until under budget; returns how many entries were displaced.
-    fn evict_to_budget(&mut self) -> u64 {
+    /// Evict until under `budget`; returns how many entries were displaced.
+    fn evict_to_budget(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
-        while self.used > self.budget && !self.map.is_empty() {
+        while self.used > budget && !self.map.is_empty() {
             let victim = self
                 .map
                 .iter()
-                .min_by_key(|(_, e)| e.score(self.budget))
+                .min_by_key(|(_, e)| e.score(budget))
                 .map(|(k, _)| k.clone())
                 .expect("non-empty over-budget shard");
             if let Some(e) = self.map.remove(&victim) {
@@ -132,9 +129,8 @@ impl Shard {
 /// owned by the `Engine`.
 pub(crate) struct ResultCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard byte budget (total / shard count), mirrored here so the
-    /// admission check never takes a shard lock.
-    shard_budget: AtomicUsize,
+    /// Per-shard byte budget (total / shard count).
+    shard_budget: usize,
     /// The catalog version of the last [`retain_version`] purge. An
     /// execution pinned to an older epoch can try to insert its result
     /// *after* the mutation that obsoleted it already purged — the
@@ -153,18 +149,14 @@ pub(crate) struct ResultCache {
 }
 
 impl ResultCache {
-    pub fn new(budget_bytes: usize) -> ResultCache {
-        ResultCache::with_shards(budget_bytes, DEFAULT_SHARDS)
+    pub fn new() -> ResultCache {
+        ResultCache::with_shards(BUDGET_BYTES, DEFAULT_SHARDS)
     }
 
-    pub fn with_shards(budget_bytes: usize, shards: usize) -> ResultCache {
-        let n = shards.max(1);
-        let per_shard = budget_bytes / n;
+    fn with_shards(budget_bytes: usize, shards: usize) -> ResultCache {
         ResultCache {
-            shards: (0..n)
-                .map(|_| Mutex::new(Shard { budget: per_shard, ..Shard::default() }))
-                .collect(),
-            shard_budget: AtomicUsize::new(per_shard),
+            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shard_budget: budget_bytes / shards,
             min_version: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -186,8 +178,7 @@ impl ResultCache {
     /// backstop (which refuses silently, so the two never double-count a
     /// rejection). The per-entry ceiling is a quarter of the shard budget.
     pub fn admits(&self, bytes: usize) -> bool {
-        let budget = self.shard_budget.load(Ordering::Relaxed);
-        let ok = budget > 0 && bytes <= budget / 4;
+        let ok = bytes <= self.shard_budget / 4;
         if !ok {
             self.admission_rejections.fetch_add(1, Ordering::Relaxed);
         }
@@ -216,9 +207,8 @@ impl ResultCache {
     }
 
     /// Insert a result, evicting by size-weighted LRU until its shard is
-    /// back under budget. A zero budget disables the cache entirely;
-    /// over-ceiling results (see [`admits`](ResultCache::admits)) are
-    /// refused.
+    /// back under budget. Over-ceiling results (see
+    /// [`admits`](ResultCache::admits)) are refused.
     pub fn put(&self, key: ResultKey, rows: ResultRows) {
         let bytes = entry_bytes(&rows);
         let mut g = self.shard_of(&key).lock();
@@ -230,7 +220,7 @@ impl ResultCache {
         if key.1 < self.min_version.load(Ordering::Acquire) {
             return;
         }
-        if g.budget == 0 || bytes > g.budget / 4 {
+        if bytes > self.shard_budget / 4 {
             return;
         }
         g.tick += 1;
@@ -239,7 +229,7 @@ impl ResultCache {
             g.used -= old.bytes;
         }
         g.used += bytes;
-        let evicted = g.evict_to_budget();
+        let evicted = g.evict_to_budget(self.shard_budget);
         drop(g);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -264,31 +254,6 @@ impl ResultCache {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// Bytes currently pinned by cached results.
-    pub fn bytes_used(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().used).sum()
-    }
-
-    /// Re-bound the cache (0 disables it; shrinking evicts immediately).
-    pub fn set_budget(&self, budget_bytes: usize) {
-        let per_shard = budget_bytes / self.shards.len();
-        self.shard_budget.store(per_shard, Ordering::Relaxed);
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let mut g = shard.lock();
-            g.budget = per_shard;
-            evicted += g.evict_to_budget();
-            // Every entry costs at least its fixed overhead, so a zero
-            // budget necessarily drained the map above.
-            debug_assert!(per_shard > 0 || g.map.is_empty());
-        }
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-    }
-
     /// Aggregate counters plus current occupancy.
     pub fn stats(&self) -> CacheStats {
         let (mut entries, mut bytes_used) = (0, 0);
@@ -300,7 +265,7 @@ impl ResultCache {
         CacheStats {
             entries,
             bytes_used,
-            budget_bytes: self.shard_budget.load(Ordering::Relaxed) * self.shards.len(),
+            budget_bytes: self.shard_budget * self.shards.len(),
             shards: self.shards.len(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -320,7 +285,7 @@ mod tests {
         ResultRows { tys: vec![FieldTy::I64], rows: vec![v; n] }
     }
 
-    /// Unbound key (no bind values) — the shape every pre-PR 7 test used.
+    /// Unbound key (no bind values), as for a query without parameters.
     fn key(fingerprint: u64, version: u64) -> ResultKey {
         (fingerprint, version, Vec::new())
     }
@@ -343,7 +308,7 @@ mod tests {
         }
         assert!(c.get(&key(1, 0)).is_some()); // touch 1 → 2 is now coldest
         c.put(key(5, 0), rows_of(5, 1000));
-        assert_eq!(c.len(), 4);
+        assert_eq!(c.stats().entries, 4);
         assert!(c.get(&key(2, 0)).is_none(), "LRU entry must be evicted");
         for k in [1, 3, 4, 5] {
             assert!(c.get(&key(k, 0)).is_some(), "entry {k} must survive");
@@ -373,11 +338,11 @@ mod tests {
         let c = single_shard(1 << 20);
         c.put(key(1, 0), rows_of(1, 100));
         c.put(key(1, 0), rows_of(1, 200)); // replace: old bytes released
-        assert_eq!(c.bytes_used(), entry_bytes(&rows_of(1, 200)));
+        assert_eq!(c.stats().bytes_used, entry_bytes(&rows_of(1, 200)));
         c.put(key(2, 1), rows_of(2, 50));
         c.retain_version(1);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.bytes_used(), entry_bytes(&rows_of(2, 50)));
+        assert_eq!(c.stats().entries, 1);
+        assert_eq!(c.stats().bytes_used, entry_bytes(&rows_of(2, 50)));
     }
 
     #[test]
@@ -386,13 +351,13 @@ mod tests {
         c.put(key(7, 0), rows_of(7, 1));
         assert!(c.get(&key(7, 1)).is_none(), "newer catalog version must miss");
         c.retain_version(1);
-        assert_eq!(c.len(), 0);
-        assert_eq!(c.bytes_used(), 0);
+        assert_eq!(c.stats().entries, 0);
+        assert_eq!(c.stats().bytes_used, 0);
     }
 
     #[test]
     fn zero_budget_disables_caching() {
-        let c = ResultCache::new(0);
+        let c = ResultCache::with_shards(0, DEFAULT_SHARDS);
         assert!(!c.admits(8));
         c.put(key(1, 0), rows_of(1, 1));
         assert!(c.get(&key(1, 0)).is_none());
@@ -403,22 +368,7 @@ mod tests {
         let c = single_shard(4096);
         assert!(!c.admits(2048), "over a quarter of the budget");
         c.put(key(1, 0), rows_of(0, 1000)); // ~8 KB > 1 KB ceiling
-        assert_eq!(c.len(), 0, "an over-ceiling result must not be admitted");
-    }
-
-    #[test]
-    fn shrinking_the_budget_evicts_immediately() {
-        let c = single_shard(1 << 20);
-        for k in 0..8 {
-            c.put(key(k, 0), rows_of(k, 1000));
-        }
-        assert_eq!(c.len(), 8);
-        let two = 2 * entry_bytes(&rows_of(0, 1000)) + 1;
-        c.set_budget(two);
-        assert!(c.len() <= 2, "shrink must evict down to the new budget");
-        assert!(c.bytes_used() <= two);
-        c.set_budget(0);
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.stats().entries, 0, "an over-ceiling result must not be admitted");
     }
 
     #[test]
@@ -429,9 +379,9 @@ mod tests {
         let c = single_shard(1 << 20);
         c.retain_version(5);
         c.put(key(1, 4), rows_of(1, 10));
-        assert_eq!(c.len(), 0, "a straggler from a purged epoch must be refused");
+        assert_eq!(c.stats().entries, 0, "a straggler from a purged epoch must be refused");
         c.put(key(1, 5), rows_of(1, 10));
-        assert_eq!(c.len(), 1, "current-version inserts are unaffected");
+        assert_eq!(c.stats().entries, 1, "current-version inserts are unaffected");
     }
 
     #[test]
@@ -440,32 +390,32 @@ mod tests {
         c.put((7, 0, vec![10]), rows_of(1, 4));
         c.put((7, 0, vec![11]), rows_of(2, 4));
         c.put((7, 0, vec![10, 20]), rows_of(3, 4));
-        assert_eq!(c.len(), 3, "distinct bindings must not alias");
+        assert_eq!(c.stats().entries, 3, "distinct bindings must not alias");
         assert_eq!(c.get(&(7, 0, vec![10])).unwrap().rows, vec![1; 4]);
         assert_eq!(c.get(&(7, 0, vec![11])).unwrap().rows, vec![2; 4]);
         assert_eq!(c.get(&(7, 0, vec![10, 20])).unwrap().rows, vec![3; 4]);
         assert!(c.get(&key(7, 0)).is_none(), "unbound key is yet another identity");
         // A version purge drops every binding of the fingerprint at once.
         c.retain_version(1);
-        assert_eq!(c.len(), 0, "catalog mutation invalidates all bindings");
+        assert_eq!(c.stats().entries, 0, "catalog mutation invalidates all bindings");
     }
 
     #[test]
     fn sharded_cache_spreads_entries_and_sums_occupancy() {
-        let c = ResultCache::new(1 << 20);
+        let c = ResultCache::with_shards(1 << 20, DEFAULT_SHARDS);
         for k in 0..64u64 {
             // Spread fingerprints across the hash space the way FNV would.
             c.put(key(k.wrapping_mul(0x9e3779b97f4a7c15), 0), rows_of(k, 10));
         }
-        assert_eq!(c.len(), 64);
-        assert_eq!(c.bytes_used(), 64 * entry_bytes(&rows_of(0, 10)));
+        assert_eq!(c.stats().entries, 64);
+        assert_eq!(c.stats().bytes_used, 64 * entry_bytes(&rows_of(0, 10)));
         for k in 0..64u64 {
             assert!(c.get(&key(k.wrapping_mul(0x9e3779b97f4a7c15), 0)).is_some());
         }
         // Retain purges across every shard.
         c.retain_version(1);
-        assert_eq!(c.len(), 0);
-        assert_eq!(c.bytes_used(), 0);
+        assert_eq!(c.stats().entries, 0);
+        assert_eq!(c.stats().bytes_used, 0);
     }
 
     #[test]

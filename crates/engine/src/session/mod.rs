@@ -13,8 +13,8 @@
 //!   cache keyed by `(plan fingerprint, catalog version)`;
 //! * [`Session`] — a per-client handle: `prepare` / `execute` plus the
 //!   session's [`ExecOptions`] defaults;
-//! * [`PreparedQuery`] — retains the generated module and, per pipeline,
-//!   a [`TierTable`] of every backend a prior run already translated or
+//! * [`PreparedQuery`] — retains, per pipeline, the generated worker
+//!   function and every backend a prior run already translated or
 //!   compiled, so a re-execution skips codegen and translation entirely
 //!   and starts at the highest [`ExecLevel`] previously reached. First runs are still
 //!   governed by the Fig. 7 controller — the ladder is only ever climbed
@@ -42,7 +42,7 @@ use crate::plan::{decompose, DictTable, FieldTy, PhysicalPlan, PlanNode, Source}
 use crate::sched::{ExecLevel, PipelineQuarantine, QuarantineStore};
 use crate::simd::ScanKernel;
 use crate::tiers::TierTable;
-use aqe_ir::{ExternDecl, Function, Module};
+use aqe_ir::{ExternDecl, Function};
 use aqe_storage::{Catalog, CatalogSnapshot, DataType};
 use aqe_vm::interp::ExecError;
 use aqe_vm::naive::NaiveBackend;
@@ -66,7 +66,6 @@ struct EngineShared {
     /// lose each other's update); readers never touch it.
     catalog_mut: Mutex<()>,
     results: ResultCache,
-    defaults: ExecOptions,
     stats: EngineStats,
     /// Serving-path counters ([`Engine::server_stats`]): the engine
     /// increments the cancellation outcomes itself; the front-door
@@ -97,13 +96,13 @@ struct EngineStats {
 }
 
 impl EngineStats {
-    /// Enter an execution: bump started/in-flight, track the peak, and
-    /// return the in-flight count including this execution.
-    fn enter(&self) -> usize {
+    /// Enter an execution: bump started/in-flight and track the peak.
+    /// The guard leaves it again.
+    fn enter(&self) -> InFlight<'_> {
         self.executions_started.fetch_add(1, Ordering::Relaxed);
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_in_flight.fetch_max(now, Ordering::Relaxed);
-        now
+        InFlight(self)
     }
 }
 
@@ -170,12 +169,6 @@ impl ServerCounters {
     /// displaced by higher-priority work).
     pub fn note_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cumulative shed count (the load signal dispatched executions
-    /// carry in `Report::admission::shed_at_dispatch`).
-    pub fn shed_total(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 
     /// An execution ended (or was refused at its first checkpoint)
@@ -264,7 +257,8 @@ pub struct ConcurrencyStats {
     pub peak_in_flight: usize,
 }
 
-/// The long-lived engine: catalog + caches + tier quarantine.
+/// The long-lived engine: catalog + caches + tier quarantine. Its result
+/// cache holds up to 64 MiB of rows.
 ///
 /// ```no_run
 /// use aqe_engine::session::Engine;
@@ -282,30 +276,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine over `catalog` with default [`ExecOptions`] and the
-    /// default result-cache budget.
+    /// An engine over `catalog`; its sessions start from the default
+    /// [`ExecOptions`].
     pub fn new(catalog: Catalog) -> Engine {
-        Engine::with_defaults(catalog, ExecOptions::default())
-    }
-
-    /// An engine whose sessions start from `defaults`.
-    pub fn with_defaults(catalog: Catalog, defaults: ExecOptions) -> Engine {
-        Engine::with_result_cache_budget(catalog, defaults, cache::DEFAULT_BUDGET_BYTES)
-    }
-
-    /// An engine with an explicit result-cache byte budget (0 disables
-    /// result caching entirely).
-    pub fn with_result_cache_budget(
-        catalog: Catalog,
-        defaults: ExecOptions,
-        cache_budget_bytes: usize,
-    ) -> Engine {
         Engine {
             shared: Arc::new(EngineShared {
                 catalog: EpochCell::new(Arc::new(catalog.snapshot())),
                 catalog_mut: Mutex::new(()),
-                results: ResultCache::new(cache_budget_bytes),
-                defaults,
+                results: ResultCache::new(),
                 stats: EngineStats::default(),
                 server: Arc::new(ServerCounters::default()),
                 quarantine: Arc::new(QuarantineStore::new()),
@@ -315,19 +293,13 @@ impl Engine {
 
     /// Open a session (a per-client handle; cheap, any number may exist).
     pub fn session(&self) -> Session {
-        Session { shared: self.shared.clone(), defaults: self.shared.defaults.clone() }
+        Session { shared: self.shared.clone(), defaults: ExecOptions::default() }
     }
 
     /// Current catalog version (bumped by every mutation through
     /// [`with_catalog_mut`](Engine::with_catalog_mut)).
     pub fn catalog_version(&self) -> u64 {
         self.shared.catalog.get().version()
-    }
-
-    /// The current catalog epoch: an immutable snapshot that stays valid
-    /// (tables, column base pointers and all) across later mutations.
-    pub fn snapshot(&self) -> Arc<CatalogSnapshot> {
-        self.shared.catalog.get()
     }
 
     /// Read access to the catalog (a view of the current epoch).
@@ -357,16 +329,6 @@ impl Engine {
         r
     }
 
-    /// Number of results currently cached.
-    pub fn result_cache_len(&self) -> usize {
-        self.shared.results.len()
-    }
-
-    /// Bytes currently pinned by cached results.
-    pub fn result_cache_bytes(&self) -> usize {
-        self.shared.results.bytes_used()
-    }
-
     /// Result-cache behavior counters: entries, bytes, hit/miss/
     /// admission-rejection/eviction counts (see [`CacheStats`]).
     pub fn cache_stats(&self) -> CacheStats {
@@ -386,12 +348,6 @@ impl Engine {
             in_flight: s.in_flight.load(Ordering::Relaxed),
             peak_in_flight: s.peak_in_flight.load(Ordering::Relaxed),
         }
-    }
-
-    /// Re-bound the result cache's byte budget (0 disables it; shrinking
-    /// evicts by size-weighted LRU immediately).
-    pub fn set_result_cache_budget(&self, budget_bytes: usize) {
-        self.shared.results.set_budget(budget_bytes);
     }
 
     /// The serving-path counters, for the front-door server to increment
@@ -435,12 +391,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// The options [`execute`](Session::execute) runs with.
-    pub fn defaults(&self) -> &ExecOptions {
-        &self.defaults
-    }
-
-    /// Replace this session's default options.
+    /// Replace the options [`execute`](Session::execute) runs with.
     pub fn set_defaults(&mut self, defaults: ExecOptions) {
         self.defaults = defaults;
     }
@@ -464,21 +415,6 @@ impl Session {
             engine: self.shared.clone(),
             fingerprint: plan.fingerprint(),
             plan: Arc::new(plan),
-            module: None,
-            state: EpochCell::new(None),
-            build: Mutex::new(()),
-        }
-    }
-
-    /// Prepare a plan with a caller-generated IR module (stage-timing
-    /// harnesses that measure codegen separately). The module is trusted
-    /// to match the plan; it is retained verbatim across catalog versions.
-    pub fn prepare_module(&self, plan: PhysicalPlan, module: Module) -> PreparedQuery {
-        PreparedQuery {
-            engine: self.shared.clone(),
-            fingerprint: plan.fingerprint(),
-            plan: Arc::new(plan),
-            module: Some(Arc::new(module)),
             state: EpochCell::new(None),
             build: Mutex::new(()),
         }
@@ -593,12 +529,10 @@ impl Session {
         let plan = &query.plan;
 
         let stats = &self.shared.stats;
-        let _in_flight = InFlight(stats);
+        let _in_flight = stats.enter();
         let mut report = Report {
             pipeline_labels: plan.pipelines.iter().map(|p| p.label.clone()).collect(),
             snapshot_version: version,
-            concurrent_executions: stats.enter(),
-            admission: opts.admission,
             ..Default::default()
         };
 
@@ -614,16 +548,11 @@ impl Session {
         }
 
         // ---- result cache -------------------------------------------------
-        // Module-override prepares are excluded in both directions: their
-        // rows reflect the caller's module, but the key would only name
-        // the plan — caching them could serve wrong rows to an honest
-        // prepare of the same plan (and vice versa).
         // Bind values join the key: one generalized fingerprint covers
         // every binding of a statement, so the values are what separate
         // one binding's rows from another's.
         let key = (query.fingerprint, version, params.to_vec());
-        let cacheable = opts.cache_results && query.module.is_none();
-        if cacheable {
+        if opts.cache_results {
             if let Some(rows) = self.shared.results.get(&key) {
                 report.result_cache_hit = true;
                 return Ok((rows, report));
@@ -635,7 +564,6 @@ impl Session {
         // clone); only a version change funnels through the cold-compile
         // latch, and only the builder holds it.
         let state = query.state_for(&snap, stats, &mut report)?;
-        report.ir_instrs = state.instrs;
         // Every mode goes through the same hot-swap handles; they differ
         // only in what is installed before execution starts. A warm
         // adaptive run starts from the best backend any prior (or
@@ -684,8 +612,6 @@ impl Session {
                 return Err(e);
             }
         };
-        report.cancelled = opts.cancel.kind().map(|k| k.reason().to_string());
-
         // ---- persistence: results ----------------------------------------
         // (Code needs no step of its own: every compile of this run went
         // through *this* state object's tier tables. A concurrent catalog
@@ -693,7 +619,7 @@ impl Session {
         // backends compiled from the old module sit in the old state,
         // which dies with its last `Arc`, so they can never leak across
         // versions.)
-        if cacheable && self.shared.results.admits(cache::entry_bytes(&rows)) {
+        if opts.cache_results && self.shared.results.admits(cache::entry_bytes(&rows)) {
             self.shared.results.put(key, rows.clone());
         }
         Ok((rows, report))
@@ -708,9 +634,6 @@ pub struct PreparedQuery {
     engine: Arc<EngineShared>,
     plan: Arc<PhysicalPlan>,
     fingerprint: u64,
-    /// Caller-supplied module ([`Session::prepare_module`]); `None` means
-    /// codegen runs (once per catalog version) at execution time.
-    module: Option<Arc<Module>>,
     /// The published compiled state for the newest catalog version built
     /// so far. Warm executions clone the `Arc` and go; they never touch
     /// the build latch.
@@ -797,7 +720,7 @@ impl PreparedQuery {
                 return Ok(s);
             }
         }
-        let built = Arc::new(PreparedState::build(&self.plan, self.module.as_ref(), snap, report)?);
+        let built = Arc::new(PreparedState::build(&self.plan, snap, report)?);
         report.cold_build = true;
         stats.cold_builds.fetch_add(1, Ordering::Relaxed);
         let newer_published = self.state.get().is_some_and(|s| s.catalog_version > version);
@@ -814,7 +737,6 @@ impl PreparedQuery {
 /// them so far) and the scan's pre-filter kernel where it has one.
 struct PreparedState {
     catalog_version: u64,
-    instrs: usize,
     registry: Arc<Registry>,
     tiers: Vec<Arc<TierTable>>,
     /// Each pipeline's vectorized scan pre-filter, beside its tier table:
@@ -859,23 +781,17 @@ fn validate_sources(plan: &PhysicalPlan, cat: &CatalogSnapshot) -> Result<(), Ex
 }
 
 impl PreparedState {
-    /// Cold path: source re-validation, codegen (unless a module was
-    /// supplied), registry resolution — each failure a value, not a panic.
+    /// Cold path: source re-validation, codegen, registry resolution —
+    /// each failure a value, not a panic.
     fn build(
         plan: &PhysicalPlan,
-        module_override: Option<&Arc<Module>>,
         cat: &CatalogSnapshot,
         report: &mut Report,
     ) -> Result<PreparedState, ExecError> {
         validate_sources(plan, cat)?;
         let t0 = Instant::now();
-        let module: Arc<Module> = match module_override {
-            Some(m) => m.clone(),
-            None => Arc::new(codegen::generate(plan, cat)),
-        };
-        if module_override.is_none() {
-            report.codegen = t0.elapsed();
-        }
+        let module = codegen::generate(plan, cat);
+        report.codegen = t0.elapsed();
 
         let registry = Arc::new(
             Registry::for_externs(&module.externs, |name| {
@@ -894,13 +810,7 @@ impl PreparedState {
             .iter()
             .map(|p| ScanKernel::extract(p, cat, plan.param_slot).map(Arc::new))
             .collect();
-        Ok(PreparedState {
-            catalog_version: cat.version(),
-            instrs: module.instruction_count(),
-            registry,
-            tiers,
-            kernels,
-        })
+        Ok(PreparedState { catalog_version: cat.version(), registry, tiers, kernels })
     }
 
     /// The ladder's floor for pipeline `i`: bytecode (translated once,

@@ -56,6 +56,8 @@ pub enum KernelTier {
     /// 128-bit x86-64 baseline: 4×i32, 2×f64; i64 conjuncts run scalar.
     Sse2,
     /// Pure Rust, any target. Also the per-row tail path of the others.
+    /// `detect` picks it only off x86-64.
+    #[cfg_attr(target_arch = "x86_64", allow(dead_code))]
     Scalar,
 }
 
@@ -281,16 +283,6 @@ impl ScanKernel {
             param_slot: if uses_params { param_slot } else { None },
             tier: KernelTier::detect(),
         })
-    }
-
-    /// The tier this kernel evaluates with.
-    pub fn tier(&self) -> KernelTier {
-        self.tier
-    }
-
-    /// Number of vectorized conjuncts (before per-binding resolution).
-    pub fn conjunct_count(&self) -> usize {
-        self.specs.len()
     }
 
     /// Resolve the retained skeleton against the current execution's

@@ -34,9 +34,9 @@ use std::time::{Duration, Instant};
 /// A level's backend as handed out by [`TierTable::get_or_compile`].
 pub struct Claimed {
     pub backend: Arc<dyn PipelineBackend>,
-    /// Wall time of the compile, when this call paid for it. `None` when
-    /// the entry was already filled: there is then no measurement worth
-    /// feeding back into the cost model.
+    /// Wall time of the compile, when this call paid for it (the report's
+    /// `bc_translate` / `upfront_compile`). `None` when the entry was
+    /// already filled and this call compiled nothing.
     pub compiled_in: Option<Duration>,
 }
 

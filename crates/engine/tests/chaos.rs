@@ -11,7 +11,6 @@
 use aqe_baselines::execute_volcano;
 use aqe_engine::exec::{ExecMode, ExecOptions};
 use aqe_engine::plan::{decompose, AggFunc, AggSpec, ArithOp, CmpOp, PExpr, PlanNode};
-use aqe_engine::sched::QUARANTINE_SKIPS;
 use aqe_engine::session::Engine;
 use aqe_storage::{tpch, Catalog};
 use aqe_vm::interp::ExecError;
@@ -140,9 +139,10 @@ fn translation_failure_falls_to_the_ir_walker_behind_the_kernel() {
     }
 }
 
-/// A broken tier is quarantined: after the first failure, the next
-/// `QUARANTINE_SKIPS` executions skip the compile entirely, then a probe
-/// is allowed — and once the fault clears, the probe restores the tier.
+/// A broken tier is quarantined: after a failure, a window of executions
+/// skips the compile entirely, then a probe is allowed. A probe that fails
+/// again re-arms a window of the same length; once the fault clears, the
+/// probe restores the tier.
 #[test]
 fn quarantine_skips_broken_tier_then_probe_recovers() {
     let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -174,20 +174,36 @@ fn quarantine_skips_broken_tier_then_probe_recovers() {
     // One entry per pipeline whose native compile was attempted.
     assert!(engine.quarantine_active() >= 1, "the broken tier is now quarantined");
 
-    // The next QUARANTINE_SKIPS executions never reach the compiler:
-    // they spend the skip budget instead of repeating the failure.
+    // The following executions never reach the compiler: they spend the
+    // skip budget instead of repeating the failure, until one probes.
     let fired_before = aqe_fault::fired("native_compile");
-    for i in 0..QUARANTINE_SKIPS {
+    let mut window = 0;
+    let probe = loop {
         let (res, report) = session.execute_with(&prepared, &opts).unwrap();
-        assert_eq!(res.rows, expect, "skip run {i}");
-        assert_eq!(report.degraded, 0, "skip run {i} attempts no compile");
-        assert!(report.quarantine_skips > 0, "skip run {i} is served from quarantine");
-    }
+        assert_eq!(res.rows, expect, "run {window} after the failure");
+        if report.quarantine_skips == 0 {
+            break report;
+        }
+        assert_eq!(report.degraded, 0, "skip run {window} attempts no compile");
+        window += 1;
+        assert!(window < 1000, "the skip window never ends");
+    };
+    assert!(window >= 1, "a failed tier must be skipped at least once");
     assert_eq!(
-        aqe_fault::fired("native_compile") - fired_before,
-        0,
-        "the quarantined tier must not have been compiled during the skip window"
+        aqe_fault::fired("native_compile"),
+        fired_before + probe.degraded,
+        "only the probe reaches the compiler"
     );
+    assert!(probe.degraded > 0, "the probe compiles, and fails while the fault holds");
+
+    // The failed probe re-armed the quarantine for another window of the
+    // same length.
+    for i in 0..window {
+        let (res, report) = session.execute_with(&prepared, &opts).unwrap();
+        assert_eq!(res.rows, expect, "re-armed skip run {i}");
+        assert_eq!(report.degraded, 0, "re-armed skip run {i} attempts no compile");
+        assert!(report.quarantine_skips > 0, "re-armed skip run {i} is served from quarantine");
+    }
 
     // The fault clears; the skip budget is spent; the probe recompiles
     // and the tier comes back.

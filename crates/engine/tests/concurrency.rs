@@ -415,11 +415,11 @@ fn concurrent_bindings_of_one_prepared_query_never_cross_results() {
     });
 
     // At most one entry per binding can remain, all for the final version.
-    assert!(engine.result_cache_len() <= BINDINGS.len());
+    assert!(engine.cache_stats().entries <= BINDINGS.len());
     engine.with_catalog_mut(|c| {
         c.remove("scratch");
     });
-    assert_eq!(engine.result_cache_len(), 0, "stale binding entries must be purged eagerly");
+    assert_eq!(engine.cache_stats().entries, 0, "stale binding entries must be purged eagerly");
 
     let stats = engine.concurrency();
     assert_eq!(stats.in_flight, 0);
@@ -456,11 +456,11 @@ fn eager_invalidation_under_concurrent_cached_load() {
 
     // Whatever survived the racing inserts is for the final version only;
     // one more mutation must purge all of it, eagerly.
-    assert!(engine.result_cache_len() <= 1);
+    assert!(engine.cache_stats().entries <= 1);
     engine.with_catalog_mut(|c| {
         c.remove("scratch");
     });
-    assert_eq!(engine.result_cache_len(), 0, "stale entries must be purged eagerly");
+    assert_eq!(engine.cache_stats().entries, 0, "stale entries must be purged eagerly");
 
     let cache = engine.cache_stats();
     assert!(cache.insertions >= 1, "the racing load must have populated the cache");

@@ -6,8 +6,8 @@
 //!   morsel loop;
 //! * a catalog mutation bumps the version and invalidates both the cached
 //!   result and the retained code;
-//! * setup failures (bad module, wrong engine) surface as `ExecError`
-//!   values;
+//! * setup failures (a dropped table, a foreign engine) surface as
+//!   `ExecError` values;
 //! * bound executions share one compiled statement across bindings and
 //!   never alias each other's cached rows.
 
@@ -15,8 +15,8 @@ use aqe_engine::exec::{ExecMode, ExecOptions, ParamValue};
 use aqe_engine::plan::{
     decompose, AggFunc, AggSpec, ArithOp, CmpOp, FieldTy, PExpr, PhysicalPlan, PlanNode,
 };
-use aqe_engine::sched::ExecLevel;
 use aqe_engine::session::Engine;
+use aqe_engine::ExecLevel;
 use aqe_storage::{tpch, Catalog, Column, DataType, Table};
 use aqe_vm::interp::ExecError;
 use std::time::Duration;
@@ -167,7 +167,7 @@ fn result_cache_hit_skips_the_morsel_loop() {
     let (rows1, first) = session.execute_with(&prepared, &opts).expect("first run");
     assert!(!first.result_cache_hit);
     assert!(!first.sched.is_empty(), "the first run executes pipelines");
-    assert_eq!(engine.result_cache_len(), 1);
+    assert_eq!(engine.cache_stats().entries, 1);
 
     let (rows2, second) = session.execute_with(&prepared, &opts).expect("cached run");
     assert!(second.result_cache_hit, "identical re-submission must hit");
@@ -194,7 +194,7 @@ fn catalog_mutation_bumps_version_and_invalidates_caches() {
 
     let v0 = engine.catalog_version();
     let (rows1, _) = session.execute_with(&prepared, &opts).expect("first run");
-    assert_eq!(engine.result_cache_len(), 1);
+    assert_eq!(engine.cache_stats().entries, 1);
 
     // An unrelated mutation: the engine cannot know it is unrelated, so
     // everything derived from the old version must go.
@@ -202,37 +202,12 @@ fn catalog_mutation_bumps_version_and_invalidates_caches() {
         c.add(Table::new("tiny", vec![("x", DataType::Int64, Column::I64(vec![1, 2, 3]))]))
     });
     assert!(engine.catalog_version() > v0, "mutation must bump the version");
-    assert_eq!(engine.result_cache_len(), 0, "stale results are purged eagerly");
+    assert_eq!(engine.cache_stats().entries, 0, "stale results are purged eagerly");
 
     let (rows2, after) = session.execute_with(&prepared, &opts).expect("post-mutation run");
     assert!(!after.result_cache_hit, "the old cache entry must not serve the new version");
     assert!(after.codegen > Duration::ZERO, "retained code is stale after a catalog change");
     assert_eq!(rows1.rows, rows2.rows, "the data did not change, only the version");
-}
-
-#[test]
-fn module_override_queries_bypass_the_result_cache() {
-    // A caller-supplied module is only trusted for its own statement: its
-    // rows must never be cached under the plan's fingerprint, where an
-    // honest prepare of the same plan would pick them up.
-    let cat = tpch::generate(0.002);
-    let engine = Engine::new(cat.clone());
-    let session = engine.session();
-    let phys = physical(&cat, &wide_plan(3));
-    let module = aqe_engine::codegen::generate(&phys, &cat);
-    let with_module = session.prepare_module(phys.clone(), module);
-
-    let (_, first) = session.execute(&with_module).expect("module run");
-    assert!(!first.result_cache_hit);
-    assert_eq!(engine.result_cache_len(), 0, "module-override rows must not be cached");
-    let (_, again) = session.execute(&with_module).expect("module re-run");
-    assert!(!again.result_cache_hit, "…nor served from the cache");
-
-    // The honest prepare of the same plan builds its own cached entry.
-    let honest = session.prepare_plan(phys);
-    let (_, h1) = session.execute(&honest).expect("honest run");
-    assert!(!h1.result_cache_hit);
-    assert_eq!(engine.result_cache_len(), 1);
 }
 
 #[test]
@@ -246,25 +221,9 @@ fn prepared_query_rejects_a_foreign_engine() {
 }
 
 #[test]
-fn bad_module_surfaces_as_a_setup_error_not_a_panic() {
-    let cat = tpch::generate(0.001);
-    let engine = Engine::new(cat.clone());
-    let session = engine.session();
-    let phys = physical(&cat, &wide_plan(2));
-    // A module whose extern surface cannot be resolved against the
-    // engine's runtime registry: pre-PR 3 this was an `.expect()` abort.
-    let mut module = aqe_engine::codegen::generate(&phys, &cat);
-    module.declare_extern("no_such_runtime_helper", vec![], None);
-    let prepared = session.prepare_module(phys, module);
-    let err = session.execute(&prepared).unwrap_err();
-    assert!(matches!(err, ExecError::Setup(_)), "got {err:?}");
-}
-
-#[test]
 fn dropping_a_scanned_table_errors_for_plain_prepared_queries_too() {
-    // Same scenario as below but through the codegen path (`prepare`, no
-    // module override): the rebuild after the mutation must fail as a
-    // value before codegen dereferences the missing table.
+    // The rebuild after the mutation must fail as a value before codegen
+    // dereferences the missing table.
     let cat = tpch::generate(0.001);
     let engine = Engine::new(cat);
     let session = engine.session();
@@ -277,51 +236,20 @@ fn dropping_a_scanned_table_errors_for_plain_prepared_queries_too() {
     assert!(matches!(err, ExecError::Setup(_)), "got {err:?}");
 }
 
-#[test]
-fn dropping_a_scanned_table_is_a_setup_error() {
-    let cat = tpch::generate(0.001);
-    let engine = Engine::new(cat.clone());
-    let session = engine.session();
-    // A caller-supplied module is retained across catalog versions, so
-    // execution reaches source resolution — which must fail as a value,
-    // not a panic, once the scanned table is gone.
-    let phys = physical(&cat, &wide_plan(2));
-    let module = aqe_engine::codegen::generate(&phys, &cat);
-    let prepared = session.prepare_module(phys, module);
-    session.execute(&prepared).expect("table still present");
-    engine.with_catalog_mut(|c| {
-        c.remove("lineitem");
-    });
-    let err = session.execute(&prepared).unwrap_err();
-    assert!(matches!(err, ExecError::Setup(_)), "got {err:?}");
-}
-
-/// The one-shot pattern the deprecated `execute_plan`/`execute_module`
-/// shims used to paper over, written out in the session API: a throwaway
-/// engine per call still works, a caller-generated module produces the
-/// same rows as engine codegen, and the module path pays no codegen.
+/// The one-shot pattern written out in the session API: a throwaway
+/// engine per call still works and pays its codegen.
 #[test]
 fn one_shot_execution_through_a_throwaway_engine() {
     let cat = tpch::generate(0.002);
     let phys = physical(&cat, &wide_plan(3));
     let opts = ExecOptions { threads: 1, ..Default::default() };
 
-    let engine = Engine::new(cat.clone());
+    let engine = Engine::new(cat);
     let session = engine.session();
-    let prepared = session.prepare_plan(phys.clone());
+    let prepared = session.prepare_plan(phys);
     let (rows, report) = session.execute_with(&prepared, &opts).expect("one-shot run");
     assert_eq!(rows.row_count(), 1);
     assert!(report.codegen > Duration::ZERO);
-
-    // Stage-timing harnesses generate IR themselves and hand it in;
-    // execution must then charge them nothing for codegen.
-    let module = aqe_engine::codegen::generate(&phys, &cat);
-    let engine2 = Engine::new(cat.clone());
-    let session2 = engine2.session();
-    let with_module = session2.prepare_module(phys, module);
-    let (rows2, report2) = session2.execute_with(&with_module, &opts).expect("module run");
-    assert_eq!(rows.rows, rows2.rows);
-    assert_eq!(report2.codegen, Duration::ZERO, "caller-supplied module pays no codegen");
 }
 
 /// A parameterized variant of [`wide_plan`]: the same wide aggregation,
@@ -379,7 +307,7 @@ fn distinct_bindings_never_alias_a_result_cache_entry() {
         session.execute_bound_with(&prepared, &[ParamValue::I64(1000)], &opts).expect("binding B");
     assert!(!second.result_cache_hit, "a fresh binding must not hit another binding's entry");
     assert_ne!(rows_a.rows, rows_b.rows, "the two bindings must select different rows");
-    assert_eq!(engine.result_cache_len(), 2, "each binding owns its own cache entry");
+    assert_eq!(engine.cache_stats().entries, 2, "each binding owns its own cache entry");
 
     // Re-submitting either binding hits exactly its own entry.
     let (ra, ha) =
@@ -436,14 +364,14 @@ fn catalog_mutation_invalidates_every_binding_of_a_fingerprint() {
         session.execute_bound_with(&prepared, &[ParamValue::I64(2400)], &opts).expect("binding A");
     let (rows_b, _) =
         session.execute_bound_with(&prepared, &[ParamValue::I64(1000)], &opts).expect("binding B");
-    assert_eq!(engine.result_cache_len(), 2);
+    assert_eq!(engine.cache_stats().entries, 2);
 
     // One mutation, all bindings gone: the key's version component means
     // no binding of the old fingerprint can ever be served again.
     engine.with_catalog_mut(|c| {
         c.add(Table::new("tiny", vec![("x", DataType::Int64, Column::I64(vec![1]))]))
     });
-    assert_eq!(engine.result_cache_len(), 0, "every binding's entry must be purged");
+    assert_eq!(engine.cache_stats().entries, 0, "every binding's entry must be purged");
 
     let (ra, after_a) =
         session.execute_bound_with(&prepared, &[ParamValue::I64(2400)], &opts).expect("A again");

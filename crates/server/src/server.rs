@@ -34,7 +34,7 @@ use crate::conn::{Conn, FlushOutcome, QueueOutcome, ReadOutcome};
 use crate::protocol::{DecodeError, ErrorCode, Request, Response};
 use crate::sys::{self, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use aqe_engine::cancel::{CancelKind, CancelToken};
-use aqe_engine::exec::{AdmissionReport, ExecOptions};
+use aqe_engine::exec::ExecOptions;
 use aqe_engine::session::{Engine, ServerCounters, Session};
 use aqe_sql::PreparedStatement;
 use aqe_vm::interp::ExecError;
@@ -63,8 +63,8 @@ pub struct ServerConfig {
     /// (`deadline_ms == 0`). `None` means such requests run unbounded.
     pub default_deadline: Option<Duration>,
     /// Template execution options (mode, per-query threads, morsel
-    /// sizing). The per-request cancel token and admission report are
-    /// installed over this template at dispatch.
+    /// sizing). The per-request cancel token is installed over this
+    /// template at dispatch.
     pub exec: ExecOptions,
     /// Per-connection outbound byte budget. A finished result that would
     /// overflow it is shed with an `ErrorCode::Backpressure` frame; a
@@ -104,7 +104,6 @@ struct Job {
     request_id: u64,
     stmt: Arc<PreparedStatement>,
     params: Vec<aqe_engine::ParamValue>,
-    priority: u8,
     token: CancelToken,
     submitted: Instant,
 }
@@ -113,7 +112,7 @@ struct Job {
 struct Completion {
     conn: u64,
     request_id: u64,
-    result: Result<(aqe_engine::ResultRows, aqe_engine::Report), ExecError>,
+    result: Result<aqe_engine::ResultRows, ExecError>,
     queue_wait: Duration,
     token: CancelToken,
 }
@@ -490,7 +489,6 @@ impl Server {
             request_id,
             stmt,
             params,
-            priority,
             token: token.clone(),
             submitted: Instant::now(),
         };
@@ -681,7 +679,7 @@ impl Server {
 /// Build the protocol answer for a finished execution.
 fn completion_response(c: &Completion) -> Response {
     match &c.result {
-        Ok((rows, _report)) => {
+        Ok(rows) => {
             if !Response::rows_fit(rows.tys.len(), rows.rows.len()) {
                 return Response::Error {
                     request_id: c.request_id,
@@ -733,11 +731,6 @@ fn worker_loop(
         counters.note_active();
         let mut opts = base.clone();
         opts.cancel = job.token.clone();
-        opts.admission = Some(AdmissionReport {
-            queue_wait,
-            priority: job.priority,
-            shed_at_dispatch: counters.shed_total(),
-        });
         // The executor thread is a shared resource serving every future
         // request: a panicking query must not take it down. The engine
         // contains worker-thread panics itself; this boundary catches
@@ -745,7 +738,7 @@ fn worker_loop(
         // and turns it into a typed error on this one request.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             aqe_fault::failpoint("server_worker").map_err(|site| ExecError::Internal { site })?;
-            session.execute_bound_with(&job.stmt.query, &job.params, &opts)
+            session.execute_bound_with(&job.stmt.query, &job.params, &opts).map(|(rows, _)| rows)
         }))
         .unwrap_or_else(|_| Err(ExecError::Internal { site: "server executor".to_string() }));
         counters.note_done();

@@ -38,7 +38,7 @@
 //! See `README.md` for a quickstart and `DESIGN.md`/`EXPERIMENTS.md` for the
 //! system inventory and the per-figure reproduction index.
 
-pub use aqe_engine::exec::{ExecMode, ExecOptions, FunctionHandle};
+pub use aqe_engine::exec::{ExecMode, ExecOptions};
 pub use aqe_engine::session::{Engine, PreparedQuery, Session};
 pub use aqe_vm::backend::PipelineBackend;
 

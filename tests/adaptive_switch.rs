@@ -8,13 +8,16 @@
 //!    modes run bytecode and must still agree), and
 //! 3. with an irresistible optimized-level speedup model, the Fig. 7
 //!    controller climbs straight to optimized machine code mid-query: the
-//!    trace shows morsels on that backend (kind 2) after interpreted ones.
+//!    trace shows morsels on that backend (kind 2) after interpreted ones,
+//!    and
+//! 4. an untraced adaptive run that compiled in the background returns an
+//!    empty trace.
 //!
 //! Every result is checked against `aqe::baselines::execute_volcano`,
 //! which shares no code with the engine but storage and the plan tree.
 //! Without the emitter (`AQE_NATIVE=0`, or off x86-64 Linux) the engine is
-//! bytecode only: there is no switch to observe and tests 1 and 3 return
-//! early.
+//! bytecode only: there is no switch to observe and tests 1, 3 and 4
+//! return early.
 
 use aqe::baselines::execute_volcano;
 use aqe::engine::exec::{ExecMode, ExecOptions, TraceEvent};
@@ -123,6 +126,35 @@ fn adaptive_mode_switches_backend_mid_query() {
         normalized(&rows.rows, phys.output_tys.len(), phys.sorted_output),
         volcano(&cat, &q.root, &phys),
         "adaptive result differs from Volcano"
+    );
+}
+
+#[test]
+fn untraced_adaptive_runs_return_no_trace() {
+    if !emitter() {
+        return;
+    }
+    // The setup of `adaptive_mode_switches_backend_mid_query`, without the
+    // trace: the compile still happens, its event must not be kept.
+    let cat = tpch_data::generate(0.02);
+    let q = synthetic::wide_agg(120);
+    let phys = decompose(&cat, &q.root, vec![]);
+    let mut opts = ExecOptions { mode: ExecMode::Adaptive, threads: 2, ..Default::default() };
+    opts.model.speedup_opt = 6.0;
+    opts.model.speedup_unopt = 3.0;
+    let engine = Engine::new(cat);
+    let session = engine.session();
+    let prepared = session.prepare_plan(phys);
+    let (_, report) = session.execute_with(&prepared, &opts).expect("adaptive execution");
+    assert!(
+        report.background_compiles >= 1,
+        "expected at least one background compilation, got {}",
+        report.background_compiles
+    );
+    assert!(
+        report.trace.is_empty(),
+        "an untraced run returned {} trace events",
+        report.trace.len()
     );
 }
 
