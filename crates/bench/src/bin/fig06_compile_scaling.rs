@@ -1,12 +1,13 @@
 //! Fig. 6 — IR instruction count vs compilation time for the TPC-H and
 //! TPC-DS query corpus (bytecode translation and both machine-code
 //! levels), plus the per-function linear fit `base + per_instr × instrs`
-//! the engine's `CostModel` defaults are taken from (EXPERIMENTS.md),
-//! printed beside those defaults.
+//! of each level that the engine's `CostModel` defaults are taken from
+//! (EXPERIMENTS.md), printed beside those defaults.
 
 use aqe_bench::{bytecode_translate_time, ms, native_compile_time};
 use aqe_jit::compile::OptLevel;
 use aqe_jit::native::compile_native_at;
+use aqe_vm::translate::translate;
 use std::time::Instant;
 
 /// (IR instructions, best-of-5 compile seconds) of one worker function.
@@ -33,7 +34,7 @@ fn main() {
         "query", "instrs", "bc[ms]", "unopt[ms]", "opt[ms]"
     );
     // Per-function points of the benchmark corpora, per level, for the fit.
-    let mut points: [Vec<Point>; 2] = Default::default();
+    let mut points: [Vec<Point>; 3] = Default::default();
     let mut run = |name: &str, cat: &aqe_storage::Catalog, q: &aqe_queries::Query, fitted: bool| {
         let phys = aqe_engine::plan::decompose(cat, &q.root, q.dicts.clone());
         let module = aqe_engine::codegen::generate(&phys, cat);
@@ -48,14 +49,24 @@ fn main() {
         if !fitted {
             return;
         }
-        for (level, points) in
-            [OptLevel::Unoptimized, OptLevel::Optimized].into_iter().zip(&mut points)
+        for (level, points) in [None, Some(OptLevel::Unoptimized), Some(OptLevel::Optimized)]
+            .into_iter()
+            .zip(&mut points)
         {
             for f in &module.functions {
                 let best = (0..5)
                     .map(|_| {
                         let t = Instant::now();
-                        compile_native_at(f, &module.externs, level).expect("native compile");
+                        match level {
+                            None => drop(
+                                translate(f, &module.externs, Default::default())
+                                    .expect("bytecode translation"),
+                            ),
+                            Some(level) => drop(
+                                compile_native_at(f, &module.externs, level)
+                                    .expect("native compile"),
+                            ),
+                        }
                         t.elapsed().as_secs_f64()
                     })
                     .fold(f64::INFINITY, f64::min);
@@ -79,8 +90,11 @@ fn main() {
     // The committed constants the controller decides with, printed beside
     // the fresh fit so a reader sees how far this machine is from them.
     let model = aqe_engine::CostModel::default();
-    let committed =
-        [(model.unopt_base_s, model.unopt_per_instr_s), (model.opt_base_s, model.opt_per_instr_s)];
+    let committed = [
+        (model.bc_base_s, model.bc_per_instr_s),
+        (model.unopt_base_s, model.unopt_per_instr_s),
+        (model.opt_base_s, model.opt_per_instr_s),
+    ];
     println!("\n# per-function least-squares fit over the TPC-H + TPC-DS worker functions");
     println!("# (model = the committed CostModel::default() constants)");
     println!(
@@ -94,7 +108,7 @@ fn main() {
         "model per-instr[us]"
     );
     for ((label, points), (model_base, model_per)) in
-        ["unopt", "opt"].into_iter().zip(&points).zip(committed)
+        ["bc", "unopt", "opt"].into_iter().zip(&points).zip(committed)
     {
         let (base, per, r2) = fit(points);
         println!(

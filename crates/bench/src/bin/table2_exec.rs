@@ -1,8 +1,9 @@
 //! Table II — execution times (ms) of TPC-H queries at 1 and N threads for
 //! the Volcano baseline ("PG"), the vectorized baseline ("Monet"), and the
 //! three compiled-engine modes (bytecode, unoptimized and optimized machine
-//! code); plus the §V-D geometric-mean speedup ratios, beside the
-//! `CostModel` speedups fitted from them.
+//! code); plus the §V-D geometric-mean speedup ratios and the bytecode
+//! cost per scanned row per IR instruction, beside the `CostModel`
+//! constants fitted from them.
 
 use aqe_bench::{env_or, geomean, ms, physical, run_mode};
 use aqe_engine::exec::ExecMode;
@@ -20,6 +21,9 @@ fn main() {
         "query", "volcano", "vector", "bc.", "unopt.", "opt.", "bc/T", "unopt/T", "opt/T"
     );
     let mut cols: [Vec<f64>; 8] = Default::default();
+    // Per query, single-threaded bytecode seconds per (scanned row × IR
+    // instruction), summed over its pipelines.
+    let mut bc_row_instr = Vec::new();
     for (qi, q) in queries.iter().enumerate() {
         let phys = physical(&cat, q);
         let t = Instant::now();
@@ -33,6 +37,20 @@ fn main() {
         for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native] {
             let (_, report, _) = run_mode(&cat, &phys, mode, 1, false);
             row.push(ms(report.exec));
+            if mode == ExecMode::Bytecode {
+                let module = aqe_engine::codegen::generate(&phys, &cat);
+                let work: f64 = report
+                    .sched
+                    .iter()
+                    .map(|s| {
+                        s.total_rows as f64
+                            * module.functions[s.pipeline].instruction_count() as f64
+                    })
+                    .sum();
+                if work > 0.0 {
+                    bc_row_instr.push(report.exec.as_secs_f64() / work);
+                }
+            }
         }
         for mode in [ExecMode::Bytecode, ExecMode::NativeUnopt, ExecMode::Native] {
             let (_, report, _) = run_mode(&cat, &phys, mode, threads, false);
@@ -68,5 +86,10 @@ fn main() {
         model.speedup_opt
     );
     println!("  bytecode vs volcano     : {:.2}x faster", g[0] / g[2]);
+    println!(
+        "  bytecode per row·instr  : {:.3} ns (CostModel bc_row_instr_s {:.3} ns)",
+        geomean(&bc_row_instr) * 1e9,
+        model.bc_row_instr_s * 1e9
+    );
     println!("  (paper: 3.6x, 5.0x, 2.1x — see EXPERIMENTS.md for discussion)");
 }

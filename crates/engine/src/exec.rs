@@ -8,6 +8,17 @@
 //! other threads continue the interpreted execution. Once compilation is
 //! finished, all threads quickly switch to the compiled machine code."
 //!
+//! Deviation (DESIGN.md §2): that start rests on bytecode translation
+//! being almost free (Fig. 2). With this emitter it costs about half an
+//! unoptimized compile (Fig. 6), so a cold adaptive pipeline does not
+//! start on bytecode by default. When it starts, its row count is known
+//! exactly, and the cost model prices the whole run at every level with
+//! nothing built yet (`sched::controller::plan_pipeline_start`). A cheap
+//! winner is built before the first morsel. A costly one is compiled in
+//! the background from t = 0 while the pipeline starts on bytecode, as in
+//! the paper. A pipeline is translated to bytecode only when it starts on
+//! bytecode or falls to it. From there on the controller only climbs.
+//!
 //! The *scheduling* half of that loop — who runs which rows, how progress
 //! is observed, and when the controller compiles — lives in the crate's
 //! `sched` module; this module owns the per-query state, the handle
@@ -17,13 +28,14 @@ use crate::cancel::CancelToken;
 use crate::plan::{FieldTy, PhysicalPlan, Sink, Source};
 use crate::runtime::{merge_agg_tables, sort_rows, JoinHt, WorkerRt};
 use crate::sched::{
-    AdaptiveController, ControllerCtx, CostModel, ExecLevel, MorselDispenser, PipelineProgress,
-    PipelineQuarantine, PipelineSchedReport,
+    plan_pipeline_start, AdaptiveController, ControllerCtx, CostModel, ExecLevel, MorselDispenser,
+    PipelineProgress, PipelineQuarantine, PipelineSchedReport,
 };
 use crate::simd::ScanKernel;
 use crate::tiers::TierTable;
 use aqe_storage::CatalogSnapshot;
 use aqe_vm::interp::{ExecError, Frame};
+use aqe_vm::naive::NaiveBackend;
 use aqe_vm::rt::Registry;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -141,7 +153,8 @@ pub struct TraceEvent {
     pub pipeline: u16,
     /// [`ExecLevel`] of the backend the morsel ran on, as its index —
     /// 0 = interpreted, 1 = unoptimized machine code, 2 = optimized
-    /// machine code — or 255 for a background compilation.
+    /// machine code — or 255 for a compilation: a background one, or an
+    /// adaptive pipeline's synchronous start compile.
     pub kind: u8,
     pub start_us: u64,
     pub end_us: u64,
@@ -157,17 +170,22 @@ pub struct Report {
     /// Wall time spent generating IR for this execution.
     /// `Duration::ZERO` on a warm prepared-query re-execution.
     pub codegen: Duration,
-    /// Wall time spent translating IR to bytecode for this execution.
-    /// `Duration::ZERO` on a warm prepared-query re-execution.
+    /// Wall time spent translating IR to bytecode for this execution, for
+    /// the pipelines that started on bytecode or fell to it.
+    /// `Duration::ZERO` on a warm prepared-query re-execution, and when
+    /// every pipeline started on machine code.
     pub bc_translate: Duration,
-    /// Up-front compilations (static modes): per pipeline.
+    /// Machine-code compiles paid before a pipeline's first morsel: every
+    /// pipeline's pinned level in a static mode, and a cold adaptive
+    /// pipeline's synchronous start compile.
     pub upfront_compile: Duration,
     pub exec: Duration,
     pub background_compiles: usize,
     /// One event per morsel and per background compile, ordered by thread
     /// and start time. Empty unless [`ExecOptions::trace`] was set.
     pub trace: Vec<TraceEvent>,
-    /// Pipeline labels, by pipeline id (for rendering traces).
+    /// Pipeline labels, by pipeline id (for rendering traces). Empty on a
+    /// result-cache hit, which runs no pipeline (like `sched`).
     pub pipeline_labels: Vec<String>,
     /// Per-pipeline scheduler summaries (morsels, steals, decisions,
     /// compiles).
@@ -318,7 +336,7 @@ impl Default for ExecOptions {
 // ---------------------------------------------------------------------------
 
 /// Everything one query execution needs once its artifacts (registry,
-/// per-pipeline tier tables and handles with their initial backends) have
+/// per-pipeline tier tables and the initial backends known up front) have
 /// been assembled by the session layer.
 pub(crate) struct QueryRun<'a> {
     pub plan: &'a PhysicalPlan,
@@ -326,7 +344,10 @@ pub(crate) struct QueryRun<'a> {
     /// `Arc`s, never a lock held across the morsel loop.
     pub cat: &'a CatalogSnapshot,
     pub registry: &'a Arc<Registry>,
-    pub handles: &'a [Arc<FunctionHandle>],
+    /// Per pipeline, the backend its first morsel runs on: a static mode's
+    /// pinned level, or a warm adaptive pipeline's best. `None` is a cold
+    /// adaptive pipeline, whose start level is chosen when it starts.
+    pub initial: &'a [Option<Arc<dyn PipelineBackend>>],
     /// Per-pipeline tier tables of the prepared query's compiled state:
     /// background compiles fill these, so concurrent executions warm-start
     /// mid-flight.
@@ -342,21 +363,21 @@ pub(crate) struct QueryRun<'a> {
     /// same block.
     pub params: &'a [u64],
     /// Per-pipeline quarantine views (one per pipeline, same indexing as
-    /// `handles`): the controller skips tiers an earlier execution
+    /// `initial`): the controller skips tiers an earlier execution
     /// quarantined and records this run's compile outcomes.
     pub quarantine: &'a [PipelineQuarantine],
 }
 
 /// Run every pipeline of the plan in order through the hot-swap handles:
 /// state assembly, the morsel loops, sink finalisation, and the report's
-/// execution-side fields. Code generation, translation, and up-front
-/// compilation have already happened — this is the part a warm prepared
-/// query repeats on every execution.
+/// execution-side fields. Code generation and the static modes' up-front
+/// compiles have already happened; a cold adaptive pipeline builds its
+/// start level here, when its row count is known.
 pub(crate) fn run_pipelines(
     run: QueryRun<'_>,
     report: &mut Report,
 ) -> Result<ResultRows, ExecError> {
-    let QueryRun { plan, cat, registry, handles, tiers, kernels, opts, params, quarantine } = run;
+    let QueryRun { plan, cat, registry, initial, tiers, kernels, opts, params, quarantine } = run;
 
     // ---- state assembly ---------------------------------------------------
     let mut state = QueryState {
@@ -421,7 +442,7 @@ pub(crate) fn run_pipelines(
 
         let pipeline = PipelineRun {
             pid: p.id,
-            handle: &handles[p.id],
+            initial: initial[p.id].as_ref(),
             tiers: &tiers[p.id],
             kernel: kernels[p.id].as_deref(),
             registry,
@@ -468,7 +489,7 @@ fn plan_max_row_width(plan: &PhysicalPlan) -> usize {
 /// as: build scheduler, spawn workers, finalize controller, run the sink).
 struct PipelineRun<'a> {
     pid: usize,
-    handle: &'a Arc<FunctionHandle>,
+    initial: Option<&'a Arc<dyn PipelineBackend>>,
     tiers: &'a Arc<TierTable>,
     kernel: Option<&'a ScanKernel>,
     registry: &'a Arc<Registry>,
@@ -492,6 +513,13 @@ impl PipelineRun<'_> {
         let opts = self.opts;
         let threads = frames.len();
 
+        // ---- the start level ----------------------------------------------
+        let (backend, start) = match self.initial {
+            Some(b) => (b.clone(), None),
+            None => self.cold_start(threads, report),
+        };
+        let handle = Arc::new(FunctionHandle::new(backend));
+
         // ---- scheduler assembly (see crate::sched) ------------------------
         let dispenser = MorselDispenser::new(
             self.total_rows as u64,
@@ -503,7 +531,7 @@ impl PipelineRun<'_> {
         let controller = AdaptiveController::new(ControllerCtx {
             cancel: opts.cancel.clone(),
             pid: self.pid,
-            handle: self.handle.clone(),
+            handle: handle.clone(),
             tiers: self.tiers.clone(),
             progress: progress.clone(),
             model: opts.model,
@@ -516,6 +544,9 @@ impl PipelineRun<'_> {
             adaptive: opts.mode == ExecMode::Adaptive,
             first_eval: opts.first_eval,
         });
+        if let Some(compile) = start.and_then(|s| s.compile) {
+            controller.compile_at_start(compile);
+        }
 
         let state_ptr = state.slots.as_ptr() as u64;
         // The scan's vectorized pre-filter (see `crate::simd`), resolved
@@ -562,7 +593,7 @@ impl PipelineRun<'_> {
                 let controller = &controller;
                 let failed = &failed;
                 let error = &error;
-                let handle = self.handle;
+                let handle = &handle;
                 let registry = self.registry;
                 let exec_start = self.exec_start;
                 let pid = self.pid;
@@ -586,6 +617,7 @@ impl PipelineRun<'_> {
                         // the level changes, so nothing newer can be missed.
                         let mut backend = handle.load();
                         let mut backend_level = backend.level();
+                        controller.worker_started();
                         loop {
                             if failed.load(Ordering::Relaxed) {
                                 return;
@@ -680,7 +712,8 @@ impl PipelineRun<'_> {
 
         // Joins in-flight compiles (no detached-thread leak: their trace
         // events land before the report is read).
-        let sched = controller.finalize(&dispenser);
+        let mut sched = controller.finalize(&dispenser);
+        sched.compiles_started += start.map_or(0, |s| s.compiles);
         report.degraded += sched.degraded;
         report.quarantine_skips += self.quarantine.skips();
         report.sched.push(sched);
@@ -693,6 +726,41 @@ impl PipelineRun<'_> {
         }
 
         self.finalize_sink(state, &mut worker_rts)
+    }
+
+    /// A cold adaptive pipeline's first backend: the level
+    /// [`plan_pipeline_start`] picks for this run's row count, built
+    /// through the tier table like a static mode's pin
+    /// ([`build_backend`]), its compile timed in `Report::upfront_compile`,
+    /// counted and traced like a background one.
+    fn cold_start(
+        &self,
+        threads: usize,
+        report: &mut Report,
+    ) -> (Arc<dyn PipelineBackend>, Option<ColdStart>) {
+        let opts = self.opts;
+        let plan = plan_pipeline_start(
+            &opts.model,
+            self.tiers.function().instruction_count(),
+            self.total_rows as u64,
+            threads,
+            opts.min_morsel,
+            self.tiers.ceiling(),
+            |level| self.quarantine.blocked(level),
+        );
+        let t_c0 = self.exec_start.elapsed().as_micros() as u64;
+        let built = build_backend(self.tiers, plan.level, self.quarantine, report);
+        if built.compiles > 0 && built.backend.level() > ExecLevel::Interpreted {
+            self.compile_events.lock().push(TraceEvent {
+                thread: u16::MAX,
+                pipeline: self.pid as u16,
+                kind: 255,
+                start_us: t_c0,
+                end_us: self.exec_start.elapsed().as_micros() as u64,
+                tuples: 0,
+            });
+        }
+        (built.backend, Some(ColdStart { compile: plan.compile, compiles: built.compiles }))
     }
 
     /// Pipeline finalize (the "queryStart" host side).
@@ -760,13 +828,88 @@ impl PipelineRun<'_> {
     }
 }
 
+/// What a cold adaptive start did besides picking its backend.
+#[derive(Clone, Copy)]
+struct ColdStart {
+    /// The level to compile in the background from t = 0.
+    compile: Option<ExecLevel>,
+    /// Machine-code compiles paid synchronously (see [`Built::compiles`]).
+    compiles: u64,
+}
+
+/// A pipeline's backend as [`build_backend`] hands it out.
+pub(crate) struct Built {
+    pub backend: Arc<dyn PipelineBackend>,
+    /// Machine-code compiles this call ran, failed ones included. Zero
+    /// when every level it needed was already in the tier table.
+    pub compiles: u64,
+}
+
+/// Pipeline backend at `level`, or the highest rung below it that builds:
+/// capped at what the pipeline can reach here ([`TierTable::ceiling`] —
+/// bytecode without an emitter, which does not count as a degradation),
+/// read from the tier table or compiled into it now (timed in
+/// `Report::upfront_compile`). A compile failure never surfaces: the level
+/// that failed is quarantined via this execution's view, `Report::degraded`
+/// counts it, and the pipeline takes the next rung down; a live quarantine
+/// skips the compile the same way. A backend some run already paid for is
+/// always reused — the quarantine only gates fresh compile attempts.
+///
+/// The floor is bytecode, translated once (timed in
+/// `Report::bc_translate`), degrading to the naive IR walker if
+/// translation itself fails (the walker interprets the function directly
+/// and cannot fail to build) — the bottom rung is unconditional, so no
+/// execution ever dies on a broken translator.
+pub(crate) fn build_backend(
+    tiers: &TierTable,
+    level: ExecLevel,
+    q: &PipelineQuarantine,
+    report: &mut Report,
+) -> Built {
+    let mut compiles = 0;
+    let mut level = level.min(tiers.ceiling());
+    while level > ExecLevel::Interpreted {
+        if let Some(backend) = tiers.get(level) {
+            return Built { backend, compiles };
+        }
+        if !q.blocked(level) {
+            match tiers.get_or_compile(level) {
+                Ok(claimed) => {
+                    if let Some(t) = claimed.compiled_in {
+                        report.upfront_compile += t;
+                        compiles += 1;
+                    }
+                    q.record_success(level);
+                    return Built { backend: claimed.backend, compiles };
+                }
+                Err(_) => {
+                    q.record_failure(level);
+                    report.degraded += 1;
+                    compiles += 1;
+                }
+            }
+        }
+        level = level.below().unwrap_or(ExecLevel::Interpreted);
+    }
+    let backend = match tiers.get_or_compile(ExecLevel::Interpreted) {
+        Ok(bc) => {
+            report.bc_translate += bc.compiled_in.unwrap_or_default();
+            bc.backend
+        }
+        Err(_) => {
+            report.degraded += 1;
+            Arc::new(NaiveBackend::new(tiers.function().clone()))
+        }
+    };
+    Built { backend, compiles }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use aqe_ir::Function;
     use aqe_jit::compile::OptLevel;
     use aqe_jit::native::compile_native_at;
-    use aqe_vm::naive::NaiveBackend;
     use aqe_vm::translate::{translate, TranslateOptions};
 
     fn identity_function() -> Function {

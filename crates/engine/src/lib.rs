@@ -1,8 +1,9 @@
 //! # aqe-engine — adaptive execution of compiled queries (the paper's §III)
 //!
 //! The core crate of this reproduction: a compiling, morsel-driven query
-//! engine whose pipelines start in the bytecode interpreter and adaptively
-//! switch to compiled code based on observed progress.
+//! engine whose pipelines start at the level a cost model picks for their
+//! row count and adaptively switch to compiled code based on observed
+//! progress.
 //!
 //! * [`plan`] — physical plans, their decomposition into pipelines, and
 //!   the stable [`plan::PhysicalPlan::fingerprint`] cache identity;

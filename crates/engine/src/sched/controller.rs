@@ -8,10 +8,12 @@
 //! results are read — no leaks, no lost trace events.
 //!
 //! The controller decides with exactly the [`CostModel`] it was given
-//! (`ExecOptions::model`). Its six constants are fitted once from Fig. 6
+//! (`ExecOptions::model`). Its nine constants are fitted once from Fig. 6
 //! and Table II (EXPERIMENTS.md) and are not adjusted at run time, so a
 //! decision is a pure function of (model, instrs, n, w, r0, level):
-//! [`extrapolate_pipeline_durations`].
+//! [`extrapolate_pipeline_durations`]. The same frontier, evaluated with
+//! nothing built yet, picks the level a cold pipeline starts on
+//! ([`plan_pipeline_start`]).
 //!
 //! [`maybe_decide`]: AdaptiveController::maybe_decide
 //! [`finalize`]: AdaptiveController::finalize
@@ -24,21 +26,30 @@ use crate::sched::quarantine::PipelineQuarantine;
 use crate::tiers::TierTable;
 use aqe_vm::backend::ExecLevel;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The empirical model behind Fig. 7's `ctime(f)` and `speedup(f)`: compile
-/// time is linear in IR instruction count (Fig. 6: "the number of LLVM
-/// instructions of a query correlates very well with its compilation
-/// time"); speedups are global empirical factors (§V-D).
+/// The empirical model behind Fig. 7's `ctime(f)` and `speedup(f)`: the
+/// time to build a level is linear in IR instruction count (Fig. 6: "the
+/// number of LLVM instructions of a query correlates very well with its
+/// compilation time") — bytecode translation included, since on this
+/// emitter it costs about half an unoptimized compile; speedups are
+/// global empirical factors (§V-D), and one constant prices bytecode
+/// execution itself, so a pipeline's whole run can be priced at every
+/// level before its first row.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
+    pub bc_base_s: f64,
+    pub bc_per_instr_s: f64,
     pub unopt_base_s: f64,
     pub unopt_per_instr_s: f64,
     pub opt_base_s: f64,
     pub opt_per_instr_s: f64,
+    /// Bytecode execution time per scanned row per IR instruction of the
+    /// worker function.
+    pub bc_row_instr_s: f64,
     /// Execution speedup of unoptimized and optimized machine code over
     /// bytecode, per scanned row. A scan's pre-filter runs in front of
     /// every level alike, so it cancels out of these ratios.
@@ -53,22 +64,26 @@ impl Default for CostModel {
         // table and procedure in EXPERIMENTS.md. Both binaries print these
         // constants next to their fresh measurements.
         CostModel {
-            unopt_base_s: 6.9e-6,
-            unopt_per_instr_s: 0.13e-6,
-            opt_base_s: 8.8e-6,
-            opt_per_instr_s: 0.60e-6,
-            speedup_unopt: 3.0,
-            speedup_opt: 3.3,
+            bc_base_s: 1.7e-6,
+            bc_per_instr_s: 0.185e-6,
+            unopt_base_s: 15.0e-6,
+            unopt_per_instr_s: 0.28e-6,
+            opt_base_s: 16.2e-6,
+            opt_per_instr_s: 1.36e-6,
+            bc_row_instr_s: 0.84e-9,
+            speedup_unopt: 2.8,
+            speedup_opt: 3.05,
         }
     }
 }
 
 impl CostModel {
-    /// Modelled compile time for reaching `level` (zero for the level the
-    /// engine starts at — interpretation needs no compilation).
+    /// Modelled time to build `level`'s backend from the worker function:
+    /// bytecode translation for `Interpreted`, a machine-code compile for
+    /// the two compiled levels.
     pub fn ctime(&self, level: ExecLevel, instrs: usize) -> f64 {
         let (base, per) = match level {
-            ExecLevel::Interpreted => return 0.0,
+            ExecLevel::Interpreted => (self.bc_base_s, self.bc_per_instr_s),
             ExecLevel::Unoptimized => (self.unopt_base_s, self.unopt_per_instr_s),
             ExecLevel::Optimized => (self.opt_base_s, self.opt_per_instr_s),
         };
@@ -83,28 +98,52 @@ impl CostModel {
             ExecLevel::Optimized => self.speedup_opt,
         }
     }
+
+    /// Modelled bytecode seconds per scanned row of a worker function of
+    /// `instrs` IR instructions, on one thread.
+    pub fn bc_row_s(&self, instrs: usize) -> f64 {
+        self.bc_row_instr_s * instrs as f64
+    }
 }
 
 /// `extrapolatePipelineDurations` (Fig. 7, verbatim structure): given the
-/// remaining tuples `n`, the number of active workers `w`, the observed
-/// current processing rate `r0` (tuples/s per thread), the model, and the
-/// level the pipeline is *currently* executing at, pick the level to
-/// compile to — or `None` to keep going as is.
+/// remaining tuples `n`, the number of active workers `w`, the current
+/// processing rate `r0` (tuples/s per thread), the model, and the level
+/// the pipeline is *currently* executing at, pick the level to compile
+/// to — or `None` to keep going as is.
 ///
 /// A compilation level is only a candidate when it lies strictly above
 /// `current` — the hot-swap handle refuses downgrades, so proposing the
 /// current level or below would waste the (single) compile slot — and at
 /// or below `ceiling`, the highest level the pipeline can reach in this
 /// process ([`TierTable::ceiling`]).
+///
+/// `current = None` is the frontier before anything is built: `r0` is
+/// then the modelled bytecode rate, every level up to `ceiling` is a
+/// candidate (bytecode too, at the price of its translation), no worker
+/// runs while the winner is built, and the answer is always a level.
 pub fn extrapolate_pipeline_durations(
     model: &CostModel,
     instrs: usize,
     n: f64,
     w: f64,
     r0: f64,
-    current: ExecLevel,
+    current: Option<ExecLevel>,
     ceiling: ExecLevel,
 ) -> Option<ExecLevel> {
+    let Some(current) = current else {
+        let mut best = (f64::INFINITY, ExecLevel::Interpreted);
+        for cand in (0..ExecLevel::COUNT as u8).map(ExecLevel::from_index) {
+            if cand > ceiling {
+                break;
+            }
+            let t = model.ctime(cand, instrs) + n / (r0 * model.speedup(cand)) / w;
+            if t < best.0 {
+                best = (t, cand);
+            }
+        }
+        return Some(best.1);
+    };
     if r0 <= 0.0 || n <= 0.0 {
         return None;
     }
@@ -126,12 +165,68 @@ pub fn extrapolate_pipeline_durations(
     best.1
 }
 
+/// How a cold pipeline starts (see [`plan_pipeline_start`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PipelineStart {
+    /// The level built synchronously before the first morsel.
+    pub level: ExecLevel,
+    /// The frontier's winner, compiled in the background from t = 0
+    /// because it costs more to build than the pipeline should wait.
+    pub compile: Option<ExecLevel>,
+}
+
+/// Fig. 7 at pipeline start: `n` rows are known exactly and nothing is
+/// built, so the frontier ([`extrapolate_pipeline_durations`] with
+/// `current = None`) prices the whole run at every level up to `ceiling`.
+/// A winner that `blocked` (the execution's quarantine view) refuses
+/// falls one rung at a time, bytecode last. A winner that builds in less
+/// than one `min_morsel` of bytecode work is built synchronously. A
+/// costlier one is compiled in the background from t = 0, and the
+/// pipeline starts on the cheapest run among the levels below it that do
+/// build that fast — bytecode at least. A pipeline with no rows starts
+/// on bytecode.
+pub fn plan_pipeline_start(
+    model: &CostModel,
+    instrs: usize,
+    n: u64,
+    w: usize,
+    min_morsel: usize,
+    ceiling: ExecLevel,
+    blocked: impl Fn(ExecLevel) -> bool,
+) -> PipelineStart {
+    let row_s = model.bc_row_s(instrs);
+    let frontier = |top: ExecLevel| {
+        let r0 = 1.0 / row_s;
+        let w = w.max(1) as f64;
+        let best = extrapolate_pipeline_durations(model, instrs, n as f64, w, r0, None, top);
+        let mut level = best.unwrap_or(ExecLevel::Interpreted);
+        while let Some(lower) = level.below().filter(|_| blocked(level)) {
+            level = lower;
+        }
+        level
+    };
+    if n == 0 {
+        return PipelineStart { level: ExecLevel::Interpreted, compile: None };
+    }
+    let winner = frontier(ceiling);
+    let mut top = winner;
+    while let Some(lower) =
+        top.below().filter(|_| model.ctime(top, instrs) >= min_morsel as f64 * row_s)
+    {
+        top = lower;
+    }
+    let level = if top == winner { winner } else { frontier(top) };
+    PipelineStart { level, compile: (winner > level).then_some(winner) }
+}
+
 /// Per-pipeline scheduler summary, surfaced in `Report::sched`.
 #[derive(Clone, Debug)]
 pub struct PipelineSchedReport {
     pub pipeline: usize,
-    /// The [`ExecLevel`] the pipeline's first morsel ran at. Cold queries
-    /// always start [`Interpreted`](ExecLevel::Interpreted); a warm
+    /// The [`ExecLevel`] the pipeline's first morsel ran at. A cold
+    /// adaptive pipeline starts where [`plan_pipeline_start`] puts it for
+    /// its row count — [`Interpreted`](ExecLevel::Interpreted) for little
+    /// work, or while a costly winner compiles in the background; a warm
     /// prepared-query re-execution starts at the highest level a prior run
     /// reached.
     pub start_level: ExecLevel,
@@ -142,6 +237,8 @@ pub struct PipelineSchedReport {
     pub stolen_tuples: u64,
     /// Fig. 7 evaluations performed.
     pub decisions: u64,
+    /// Machine-code compiles this run started: an adaptive pipeline's
+    /// synchronous start compile and its background compiles.
     pub compiles_started: u64,
     /// Rows the scan's vectorized pre-filter proved failing (cleared mask
     /// bits, summed over every morsel). Zero on a pipeline without a scan
@@ -211,6 +308,9 @@ pub struct AdaptiveController {
     deciding: AtomicBool,
     decisions: AtomicU64,
     compiles_started: AtomicU64,
+    /// The start compile [`plan_pipeline_start`] handed over, as a level
+    /// index (`u8::MAX`: none), taken by the first worker to arrive.
+    start_compile: AtomicU8,
     compile_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Failed/panicked background compiles, contained (see
     /// [`PipelineSchedReport::degraded`]). Shared with the compile jobs.
@@ -233,9 +333,28 @@ impl AdaptiveController {
             deciding: AtomicBool::new(false),
             decisions: AtomicU64::new(0),
             compiles_started: AtomicU64::new(0),
+            start_compile: AtomicU8::new(u8::MAX),
             compile_threads: Mutex::new(Vec::new()),
             degraded: Arc::new(AtomicU64::new(0)),
             ctx,
+        }
+    }
+
+    /// Compile `level` in the background as soon as the pipeline's first
+    /// worker starts ([`worker_started`](Self::worker_started)).
+    pub fn compile_at_start(&self, level: ExecLevel) {
+        self.start_compile.store(level as u8, Ordering::Relaxed);
+    }
+
+    /// Called by each worker once, after it loaded the start backend and
+    /// before its first claim: the first one starts the compile handed to
+    /// [`compile_at_start`](Self::compile_at_start). Started from a running
+    /// worker, the compile cannot land before that worker's first morsel,
+    /// so the switch away from the start level is always observable.
+    pub fn worker_started(&self) {
+        let level = self.start_compile.swap(u8::MAX, Ordering::Relaxed);
+        if level != u8::MAX {
+            self.start_compile(ExecLevel::from_index(level));
         }
     }
 
@@ -280,7 +399,7 @@ impl AdaptiveController {
             n,
             w,
             r0,
-            current,
+            Some(current),
             self.ceiling,
         );
         let Some(mut level) = target else { return };
@@ -309,9 +428,18 @@ impl AdaptiveController {
                 return;
             }
         }
+        self.start_compile(level);
+    }
+
+    /// Claim the pipeline's single compile slot and compile `level` on a
+    /// tracked background thread; a no-op while another compile of this
+    /// pipeline is in flight. Fig. 7 calls it mid-run, and a cold start
+    /// at t = 0 for a winner too costly to build before the first morsel.
+    fn start_compile(&self, level: ExecLevel) {
         if !self.ctx.handle.try_begin_compile() {
             return;
         }
+        let progress = &self.ctx.progress;
         // "the thread compiles the worker function and resets all
         // processing rates" — we hand the compile to a background thread
         // (§III: compilation is single-threaded, the other workers keep
@@ -531,7 +659,15 @@ mod tests {
         current: ExecLevel,
         ceiling: ExecLevel,
     ) -> Option<ExecLevel> {
-        extrapolate_pipeline_durations(&CostModel::default(), instrs, n, 4.0, r0, current, ceiling)
+        extrapolate_pipeline_durations(
+            &CostModel::default(),
+            instrs,
+            n,
+            4.0,
+            r0,
+            Some(current),
+            ceiling,
+        )
     }
 
     #[test]
@@ -607,6 +743,11 @@ mod tests {
     /// falls as `n` grows, nothing is proposed from bytecode while the
     /// remaining bytecode time is below the cheapest compile, and every
     /// proposal is an upgrade at or below the ceiling.
+    ///
+    /// The same sweep plans each pipeline's start with a random quarantine:
+    /// the level it runs at once any start compile has landed never falls
+    /// as `n` grows, is never above the ceiling or quarantined, no rows
+    /// start on bytecode, and an `Interpreted` ceiling never compiles.
     #[test]
     fn fig7_frontier_is_monotone_in_remaining_work() {
         use rand::rngs::SmallRng;
@@ -621,26 +762,80 @@ mod tests {
             let r0 = 10f64.powf(4.0 + 4.0 * rng.random_range(0u32..=1_000_000) as f64 / 1e6);
             let current = levels[rng.random_range(0usize..2)];
             let ceiling = levels[rng.random_range(0usize..3)];
+            let quarantined = [false, rng.random_bool(0.25), rng.random_bool(0.25)];
+            let blocked = |level: ExecLevel| quarantined[level as usize];
+            let min_morsel = [64, 1024, 16384][rng.random_range(0usize..3)];
+            let case = |n: f64| format!("instrs={instrs} w={w} r0={r0:.0} n={n:.0} {current:?}");
+            let start = |n: u64| {
+                plan_pipeline_start(&m, instrs, n, w as usize, min_morsel, ceiling, blocked)
+            };
+            let empty = start(0);
+            assert_eq!(empty, PipelineStart { level: ExecLevel::Interpreted, compile: None });
             let mut prev = None;
+            let mut prev_start = empty;
             for k in 0..200 {
                 let n = 10f64.powf(k as f64 / 20.0);
-                let got = extrapolate_pipeline_durations(&m, instrs, n, w, r0, current, ceiling);
-                let case = || format!("instrs={instrs} w={w} r0={r0:.0} n={n:.0} {current:?}");
-                assert!(got >= prev, "proposal fell from {prev:?} to {got:?}: {}", case());
+                let got =
+                    extrapolate_pipeline_durations(&m, instrs, n, w, r0, Some(current), ceiling);
+                assert!(got >= prev, "proposal fell from {prev:?} to {got:?}: {}", case(n));
                 if current == ExecLevel::Interpreted
                     && n / (r0 * w) < m.ctime(ExecLevel::Unoptimized, instrs)
                 {
-                    assert_eq!(got, None, "compile proposed before it can pay: {}", case());
+                    assert_eq!(got, None, "compile proposed before it can pay: {}", case(n));
                 }
                 if let Some(level) = got {
                     assert!(
                         level > current && level <= ceiling,
                         "{level:?} proposed under ceiling {ceiling:?}: {}",
-                        case()
+                        case(n)
                     );
                 }
                 prev = got;
+
+                let s = start(n as u64);
+                let target = s.compile.unwrap_or(s.level);
+                let prev_target = prev_start.compile.unwrap_or(prev_start.level);
+                assert!(
+                    s.level >= prev_start.level && target >= prev_target,
+                    "start fell from {prev_start:?} to {s:?}: {}",
+                    case(n)
+                );
+                for level in [s.level, target] {
+                    assert!(level <= ceiling && !blocked(level), "{s:?} under {ceiling:?}");
+                }
+                assert!(s.compile.is_none_or(|c| c > s.level), "{s:?}: {}", case(n));
+                if ceiling == ExecLevel::Interpreted {
+                    assert_eq!(s, empty, "a bytecode-only process compiled: {}", case(n));
+                }
+                prev_start = s;
             }
         }
+    }
+
+    #[test]
+    fn pipeline_start_builds_cheap_winners_and_compiles_costly_ones_in_the_background() {
+        use ExecLevel::{Interpreted, Optimized, Unoptimized};
+        // A 200-instruction worker function on two threads, default model.
+        let m = CostModel::default();
+        let plan = |n, min_morsel, blocked: &dyn Fn(ExecLevel) -> bool| {
+            plan_pipeline_start(&m, 200, n, 2, min_morsel, Optimized, blocked)
+        };
+        let open = |_| false;
+        let start = |level, compile| PipelineStart { level, compile };
+        // A handful of rows: translating beats any compile.
+        assert_eq!(plan(10, 1024, &open), start(Interpreted, None));
+        // Enough rows for the unoptimized compile to pay, and it builds in
+        // less than one morsel of bytecode work: synchronously.
+        assert_eq!(plan(10_000, 1024, &open), start(Unoptimized, None));
+        // Millions of rows: the optimized level wins but takes longer to
+        // build than a morsel — compiled from t = 0 while the pipeline
+        // runs unoptimized code, which does build that fast…
+        assert!(m.ctime(Optimized, 200) > 1024.0 * m.bc_row_s(200));
+        assert_eq!(plan(50_000_000, 1024, &open), start(Unoptimized, Some(Optimized)));
+        // …and on bytecode when morsels are too small for any compile.
+        assert_eq!(plan(50_000_000, 64, &open), start(Interpreted, Some(Optimized)));
+        // A quarantined winner falls one rung.
+        let no_opt = |l| l == Optimized;
+        assert_eq!(plan(50_000_000, 1024, &no_opt), start(Unoptimized, None));
     }
 }

@@ -6,8 +6,9 @@
 //! * [`progress`] — lock-free per-worker [`WorkerProgress`] counters
 //!   aggregated into the pipeline rate the controller extrapolates from;
 //! * [`controller`] — the [`AdaptiveController`] owning the Fig. 7 loop
-//!   (poll cadence, [`extrapolate_pipeline_durations`] over the six
-//!   fitted [`CostModel`] constants, compile claim, trace emission) with
+//!   (poll cadence, [`extrapolate_pipeline_durations`] over the nine
+//!   fitted [`CostModel`] constants, compile claim, trace emission) and
+//!   the same frontier at pipeline start ([`plan_pipeline_start`]), with
 //!   background compiles tracked via `JoinHandle`s and joined before the
 //!   pipeline finalizes;
 //! * [`quarantine`] — the per-fingerprint [`QuarantineStore`] that lets a
@@ -15,6 +16,7 @@
 //!
 //! [`WorkerProgress`]: progress::WorkerProgress
 //! [`extrapolate_pipeline_durations`]: controller::extrapolate_pipeline_durations
+//! [`plan_pipeline_start`]: controller::plan_pipeline_start
 
 pub(crate) mod controller;
 pub(crate) mod morsel;
@@ -22,7 +24,9 @@ pub(crate) mod progress;
 pub(crate) mod quarantine;
 
 pub use aqe_vm::backend::ExecLevel;
-pub use controller::{AdaptiveController, ControllerCtx, CostModel, PipelineSchedReport};
+pub use controller::{
+    plan_pipeline_start, AdaptiveController, ControllerCtx, CostModel, PipelineSchedReport,
+};
 pub use morsel::MorselDispenser;
 pub use progress::PipelineProgress;
 pub use quarantine::{PipelineQuarantine, QuarantineStore};

@@ -16,9 +16,10 @@
 //! * [`PreparedQuery`] — retains, per pipeline, the generated worker
 //!   function and every backend a prior run already translated or
 //!   compiled, so a re-execution skips codegen and translation entirely
-//!   and starts at the highest [`ExecLevel`] previously reached. First runs are still
-//!   governed by the Fig. 7 controller — the ladder is only ever climbed
-//!   once per (prepared query, catalog version).
+//!   and starts at the highest [`ExecLevel`] previously reached. First
+//!   runs are governed by the cost model — a start level chosen when each
+//!   pipeline starts, then the Fig. 7 controller — so the ladder is only
+//!   ever climbed once per (prepared query, catalog version).
 //!
 //! The concurrency discipline is uniform: an execution pins its epoch
 //! (two `Arc` clones) at start and never holds an engine-wide lock across
@@ -35,7 +36,7 @@ pub use cache::CacheStats;
 use crate::cancel::CancelKind;
 use crate::codegen;
 use crate::exec::{
-    run_pipelines, ExecMode, ExecOptions, FunctionHandle, ParamValue, PipelineBackend, QueryRun,
+    build_backend, run_pipelines, ExecMode, ExecOptions, ParamValue, PipelineBackend, QueryRun,
     Report, ResultRows,
 };
 use crate::plan::{decompose, DictTable, FieldTy, PhysicalPlan, PlanNode, Source};
@@ -45,7 +46,6 @@ use crate::tiers::TierTable;
 use aqe_ir::{ExternDecl, Function};
 use aqe_storage::{Catalog, CatalogSnapshot, DataType};
 use aqe_vm::interp::ExecError;
-use aqe_vm::naive::NaiveBackend;
 use aqe_vm::rt::Registry;
 use cache::ResultCache;
 use epoch::EpochCell;
@@ -427,8 +427,10 @@ impl Session {
 
     /// Execute a prepared query.
     ///
-    /// Cold path: generate IR, translate to bytecode, run the Fig. 7
-    /// ladder from the interpreter up. Warm path: reuse the retained
+    /// Cold path: generate IR, then start each pipeline at the level the
+    /// cost model picks for its row count — translating to bytecode only
+    /// where bytecode runs — and let Fig. 7 climb from there. Warm path:
+    /// reuse the retained
     /// module/bytecode/compiled backends (`Report::{codegen,
     /// bc_translate}` are zero) and start every pipeline at the highest
     /// level a prior run reached — **without blocking concurrent warm
@@ -530,11 +532,7 @@ impl Session {
 
         let stats = &self.shared.stats;
         let _in_flight = stats.enter();
-        let mut report = Report {
-            pipeline_labels: plan.pipelines.iter().map(|p| p.label.clone()).collect(),
-            snapshot_version: version,
-            ..Default::default()
-        };
+        let mut report = Report { snapshot_version: version, ..Default::default() };
 
         // Refuse-before-work: a request whose token was poisoned while it
         // waited in an admission queue (or whose deadline expired there)
@@ -559,6 +557,8 @@ impl Session {
             }
         }
 
+        report.pipeline_labels = plan.pipelines.iter().map(|p| p.label.clone()).collect();
+
         // ---- code reuse / (re)generation ---------------------------------
         // Warm executions read the published state epoch-style (an `Arc`
         // clone); only a version change funnels through the cold-compile
@@ -567,17 +567,18 @@ impl Session {
         // Every mode goes through the same hot-swap handles; they differ
         // only in what is installed before execution starts. A warm
         // adaptive run starts from the best backend any prior (or
-        // concurrent!) run compiled; the static modes pin their exact
-        // level, compiling it under the tier-table entry's latch only if
-        // no run did.
+        // concurrent!) run compiled, a cold one at the level its pipeline
+        // start picks; the static modes pin their exact level, compiling
+        // it under the tier-table entry's latch only if no run did.
         // Per-pipeline quarantine views for this execution: tiers whose
         // compiles failed recently are skipped (static modes degrade in
-        // `handles_for`; adaptive mode in the controller), and this
+        // `initial_backends`; adaptive mode at pipeline start and in the
+        // controller), and this
         // run's compile outcomes are recorded back into the store.
         let quarantine: Vec<PipelineQuarantine> = (0..plan.pipelines.len())
             .map(|pid| self.shared.quarantine.pipeline(query.fingerprint, pid))
             .collect();
-        let handles = state.handles_for(opts.mode, &quarantine, &mut report);
+        let initial = state.initial_backends(opts.mode, &quarantine, &mut report);
 
         // ---- the morsel loops ---------------------------------------------
         let run = run_pipelines(
@@ -585,7 +586,7 @@ impl Session {
                 plan,
                 cat: &snap,
                 registry: &state.registry,
-                handles: &handles,
+                initial: &initial,
                 tiers: &state.tiers,
                 kernels: &state.kernels,
                 opts,
@@ -813,92 +814,27 @@ impl PreparedState {
         Ok(PreparedState { catalog_version: cat.version(), registry, tiers, kernels })
     }
 
-    /// The ladder's floor for pipeline `i`: bytecode (translated once,
-    /// timed in `Report::bc_translate`), degrading to the naive IR walker
-    /// if translation itself fails (the walker interprets the module
-    /// directly and cannot fail to build) — the bottom rung is
-    /// unconditional, so no execution ever dies on a broken translator.
-    fn base_backend(&self, i: usize, report: &mut Report) -> Arc<dyn PipelineBackend> {
-        match self.tiers[i].get_or_compile(ExecLevel::Interpreted) {
-            Ok(bc) => {
-                report.bc_translate += bc.compiled_in.unwrap_or_default();
-                bc.backend
-            }
-            Err(_) => {
-                report.degraded += 1;
-                Arc::new(NaiveBackend::new(self.tiers[i].function().clone()))
-            }
-        }
-    }
-
-    /// Fresh per-run hot-swap handles holding each pipeline's initial
-    /// backend for `mode`: the level a static mode pins
-    /// ([`static_backend`](Self::static_backend)), or — adaptive — the best
-    /// backend any prior or concurrently running execution compiled, on
-    /// top of the interpreted floor.
-    fn handles_for(
+    /// Each pipeline's backend for `mode` where it is known before
+    /// execution starts: the level a static mode pins ([`build_backend`]),
+    /// or — adaptive — the best backend any prior or concurrently running
+    /// execution compiled. `None` leaves a cold adaptive pipeline's start
+    /// to the pipeline run, which knows its row count.
+    fn initial_backends(
         &self,
         mode: ExecMode,
         quarantine: &[PipelineQuarantine],
         report: &mut Report,
-    ) -> Vec<Arc<FunctionHandle>> {
-        (0..self.tiers.len())
-            .map(|i| {
-                let pin = |level, report: &mut Report| {
-                    self.static_backend(i, level, &quarantine[i], report)
-                };
-                let backend = match mode {
-                    ExecMode::Bytecode => pin(ExecLevel::Interpreted, report),
-                    ExecMode::NativeUnopt => pin(ExecLevel::Unoptimized, report),
-                    ExecMode::Native => pin(ExecLevel::Optimized, report),
-                    ExecMode::Adaptive => match self.tiers[i].best() {
-                        Some(best) => best,
-                        None => self.base_backend(i, report),
-                    },
-                };
-                Arc::new(FunctionHandle::new(backend))
-            })
+    ) -> Vec<Option<Arc<dyn PipelineBackend>>> {
+        let pin = match mode {
+            ExecMode::Adaptive => return self.tiers.iter().map(|t| t.best()).collect(),
+            ExecMode::Bytecode => ExecLevel::Interpreted,
+            ExecMode::NativeUnopt => ExecLevel::Unoptimized,
+            ExecMode::Native => ExecLevel::Optimized,
+        };
+        self.tiers
+            .iter()
+            .zip(quarantine)
+            .map(|(tiers, q)| Some(build_backend(tiers, pin, q, report).backend))
             .collect()
-    }
-
-    /// Pipeline `i`'s backend for a static mode pinning `level`: the
-    /// highest level at or below it that the pipeline can reach here
-    /// ([`TierTable::ceiling`] — bytecode without an emitter, which does
-    /// not count as a degradation), read from the tier table or compiled into it now
-    /// (timed in `Report::upfront_compile`). A compile failure never
-    /// surfaces: the level that failed is quarantined via this
-    /// execution's view, `Report::degraded` counts it, and the pipeline
-    /// takes the next rung down; a live quarantine skips the compile the
-    /// same way. A backend some run already paid for is always reused —
-    /// the quarantine only gates fresh compile attempts.
-    fn static_backend(
-        &self,
-        i: usize,
-        level: ExecLevel,
-        q: &PipelineQuarantine,
-        report: &mut Report,
-    ) -> Arc<dyn PipelineBackend> {
-        let tiers = &self.tiers[i];
-        let mut level = level.min(tiers.ceiling());
-        while level > ExecLevel::Interpreted {
-            if let Some(b) = tiers.get(level) {
-                return b;
-            }
-            if !q.blocked(level) {
-                match tiers.get_or_compile(level) {
-                    Ok(claimed) => {
-                        report.upfront_compile += claimed.compiled_in.unwrap_or_default();
-                        q.record_success(level);
-                        return claimed.backend;
-                    }
-                    Err(_) => {
-                        q.record_failure(level);
-                        report.degraded += 1;
-                    }
-                }
-            }
-            level = level.below().unwrap_or(ExecLevel::Interpreted);
-        }
-        self.base_backend(i, report)
     }
 }

@@ -12,6 +12,7 @@ use aqe_baselines::execute_volcano;
 use aqe_engine::exec::{ExecMode, ExecOptions};
 use aqe_engine::plan::{decompose, AggFunc, AggSpec, ArithOp, CmpOp, PExpr, PlanNode};
 use aqe_engine::session::Engine;
+use aqe_engine::ExecLevel;
 use aqe_storage::{tpch, Catalog};
 use aqe_vm::interp::ExecError;
 use std::sync::Mutex;
@@ -110,9 +111,10 @@ fn forced_compile_failures_degrade_not_error() {
 
 /// Every bytecode translation fails: a pipeline that needs the interpreted
 /// floor falls to the naive IR walker, never pays a translation, counts
-/// the fall, and still has the scan pre-filter in front of it. Pinned
-/// machine code never needs the floor, so with the emitter those modes
-/// answer without a fall.
+/// the fall, and still has the scan pre-filter in front of it. A pipeline
+/// that starts on machine code — pinned, or picked by the adaptive start —
+/// never needs the floor and answers without a fall; a model that prices
+/// every compile out sends the adaptive scan to the walker too.
 #[test]
 fn translation_failure_falls_to_the_ir_walker_behind_the_kernel() {
     let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -121,19 +123,43 @@ fn translation_failure_falls_to_the_ir_walker_behind_the_kernel() {
     let plan = q6_plan();
     let expect = oracle(&cat, &plan);
 
+    let mut interpreted_only = ExecOptions::default();
+    interpreted_only.model.unopt_base_s = 1.0;
+    interpreted_only.model.opt_base_s = 1.0;
     let _armed = aqe_fault::arm("bc_translate=err", 1).unwrap();
-    for mode in MODES {
+    let runs = MODES
+        .map(|mode| (mode, None))
+        .into_iter()
+        .chain([(ExecMode::Adaptive, Some(interpreted_only.model))]);
+    for (mode, model) in runs {
         for threads in [1, 4] {
-            let (rows, report) = run_once(&cat, &plan, mode, threads)
+            let engine = Engine::new(cat.clone());
+            let session = engine.session();
+            let prepared = session.prepare(&plan, vec![]);
+            let opts = ExecOptions {
+                mode,
+                threads,
+                cache_results: false,
+                model: model.unwrap_or_default(),
+                ..Default::default()
+            };
+            let (res, report) = session
+                .execute_with(&prepared, &opts)
                 .unwrap_or_else(|e| panic!("{mode:?}/{threads} must fall to the walker, got {e}"));
-            assert_eq!(rows, expect, "{mode:?}/{threads} walker result mismatch");
+            assert_eq!(res.rows, expect, "{mode:?}/{threads} walker result mismatch");
             assert_eq!(report.bc_translate, Duration::ZERO, "{mode:?}/{threads} translated");
             assert!(report.sched[0].rows_skipped > 0, "{mode:?}/{threads}: no pre-filter");
+            // Exactly the pipelines that started interpreted fell.
+            let floors =
+                report.sched.iter().filter(|s| s.start_level == ExecLevel::Interpreted).count();
+            assert_eq!(report.degraded, floors as u64, "{mode:?}/{threads}: {:?}", report.sched);
             let compiled = matches!(mode, ExecMode::NativeUnopt | ExecMode::Native);
             if aqe_jit::native::enabled() && compiled {
                 assert_eq!(report.degraded, 0, "{mode:?}/{threads} needs no floor");
-            } else {
-                assert!(report.degraded >= 1, "{mode:?}/{threads} must count its fall");
+            }
+            if model.is_some() || !aqe_jit::native::enabled() {
+                let start = report.sched[0].start_level;
+                assert_eq!(start, ExecLevel::Interpreted, "{mode:?}/{threads}: scan on the walker");
             }
         }
     }

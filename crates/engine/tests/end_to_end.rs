@@ -13,6 +13,7 @@ use aqe_engine::plan::{
     decompose, AggFunc, AggSpec, ArithOp, CmpOp, FieldTy, JoinKind, PExpr, PlanNode, SortKey,
 };
 use aqe_engine::session::Engine;
+use aqe_engine::ExecLevel;
 use aqe_storage::{tpch, Catalog, Column, DataType, Table};
 
 const MODES: [ExecMode; 4] =
@@ -284,7 +285,9 @@ fn overflow_in_generated_code_is_reported() {
 
 #[test]
 fn adaptive_mode_compiles_hot_pipelines_eventually() {
-    // Force compilation to look attractive: zero compile-cost model.
+    // Force compilation to look attractive: zero compile-cost model. The
+    // scan pipeline then starts on optimized machine code, compiled before
+    // its first morsel.
     let cat = tpch::generate(0.05);
     let plan = PlanNode::HashAgg {
         input: Box::new(PlanNode::Scan { table: "lineitem".into(), cols: vec![4], filter: None }),
@@ -311,18 +314,21 @@ fn adaptive_mode_compiles_hot_pipelines_eventually() {
     let prepared = session.prepare_plan(phys);
     let (res, report) = session.execute_with(&prepared, &opts).unwrap();
     assert_eq!(res.row_count(), 1);
+    let compiles: u64 = report.sched.iter().map(|s| s.compiles_started).sum();
+    // The scan's morsels, by backend level.
+    let scan_kinds: std::collections::HashSet<u8> =
+        report.trace.iter().filter(|e| e.pipeline == 0 && e.kind != 255).map(|e| e.kind).collect();
+    assert!(!scan_kinds.is_empty());
     if aqe_jit::native::enabled() {
+        assert!(compiles > 0, "adaptive execution should have compiled at least one pipeline");
         assert!(
-            report.background_compiles > 0,
-            "adaptive execution should have compiled at least one pipeline"
+            scan_kinds.iter().all(|&k| k > ExecLevel::Interpreted as u8),
+            "the hot scan ran interpreted morsels: {scan_kinds:?}"
         );
     } else {
-        assert_eq!(report.background_compiles, 0, "bytecode only: nothing to compile to");
+        assert_eq!(compiles, 0, "bytecode only: nothing to compile to");
+        assert_eq!(report.background_compiles, 0);
     }
-    // The trace must contain morsels in more than one execution mode.
-    let modes: std::collections::HashSet<u8> =
-        report.trace.iter().filter(|e| e.kind != 255).map(|e| e.kind).collect();
-    assert!(!modes.is_empty());
 }
 
 /// A table built to stress the scan kernels: NaN lanes (the repo's NULL

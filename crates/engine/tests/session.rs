@@ -1,7 +1,11 @@
 //! Tests for the long-lived `Engine` / `Session` / `PreparedQuery` API:
 //!
-//! * a warm prepared-query re-execution skips codegen and bytecode
-//!   translation and starts at the `ExecLevel` a prior run reached;
+//! * a cold adaptive pipeline starts at the level the cost model picks for
+//!   its row count, and a synchronous start compile is counted, traced and
+//!   timed like any other compile;
+//! * a warm prepared-query re-execution skips codegen, bytecode
+//!   translation and compilation, and starts at the `ExecLevel` a prior
+//!   run reached;
 //! * a result-cache hit returns identical `ResultRows` without running the
 //!   morsel loop;
 //! * a catalog mutation bumps the version and invalidates both the cached
@@ -61,7 +65,9 @@ fn emitter() -> bool {
     aqe_jit::native::enabled()
 }
 
-/// Options that make the compile decision irresistible and immediate.
+/// Options that make the compile decision irresistible and immediate: with
+/// free compiles, every pipeline that has rows starts on optimized machine
+/// code, built before its first morsel.
 fn eager_adaptive(threads: usize) -> ExecOptions {
     let mut opts = ExecOptions {
         mode: ExecMode::Adaptive,
@@ -94,9 +100,13 @@ fn warm_reexecution_skips_codegen_and_starts_at_reached_level() {
 
     let (rows1, cold) = session.execute_with(&prepared, &opts).expect("cold run");
     assert!(cold.codegen > Duration::ZERO, "cold run pays codegen");
-    assert!(cold.bc_translate > Duration::ZERO, "cold run pays translation");
-    assert_eq!(cold.background_compiles >= 1, emitter(), "the eager model must force a compile");
-    assert!(cold.sched.iter().all(|s| s.start_level == ExecLevel::Interpreted));
+    let compiles: u64 = cold.sched.iter().map(|s| s.compiles_started).sum();
+    assert_eq!(compiles >= 1, emitter(), "the eager model must force a compile");
+    // Translation happens only where bytecode runs: nowhere with the
+    // emitter under this model, everywhere without it.
+    assert_eq!(cold.bc_translate > Duration::ZERO, !emitter(), "cold run translated");
+    let top = if emitter() { ExecLevel::Optimized } else { ExecLevel::Interpreted };
+    assert!(cold.sched.iter().all(|s| s.start_level == top), "{:?}", cold.sched);
 
     // What the first run reached is what the second starts from.
     let levels = prepared.levels();
@@ -109,6 +119,7 @@ fn warm_reexecution_skips_codegen_and_starts_at_reached_level() {
     let (rows2, warm) = session.execute_with(&prepared, &opts).expect("warm run");
     assert_eq!(warm.codegen, Duration::ZERO, "warm run must not regenerate IR");
     assert_eq!(warm.bc_translate, Duration::ZERO, "warm run must not re-translate");
+    assert_eq!(warm.upfront_compile, Duration::ZERO, "warm run must not compile");
     assert!(!warm.result_cache_hit, "caching was disabled; this really executed");
     let starts: Vec<ExecLevel> = warm.sched.iter().map(|s| s.start_level).collect();
     assert_eq!(starts, levels, "warm run starts at the previously reached levels");
@@ -124,6 +135,44 @@ fn warm_reexecution_skips_codegen_and_starts_at_reached_level() {
     assert_eq!(stats.warm_executions, 1);
     assert_eq!(stats.executions_started, 2);
     assert_eq!(stats.in_flight, 0);
+}
+
+#[test]
+fn synchronous_start_compile_is_counted_traced_and_timed() {
+    let cat = tpch::generate(0.01);
+    let engine = Engine::new(cat);
+    let session = engine.session();
+    let prepared = session.prepare(&wide_plan(8), vec![]);
+    let opts = ExecOptions { trace: true, ..eager_adaptive(2) };
+    let (_, report) = session.execute_with(&prepared, &opts).expect("cold run");
+
+    // Nothing runs in the background: every compile of this run happened
+    // before its pipeline's first morsel.
+    assert_eq!(report.background_compiles, 0);
+    let events = |pid: usize, compile: bool| {
+        report
+            .trace
+            .iter()
+            .filter(move |e| e.pipeline as usize == pid && (e.kind == 255) == compile)
+    };
+    for s in &report.sched {
+        let compiled = events(s.pipeline, true).count() as u64;
+        if !emitter() {
+            assert_eq!((s.compiles_started, compiled), (0, 0), "bytecode only: {s:?}");
+            assert_eq!(s.start_level, ExecLevel::Interpreted);
+            continue;
+        }
+        assert_eq!(s.start_level, ExecLevel::Optimized, "{s:?}");
+        assert_eq!(s.compiles_started, 1, "the start compile counts: {s:?}");
+        assert_eq!(compiled, 1, "the start compile is traced: pipeline {}", s.pipeline);
+        let compile = events(s.pipeline, true).next().unwrap();
+        assert!(
+            events(s.pipeline, false).all(|m| m.start_us >= compile.end_us),
+            "a morsel of pipeline {} ran before its start compile ended",
+            s.pipeline
+        );
+    }
+    assert_eq!(report.upfront_compile > Duration::ZERO, emitter(), "the start compile is timed");
 }
 
 #[test]
@@ -331,7 +380,8 @@ fn warm_bound_execution_with_a_fresh_value_pays_no_compilation() {
     let (_, cold) =
         session.execute_bound_with(&prepared, &[ParamValue::I64(2400)], &opts).expect("cold bound");
     assert!(cold.codegen > Duration::ZERO, "the cold binding pays codegen");
-    assert!(cold.bc_translate > Duration::ZERO);
+    let built = if emitter() { cold.upfront_compile } else { cold.bc_translate };
+    assert!(built > Duration::ZERO, "the cold binding builds its start levels");
     let levels = prepared.levels();
     assert_eq!(
         levels.iter().any(|&l| l > ExecLevel::Interpreted),
@@ -346,6 +396,7 @@ fn warm_bound_execution_with_a_fresh_value_pays_no_compilation() {
         session.execute_bound_with(&prepared, &[ParamValue::I64(900)], &opts).expect("warm bound");
     assert_eq!(warm.codegen, Duration::ZERO, "a fresh value must not regenerate IR");
     assert_eq!(warm.bc_translate, Duration::ZERO, "…nor re-translate bytecode");
+    assert_eq!(warm.upfront_compile, Duration::ZERO, "…nor compile");
     assert!(!warm.result_cache_hit, "a fresh value really executes");
     let starts: Vec<ExecLevel> = warm.sched.iter().map(|s| s.start_level).collect();
     assert_eq!(starts, levels, "warm bound run starts at the previously reached levels");

@@ -1,6 +1,7 @@
 //! Watch adaptive execution switch modes mid-pipeline (paper Fig. 14):
-//! runs TPC-H Q11 with tracing enabled and prints every compile event and a
-//! per-thread summary of which execution modes processed morsels.
+//! runs TPC-H Q11 with tracing enabled and prints every compile event (a
+//! pipeline's start compile or a background one) and a summary of which
+//! execution modes processed morsels.
 //!
 //! ```text
 //! cargo run --release --example adaptive_trace
@@ -32,8 +33,20 @@ fn main() {
     }
     println!("\ncompile events:");
     for e in report.trace.iter().filter(|e| e.kind == 255) {
+        // A start compile ends before its pipeline's first morsel begins.
+        let first_morsel = report
+            .trace
+            .iter()
+            .filter(|m| m.pipeline == e.pipeline && m.kind != 255)
+            .map(|m| m.start_us)
+            .min();
+        let how = if first_morsel.is_none_or(|t| e.end_us <= t) {
+            "before its first morsel"
+        } else {
+            "in background"
+        };
         println!(
-            "  pipeline p{} compiled in background: {:.2} ms (at t={:.2} ms)",
+            "  pipeline p{} compiled {how}: {:.2} ms (at t={:.2} ms)",
             e.pipeline,
             (e.end_us - e.start_us) as f64 / 1e3,
             e.start_us as f64 / 1e3

@@ -1,15 +1,16 @@
 //! Engine-level tests for the hot-swap machinery itself:
 //!
 //! 1. a large synthetic query started in `ExecMode::Adaptive` must actually
-//!    *switch* backends mid-pipeline (a background compilation appears in
-//!    the trace and compiled morsels follow interpreted ones), and
+//!    *switch* backends mid-pipeline: its optimized compile outlasts a
+//!    morsel, so the scan starts on a cheaper level, a background
+//!    compilation appears in the trace and optimized morsels follow, and
 //! 2. every one of the four `ExecMode`s produces the `ResultRows` of the
 //!    Volcano engine on a TPC-H subset (without the emitter the compiled
 //!    modes run bytecode and must still agree), and
-//! 3. with an irresistible optimized-level speedup model, the Fig. 7
-//!    controller climbs straight to optimized machine code mid-query: the
-//!    trace shows morsels on that backend (kind 2) after interpreted ones,
-//!    and
+//! 3. with a model under which unoptimized code buys nothing, the scan
+//!    starts interpreted and climbs straight to optimized machine code
+//!    mid-query: the trace shows morsels on that backend (kind 2) after
+//!    interpreted ones and none on unoptimized code, and
 //! 4. an untraced adaptive run that compiled in the background returns an
 //!    empty trace.
 //!
@@ -30,7 +31,6 @@ use aqe::storage::tpch as tpch_data;
 /// Trace kinds (see `TraceEvent::kind`): a morsel's backend level, or a
 /// background compilation.
 const KIND_INTERPRETED: u8 = ExecLevel::Interpreted as u8;
-const KIND_UNOPTIMIZED: u8 = ExecLevel::Unoptimized as u8;
 const KIND_OPTIMIZED: u8 = ExecLevel::Optimized as u8;
 const KIND_COMPILE: u8 = 255;
 
@@ -60,14 +60,31 @@ fn emitter() -> bool {
     aqe::jit::native::enabled()
 }
 
+/// Pipeline `pid`'s morsel levels in execution order, per worker thread.
+fn morsel_kinds_per_thread(trace: &[TraceEvent], pid: u16) -> Vec<Vec<u8>> {
+    let threads: std::collections::BTreeSet<u16> = trace.iter().map(|e| e.thread).collect();
+    threads
+        .into_iter()
+        .map(|tid| {
+            trace
+                .iter()
+                .filter(|e| e.thread == tid && e.pipeline == pid && e.kind != KIND_COMPILE)
+                .map(|e| e.kind)
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn adaptive_mode_switches_backend_mid_query() {
     if !emitter() {
         return;
     }
     // A wide synthetic aggregation: expensive enough per tuple that the
-    // Fig. 7 extrapolation always decides compilation pays off, and long
-    // enough that the background compile lands while morsels remain.
+    // optimized level wins the start decision, and wide enough that its
+    // compile takes longer than a morsel of bytecode work — so it is
+    // compiled in the background while the scan runs on a cheaper level,
+    // and lands while morsels remain.
     let cat = tpch_data::generate(0.02);
     let q = synthetic::wide_agg(120);
     let phys = decompose(&cat, &q.root, vec![]);
@@ -88,37 +105,28 @@ fn adaptive_mode_switches_backend_mid_query() {
         "expected at least one background compilation, got {}",
         report.background_compiles
     );
-    let compiles: Vec<&TraceEvent> =
-        report.trace.iter().filter(|e| e.kind == KIND_COMPILE).collect();
-    assert!(!compiles.is_empty(), "trace must contain a compilation event");
-
-    // The switch must be *observable in executed morsels*: interpreted
-    // morsels first, machine-code (unoptimized or optimized) morsels after
-    // the backend was published into the handle.
-    let morsel_kinds: std::collections::BTreeSet<u8> =
-        report.trace.iter().filter(|e| e.kind != KIND_COMPILE).map(|e| e.kind).collect();
     assert!(
-        morsel_kinds.contains(&KIND_INTERPRETED),
-        "query must start on the bytecode backend, kinds seen: {morsel_kinds:?}"
+        report.trace.iter().any(|e| e.kind == KIND_COMPILE && e.pipeline == 0),
+        "trace must contain the scan's compilation event"
     );
-    assert!(
-        morsel_kinds.contains(&KIND_UNOPTIMIZED) || morsel_kinds.contains(&KIND_OPTIMIZED),
-        "no morsel ran on a compiled backend — no switch happened; \
-         kinds seen: {morsel_kinds:?}"
+
+    // The switch must be *observable in executed morsels* of the scan:
+    // morsels at its start level first, optimized ones after the backend
+    // was published into the handle.
+    let start = report.sched[0].start_level as u8;
+    assert!(start < KIND_OPTIMIZED, "the scan started at {start}");
+    let per_thread = morsel_kinds_per_thread(&report.trace, 0);
+    let kinds: std::collections::BTreeSet<u8> = per_thread.iter().flatten().copied().collect();
+    assert_eq!(
+        kinds,
+        [start, KIND_OPTIMIZED].into(),
+        "the scan must run at its start level, then on optimized code"
     );
 
     // Same thread, backend changes between consecutive morsels: the
     // hot-swap handle picked up the new backend on the very next morsel.
-    let mut per_thread_switches = 0usize;
-    for tid in report.trace.iter().map(|e| e.thread).collect::<std::collections::BTreeSet<_>>() {
-        let kinds: Vec<u8> = report
-            .trace
-            .iter()
-            .filter(|e| e.thread == tid && e.kind != KIND_COMPILE)
-            .map(|e| e.kind)
-            .collect();
-        per_thread_switches += kinds.windows(2).filter(|w| w[0] != w[1]).count();
-    }
+    let per_thread_switches: usize =
+        per_thread.iter().map(|k| k.windows(2).filter(|w| w[0] != w[1]).count()).sum();
     assert!(per_thread_switches >= 1, "at least one worker must switch backends");
 
     // And the switch must not have changed the answer.
@@ -135,7 +143,8 @@ fn untraced_adaptive_runs_return_no_trace() {
         return;
     }
     // The setup of `adaptive_mode_switches_backend_mid_query`, without the
-    // trace: the compile still happens, its event must not be kept.
+    // trace: the background compile still happens, its event must not be
+    // kept.
     let cat = tpch_data::generate(0.02);
     let q = synthetic::wide_agg(120);
     let phys = decompose(&cat, &q.root, vec![]);
@@ -221,18 +230,19 @@ fn adaptive_controller_skips_straight_to_optimized_code() {
     if !emitter() {
         return;
     }
-    // Make the optimized rung irresistible relative to the unoptimized
-    // one: huge modelled optimized speedup, a negligible unoptimized one —
-    // over a wide aggregation there is easily enough remaining work to
-    // amortize the optimized compile cost, so extrapolation picks it
-    // directly.
+    // Make the optimized rung irresistible and the unoptimized one
+    // worthless: unoptimized code runs no faster than bytecode and costs
+    // more to build, so the scan starts interpreted; a huge modelled
+    // optimized speedup over a wide aggregation easily amortizes the
+    // optimized compile, which outlasts a morsel and so runs in the
+    // background from the start.
     let cat = tpch_data::generate(0.02);
     let q = synthetic::wide_agg(120);
     let phys = decompose(&cat, &q.root, vec![]);
 
     let mut opts =
         ExecOptions { mode: ExecMode::Adaptive, threads: 2, trace: true, ..Default::default() };
-    opts.model.speedup_unopt = 1.05;
+    opts.model.speedup_unopt = 1.0;
     opts.model.speedup_opt = 20.0;
     let engine = Engine::new(cat.clone());
     let session = engine.session();
@@ -240,13 +250,13 @@ fn adaptive_controller_skips_straight_to_optimized_code() {
     let (rows, report) = session.execute_with(&prepared, &opts).expect("adaptive execution");
 
     assert!(report.background_compiles >= 1, "a background compile must have landed");
-    let morsel_kinds: std::collections::BTreeSet<u8> =
-        report.trace.iter().filter(|e| e.kind != KIND_COMPILE).map(|e| e.kind).collect();
-    assert!(morsel_kinds.contains(&KIND_INTERPRETED), "query starts interpreted: {morsel_kinds:?}");
-    assert!(
-        morsel_kinds.contains(&KIND_OPTIMIZED),
-        "no morsel ran on optimized machine code — the switch did not happen; \
-         kinds seen: {morsel_kinds:?}"
+    assert_eq!(report.sched[0].start_level, ExecLevel::Interpreted, "the scan starts interpreted");
+    let kinds: std::collections::BTreeSet<u8> =
+        morsel_kinds_per_thread(&report.trace, 0).into_iter().flatten().collect();
+    assert_eq!(
+        kinds,
+        [KIND_INTERPRETED, KIND_OPTIMIZED].into(),
+        "the scan must run interpreted, then optimized, never unoptimized"
     );
 
     // The switch must not change the answer.
