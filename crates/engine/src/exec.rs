@@ -15,9 +15,10 @@
 //! exactly, and the cost model prices the whole run at every level with
 //! nothing built yet (`sched::controller::plan_pipeline_start`). A cheap
 //! winner is built before the first morsel. A costly one is compiled in
-//! the background from t = 0 while the pipeline starts on bytecode, as in
-//! the paper. A pipeline is translated to bytecode only when it starts on
-//! bytecode or falls to it. From there on the controller only climbs.
+//! the background from t = 0 while the pipeline starts on the best level
+//! that builds that fast — bytecode at least, as in the paper. A pipeline
+//! is translated to bytecode only when it starts on bytecode or falls to
+//! it. From there on the controller only climbs.
 //!
 //! The *scheduling* half of that loop — who runs which rows, how progress
 //! is observed, and when the controller compiles — lives in the crate's
@@ -515,7 +516,7 @@ impl PipelineRun<'_> {
 
         // ---- the start level ----------------------------------------------
         let (backend, start) = match self.initial {
-            Some(b) => (b.clone(), None),
+            Some(b) => (b.clone(), ColdStart::default()),
             None => self.cold_start(threads, report),
         };
         let handle = Arc::new(FunctionHandle::new(backend));
@@ -544,7 +545,7 @@ impl PipelineRun<'_> {
             adaptive: opts.mode == ExecMode::Adaptive,
             first_eval: opts.first_eval,
         });
-        if let Some(compile) = start.and_then(|s| s.compile) {
+        if let Some(compile) = start.compile {
             controller.compile_at_start(compile);
         }
 
@@ -713,7 +714,7 @@ impl PipelineRun<'_> {
         // Joins in-flight compiles (no detached-thread leak: their trace
         // events land before the report is read).
         let mut sched = controller.finalize(&dispenser);
-        sched.compiles_started += start.map_or(0, |s| s.compiles);
+        sched.compiles_started += start.compiles;
         report.degraded += sched.degraded;
         report.quarantine_skips += self.quarantine.skips();
         report.sched.push(sched);
@@ -737,7 +738,7 @@ impl PipelineRun<'_> {
         &self,
         threads: usize,
         report: &mut Report,
-    ) -> (Arc<dyn PipelineBackend>, Option<ColdStart>) {
+    ) -> (Arc<dyn PipelineBackend>, ColdStart) {
         let opts = self.opts;
         let plan = plan_pipeline_start(
             &opts.model,
@@ -760,7 +761,7 @@ impl PipelineRun<'_> {
                 tuples: 0,
             });
         }
-        (built.backend, Some(ColdStart { compile: plan.compile, compiles: built.compiles }))
+        (built.backend, ColdStart { compile: plan.compile, compiles: built.compiles })
     }
 
     /// Pipeline finalize (the "queryStart" host side).
@@ -828,8 +829,9 @@ impl PipelineRun<'_> {
     }
 }
 
-/// What a cold adaptive start did besides picking its backend.
-#[derive(Clone, Copy)]
+/// What a cold adaptive start did besides picking its backend (nothing,
+/// by default: a static or warm start only installs what it was given).
+#[derive(Clone, Copy, Default)]
 struct ColdStart {
     /// The level to compile in the background from t = 0.
     compile: Option<ExecLevel>,

@@ -347,8 +347,11 @@ fn adaptive_survives_panicking_compile_jobs() {
     let expect = oracle(&cat, &plan);
 
     let _armed = aqe_fault::arm("compile_job=panic:0.5", 7).unwrap();
-    // Zeroed compile costs make upgrading irresistible, so the
-    // controller keeps launching (and losing) compile jobs all query.
+    // Large modelled speedups make upgrading irresistible, and a fixed
+    // 1 ms compile outlasts a morsel of bytecode work: the scan starts on
+    // bytecode and every compile — the start's and the controller's
+    // climbs — runs as a background job, which keeps launching (and
+    // losing) compile jobs all query.
     let mut opts = ExecOptions {
         mode: ExecMode::Adaptive,
         threads: 2,
@@ -357,9 +360,9 @@ fn adaptive_survives_panicking_compile_jobs() {
         min_morsel: 256,
         ..Default::default()
     };
-    opts.model.unopt_base_s = 0.0;
+    opts.model.unopt_base_s = 1e-3;
     opts.model.unopt_per_instr_s = 0.0;
-    opts.model.opt_base_s = 0.0;
+    opts.model.opt_base_s = 1e-3;
     opts.model.opt_per_instr_s = 0.0;
     opts.model.speedup_opt = 100.0;
     opts.model.speedup_unopt = 50.0;
@@ -368,14 +371,19 @@ fn adaptive_survives_panicking_compile_jobs() {
         let engine = Engine::new(cat.clone());
         let session = engine.session();
         let prepared = session.prepare(&plan, vec![]);
-        let (res, _report) = session.execute_with(&prepared, &opts).expect("adaptive completes");
+        let (res, report) = session.execute_with(&prepared, &opts).expect("adaptive completes");
         assert_eq!(res.rows, expect);
+        if aqe_jit::native::enabled() {
+            assert_eq!(report.upfront_compile, Duration::ZERO, "no compile ran synchronously");
+            assert!(report.sched[0].compiles_started >= 1, "the scan launched a compile job");
+        }
     }
 }
 
-/// The scan pre-filter does not depend on the ladder: the adaptive
-/// controller aims a kernel pipeline at optimized machine code, the compile
-/// fails, and nothing may paper over that — the failure is counted, the
+/// The scan pre-filter does not depend on the ladder: the adaptive start
+/// aims a kernel pipeline at optimized machine code, the compile fails —
+/// and so does the unoptimized rung it falls to — and nothing may paper
+/// over that — the failure is counted, the
 /// level that broke is quarantined — while the pipeline, finishing on
 /// bytecode, still has the kernel skip rows in front of it and returns
 /// exact rows.
@@ -388,8 +396,8 @@ fn adaptive_quarantines_a_failed_compile_and_the_kernel_keeps_skipping() {
     let expect = oracle(&cat, &plan);
 
     let _armed = aqe_fault::arm("native_compile=err", 1).unwrap();
-    // A free optimized compile and a huge modelled speedup: the controller
-    // claims `Optimized` at its first evaluation.
+    // A free optimized compile and a huge modelled speedup: the start
+    // decision builds `Optimized` before the scan's first morsel.
     let mut opts = ExecOptions {
         mode: ExecMode::Adaptive,
         threads: 2,
@@ -410,7 +418,7 @@ fn adaptive_quarantines_a_failed_compile_and_the_kernel_keeps_skipping() {
     assert_eq!(report.background_compiles, 0, "nothing compiled, nothing installed");
     assert!(report.sched[0].rows_skipped > 0, "the scan stayed on bytecode behind its kernel");
     if aqe_jit::native::enabled() {
-        assert!(report.sched[0].compiles_started >= 1, "the controller must have tried");
+        assert!(report.sched[0].compiles_started >= 1, "the start must have tried");
         assert!(report.degraded >= 1, "a failed compile fails the job");
         assert!(engine.quarantine_active() >= 1, "the level that broke is quarantined");
         // The very next static run finds `Optimized` quarantined.
