@@ -224,8 +224,8 @@ pub fn plan_pipeline_start(
 pub struct PipelineSchedReport {
     pub pipeline: usize,
     /// The [`ExecLevel`] the pipeline's first morsel ran at. A cold
-    /// adaptive pipeline starts where [`plan_pipeline_start`] puts it for
-    /// its row count — [`Interpreted`](ExecLevel::Interpreted) for little
+    /// adaptive pipeline starts where the cost model puts it for its row
+    /// count — [`Interpreted`](ExecLevel::Interpreted) for little
     /// work, or while a costly winner compiles in the background; a warm
     /// prepared-query re-execution starts at the highest level a prior run
     /// reached.

@@ -430,11 +430,11 @@ impl Session {
     /// Cold path: generate IR, then start each pipeline at the level the
     /// cost model picks for its row count — translating to bytecode only
     /// where bytecode runs — and let Fig. 7 climb from there. Warm path:
-    /// reuse the retained
-    /// module/bytecode/compiled backends (`Report::{codegen,
-    /// bc_translate}` are zero) and start every pipeline at the highest
-    /// level a prior run reached — **without blocking concurrent warm
-    /// executions of the same query**: the compiled state is read through
+    /// reuse the retained module/bytecode/compiled backends
+    /// (`Report::{codegen, bc_translate}` are zero) and start every
+    /// pipeline at the highest level a prior run reached — **without
+    /// blocking concurrent warm executions of the same query**: the
+    /// compiled state is read through
     /// an epoch cell and the per-pipeline backends through their tier
     /// tables, so the only serialization left is the one-time
     /// cold-compile latch. With `opts.cache_results`, an identical plan over an
@@ -573,8 +573,8 @@ impl Session {
         // Per-pipeline quarantine views for this execution: tiers whose
         // compiles failed recently are skipped (static modes degrade in
         // `initial_backends`; adaptive mode at pipeline start and in the
-        // controller), and this
-        // run's compile outcomes are recorded back into the store.
+        // controller), and this run's compile outcomes are recorded back
+        // into the store.
         let quarantine: Vec<PipelineQuarantine> = (0..plan.pipelines.len())
             .map(|pid| self.shared.quarantine.pipeline(query.fingerprint, pid))
             .collect();
