@@ -43,7 +43,7 @@ fn main() {
             println!("thread {t}: {}", String::from_utf8_lossy(&line));
         }
         let compiles = report.trace.iter().filter(|e| e.kind == 255).count();
-        println!("background compiles: {compiles}; pipelines: {:?}", report.pipeline_labels);
+        println!("compiles: {compiles}; pipelines: {:?}", report.pipeline_labels);
         for s in &report.sched {
             println!(
                 "  p{}: {} morsels, scan pre-filter skipped {} of {} rows",

@@ -10,15 +10,14 @@
 //! the morsel loop checks on every range claim (so a worker stops within
 //! one claim, never mid-morsel with a half-updated aggregate buffer), the
 //! pipeline loop checks between pipelines, and the adaptive controller
-//! checks at its poll cadence so a doomed query stops claiming background
-//! compiles.
+//! checks before each evaluation so a doomed query compiles nothing more.
 //!
 //! Cancellation is an *execution* property, not a *prepared-query*
 //! property: observing a poisoned token surfaces as
 //! [`ExecError::Cancelled`] from that execution only. The prepared
 //! query's retained module, bytecode, compiled backends, and the engine's
 //! result cache are untouched — a subsequent execution of the same
-//! statement runs warm (backends that a background compile published
+//! statement runs warm (backends that a mid-query compile published
 //! before the cancel landed are *kept*; they are paid for and valid).
 //!
 //! [`ExecError::Cancelled`]: aqe_vm::interp::ExecError::Cancelled

@@ -14,11 +14,17 @@
 //! start on bytecode by default. When it starts, its row count is known
 //! exactly, and the cost model prices the whole run at every level with
 //! nothing built yet (`sched::controller::plan_pipeline_start`). A cheap
-//! winner is built before the first morsel. A costly one is compiled in
-//! the background from t = 0 while the pipeline starts on the best level
-//! that builds that fast — bytecode at least, as in the paper. A pipeline
-//! is translated to bytecode only when it starts on bytecode or falls to
-//! it. From there on the controller only climbs.
+//! winner is built before the first morsel. A costly one is compiled by
+//! the first worker to finish a morsel, while the others run on the best
+//! level that builds that fast — bytecode at least, as in the paper. A
+//! pipeline is translated to bytecode only when it starts on bytecode or
+//! falls to it. From there on the controller only climbs.
+//!
+//! Threads: a pipeline runs on its own `threads` workers and nothing else.
+//! Worker 0 is the calling thread; the other `threads − 1` are scoped
+//! threads that end with the pipeline's morsel loop. No compile has a
+//! thread of its own: the worker that decides compiles, as in Fig. 7, and
+//! every build of a backend goes through `compile_step`.
 //!
 //! The *scheduling* half of that loop — who runs which rows, how progress
 //! is observed, and when the controller compiles — lives in the crate's
@@ -33,13 +39,13 @@ use crate::sched::{
     PipelineProgress, PipelineQuarantine, PipelineSchedReport,
 };
 use crate::simd::ScanKernel;
-use crate::tiers::TierTable;
+use crate::tiers::{Claimed, TierTable};
 use aqe_storage::CatalogSnapshot;
 use aqe_vm::interp::{ExecError, Frame};
 use aqe_vm::naive::NaiveBackend;
 use aqe_vm::rt::Registry;
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,10 +68,10 @@ pub use aqe_vm::backend::{ExecMode, PipelineBackend};
 /// The handle holds exactly one `Arc<dyn PipelineBackend>` — the *current*
 /// executable representation of the worker function. Workers [`load`] it
 /// once per morsel and call through it without knowing (or branching on)
-/// which backend it is; a background compilation publishes a better
-/// representation with [`install`], and every worker picks it up on its
-/// next morsel. Swaps are monotonic in [`ExecLevel`], so execution only
-/// ever upgrades.
+/// which backend it is; the worker that compiles a better representation
+/// publishes it with [`install`], and every worker picks it up on its next
+/// morsel. Swaps are monotonic in [`ExecLevel`], so execution only ever
+/// upgrades.
 ///
 /// [`load`]: FunctionHandle::load
 /// [`install`]: FunctionHandle::install
@@ -79,24 +85,12 @@ pub(crate) struct FunctionHandle {
     /// Cached `level() as u8` of the current backend; workers and the
     /// adaptive controller poll this without touching the lock.
     level: AtomicU8,
-    /// A compilation is in flight: set by [`try_begin_compile`], cleared
-    /// only by the claimant's [`end_compile`] — never by [`install`],
-    /// which anyone may call.
-    ///
-    /// [`try_begin_compile`]: FunctionHandle::try_begin_compile
-    /// [`end_compile`]: FunctionHandle::end_compile
-    /// [`install`]: FunctionHandle::install
-    compiling: AtomicBool,
 }
 
 impl FunctionHandle {
     pub fn new(initial: Arc<dyn PipelineBackend>) -> Self {
         let level = initial.level() as u8;
-        FunctionHandle {
-            current: RwLock::new(initial),
-            level: AtomicU8::new(level),
-            compiling: AtomicBool::new(false),
-        }
+        FunctionHandle { current: RwLock::new(initial), level: AtomicU8::new(level) }
     }
 
     /// The function-pointer read of Fig. 5: the backend to run the next
@@ -111,10 +105,7 @@ impl FunctionHandle {
     }
 
     /// Atomically publish `backend` if its level is above the current one.
-    /// Returns whether the swap happened. Publishing is all it does: a
-    /// compile claim stays with its claimant, so installing a backend some
-    /// other execution compiled cannot free the slot under a compile of
-    /// this pipeline's own that is still in flight.
+    /// Returns whether the swap happened.
     pub fn install(&self, backend: Arc<dyn PipelineBackend>) -> bool {
         let level = backend.level();
         let mut cur = self.current.write();
@@ -125,21 +116,6 @@ impl FunctionHandle {
         } else {
             false
         }
-    }
-
-    /// Claim the right to start a (single) background compilation.
-    pub fn try_begin_compile(&self) -> bool {
-        !self.compiling.swap(true, Ordering::AcqRel)
-    }
-
-    /// Release the claim taken with [`try_begin_compile`]: the claimant
-    /// calls this once its compile is over, whether it published, failed
-    /// or was abandoned — a claim that is never released would disable
-    /// upgrades for the pipeline permanently.
-    ///
-    /// [`try_begin_compile`]: FunctionHandle::try_begin_compile
-    pub fn end_compile(&self) {
-        self.compiling.store(false, Ordering::Release);
     }
 }
 
@@ -154,8 +130,9 @@ pub struct TraceEvent {
     pub pipeline: u16,
     /// [`ExecLevel`] of the backend the morsel ran on, as its index —
     /// 0 = interpreted, 1 = unoptimized machine code, 2 = optimized
-    /// machine code — or 255 for a compilation: a background one, or an
-    /// adaptive pipeline's synchronous start compile.
+    /// machine code — or 255 for a machine-code compile, on the row of the
+    /// worker that ran it: a controller's mid-query compile, or an
+    /// adaptive pipeline's synchronous start compile (worker 0).
     pub kind: u8,
     pub start_us: u64,
     pub end_us: u64,
@@ -163,6 +140,43 @@ pub struct TraceEvent {
     /// of them from the backend shows in
     /// [`PipelineSchedReport::rows_skipped`], not here.
     pub tuples: u64,
+}
+
+/// One worker's row of [`Report::trace`] for one pipeline run: its morsels
+/// and the compiles it ran. Records nothing, and reads no clock, unless
+/// [`ExecOptions::trace`] is set.
+pub(crate) struct WorkerTrace {
+    on: bool,
+    thread: u16,
+    pipeline: u16,
+    exec_start: Instant,
+    events: Vec<TraceEvent>,
+}
+
+impl WorkerTrace {
+    /// Worker `thread`'s empty row for `pipeline`, recording if `on`.
+    pub fn new(on: bool, thread: usize, pipeline: usize, exec_start: Instant) -> WorkerTrace {
+        let (thread, pipeline) = (thread as u16, pipeline as u16);
+        WorkerTrace { on, thread, pipeline, exec_start, events: Vec::new() }
+    }
+
+    /// µs since query start (0 while not tracing).
+    pub fn now_us(&self) -> u64 {
+        if self.on {
+            self.exec_start.elapsed().as_micros() as u64
+        } else {
+            0
+        }
+    }
+
+    /// Record an event of `kind` that ran from `start_us` until now.
+    pub fn push(&mut self, kind: u8, start_us: u64, tuples: u64) {
+        if self.on {
+            let end_us = self.now_us();
+            let (thread, pipeline) = (self.thread, self.pipeline);
+            self.events.push(TraceEvent { thread, pipeline, kind, start_us, end_us, tuples });
+        }
+    }
 }
 
 /// Full execution report.
@@ -181,9 +195,14 @@ pub struct Report {
     /// pipeline's synchronous start compile.
     pub upfront_compile: Duration,
     pub exec: Duration,
+    /// Backends the adaptive controller compiled during a pipeline run and
+    /// published into its handle: a start winner too costly to build before
+    /// the first morsel, and the climbs of Fig. 7. Each was compiled by the
+    /// morsel worker that decided on it, while the others kept running.
     pub background_compiles: usize,
-    /// One event per morsel and per background compile, ordered by thread
-    /// and start time. Empty unless [`ExecOptions::trace`] was set.
+    /// One event per morsel and per machine-code compile a worker ran,
+    /// ordered by thread and start time. Empty unless
+    /// [`ExecOptions::trace`] was set.
     pub trace: Vec<TraceEvent>,
     /// Pipeline labels, by pipeline id (for rendering traces). Empty on a
     /// result-cache hit, which runs no pipeline (like `sched`).
@@ -204,7 +223,7 @@ pub struct Report {
     /// registry resolution) under the cold-compile latch. Warm executions
     /// reuse the published state without ever taking that latch.
     pub cold_build: bool,
-    /// Compilations (up-front or background) that failed or panicked and
+    /// Compilations (up-front or mid-query) that failed or panicked and
     /// were contained by ladder degradation: the execution continued one
     /// rung down instead of surfacing `ExecError::Compile`. The broken
     /// tier is quarantined: later executions of the plan skip it for a
@@ -350,7 +369,7 @@ pub(crate) struct QueryRun<'a> {
     /// adaptive pipeline, whose start level is chosen when it starts.
     pub initial: &'a [Option<Arc<dyn PipelineBackend>>],
     /// Per-pipeline tier tables of the prepared query's compiled state:
-    /// background compiles fill these, so concurrent executions warm-start
+    /// mid-query compiles fill these, so concurrent executions warm-start
     /// mid-flight.
     pub tiers: &'a [Arc<TierTable>],
     /// Per-pipeline scan pre-filters (`None` where the plan has no
@@ -409,8 +428,6 @@ pub(crate) fn run_pipelines(
         plan.aggs.iter().map(|a| (a.nkeys, a.aggs.clone())).collect();
 
     let exec_start = Instant::now();
-    let compile_events: Arc<Mutex<Vec<TraceEvent>>> = Arc::new(Mutex::new(Vec::new()));
-    let background_compiles = Arc::new(AtomicUsize::new(0));
 
     // One reusable register-file buffer per worker for the *whole query*:
     // a pipeline whose frame spills to the heap re-uses the previous
@@ -452,19 +469,13 @@ pub(crate) fn run_pipelines(
             agg_shapes: &agg_shapes,
             opts,
             exec_start,
-            compile_events: &compile_events,
-            background_compiles: &background_compiles,
             quarantine: &quarantine[p.id],
         };
         pipeline.run(report, &mut state, &mut frames)?;
     }
 
-    report.background_compiles += background_compiles.load(Ordering::Relaxed);
     report.exec = exec_start.elapsed();
-    if opts.trace {
-        report.trace.extend(compile_events.lock().drain(..));
-        report.trace.sort_by_key(|e| (e.thread, e.start_us));
-    }
+    report.trace.sort_by_key(|e| (e.thread, e.start_us));
 
     // ---- final output ------------------------------------------------------
     let rows = std::mem::take(&mut state.out_rows);
@@ -487,11 +498,12 @@ fn plan_max_row_width(plan: &PhysicalPlan) -> usize {
 }
 
 /// Everything one pipeline run needs (bundled so the orchestration reads
-/// as: build scheduler, spawn workers, finalize controller, run the sink).
+/// as: pick the start, build the scheduler, run the workers, finalize the
+/// controller, run the sink).
 struct PipelineRun<'a> {
     pid: usize,
     initial: Option<&'a Arc<dyn PipelineBackend>>,
-    tiers: &'a Arc<TierTable>,
+    tiers: &'a TierTable,
     kernel: Option<&'a ScanKernel>,
     registry: &'a Arc<Registry>,
     total_rows: usize,
@@ -499,12 +511,12 @@ struct PipelineRun<'a> {
     agg_shapes: &'a [(usize, Vec<crate::plan::AggFunc>)],
     opts: &'a ExecOptions,
     exec_start: Instant,
-    compile_events: &'a Arc<Mutex<Vec<TraceEvent>>>,
-    background_compiles: &'a Arc<AtomicUsize>,
     quarantine: &'a PipelineQuarantine,
 }
 
 impl PipelineRun<'_> {
+    /// The morsel loop on `frames.len()` workers: worker 0 is the calling
+    /// thread, the others are scoped threads that end with the loop.
     fn run(
         self,
         report: &mut Report,
@@ -513,13 +525,17 @@ impl PipelineRun<'_> {
     ) -> Result<(), ExecError> {
         let opts = self.opts;
         let threads = frames.len();
+        let mut traces: Vec<WorkerTrace> = (0..threads)
+            .map(|tid| WorkerTrace::new(opts.trace, tid, self.pid, self.exec_start))
+            .collect();
 
         // ---- the start level ----------------------------------------------
-        let (backend, start) = match self.initial {
-            Some(b) => (b.clone(), ColdStart::default()),
-            None => self.cold_start(threads, report),
+        // A cold start compiles on this thread, which is worker 0.
+        let (start, start_compile) = match self.initial {
+            Some(b) => (Built { backend: b.clone(), compiles: 0 }, None),
+            None => self.cold_start(threads, &mut traces[0], report),
         };
-        let handle = Arc::new(FunctionHandle::new(backend));
+        let handle = FunctionHandle::new(start.backend);
 
         // ---- scheduler assembly (see crate::sched) ------------------------
         let dispenser = MorselDispenser::new(
@@ -528,26 +544,23 @@ impl PipelineRun<'_> {
             opts.min_morsel as u64,
             opts.max_morsel as u64,
         );
-        let progress = Arc::new(PipelineProgress::new(threads));
-        let controller = AdaptiveController::new(ControllerCtx {
-            cancel: opts.cancel.clone(),
-            pid: self.pid,
-            handle: handle.clone(),
-            tiers: self.tiers.clone(),
-            progress: progress.clone(),
-            model: opts.model,
-            compile_events: self.compile_events.clone(),
-            background_compiles: self.background_compiles.clone(),
-            exec_start: self.exec_start,
-            total_rows: self.total_rows as u64,
-            threads,
-            quarantine: self.quarantine.clone(),
-            adaptive: opts.mode == ExecMode::Adaptive,
-            first_eval: opts.first_eval,
-        });
-        if let Some(compile) = start.compile {
-            controller.compile_at_start(compile);
-        }
+        let progress = PipelineProgress::new(threads);
+        let controller = AdaptiveController::new(
+            ControllerCtx {
+                cancel: &opts.cancel,
+                pid: self.pid,
+                handle: &handle,
+                tiers: self.tiers,
+                progress: &progress,
+                model: opts.model,
+                total_rows: self.total_rows as u64,
+                threads,
+                quarantine: self.quarantine,
+                adaptive: opts.mode == ExecMode::Adaptive,
+                first_eval: opts.first_eval,
+            },
+            start_compile,
+        );
 
         let state_ptr = state.slots.as_ptr() as u64;
         // The scan's vectorized pre-filter (see `crate::simd`), resolved
@@ -565,6 +578,13 @@ impl PipelineRun<'_> {
         // value itself is stored under the mutex on the cold path.
         let failed = AtomicBool::new(false);
         let error: Mutex<Option<ExecError>> = Mutex::new(None);
+        let fail = |e: ExecError| {
+            let mut slot = error.lock();
+            if slot.is_none() {
+                *slot = Some(e);
+            }
+            failed.store(true, Ordering::Relaxed);
+        };
 
         // Worker runtimes, one per thread (created up front so finalize can
         // collect them after the scope).
@@ -579,142 +599,100 @@ impl PipelineRun<'_> {
                 )
             })
             .collect();
-        let mut thread_traces: Vec<Vec<TraceEvent>> = vec![Vec::new(); threads];
 
         // ---- the morsel loop ----------------------------------------------
-        std::thread::scope(|scope| {
-            for (tid, ((wrt, ttrace), frame)) in worker_rts
-                .iter_mut()
-                .zip(thread_traces.iter_mut())
-                .zip(frames.iter_mut())
-                .enumerate()
-            {
-                let dispenser = &dispenser;
-                let progress = &progress;
-                let controller = &controller;
-                let failed = &failed;
-                let error = &error;
-                let handle = &handle;
-                let registry = self.registry;
-                let exec_start = self.exec_start;
-                let pid = self.pid;
-                let cancel = &opts.cancel;
-                let prefilter = &prefilter;
-                scope.spawn(move || {
-                    // Panic isolation at the thread boundary: a worker
-                    // that panics (a backend bug, an injected
-                    // `worker=panic` fault) must fail the *query* with a
-                    // typed error, not unwind through the scope join and
-                    // abort the caller. The shared locks are
-                    // non-poisoning (vendored parking_lot), so the other
-                    // workers drain cleanly via the `failed` flag.
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let wctx = wrt.wctx_ptr();
-                        // The Fig. 5 indirection, loaded once and then refreshed
-                        // only when the handle's (atomic) level says a better
-                        // backend was published: the `Arc` clone + lock of a
-                        // full `load()` happens once per *switch*, not once per
-                        // morsel — the controller can't swap more often than
-                        // the level changes, so nothing newer can be missed.
-                        let mut backend = handle.load();
-                        let mut backend_level = backend.level();
-                        controller.worker_started();
-                        loop {
-                            if failed.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            // The cooperative cancellation checkpoint: one
-                            // atomic load per claim on the live path. A
-                            // poisoned token (client cancel, expired
-                            // deadline, dropped connection) stops this
-                            // worker before it claims another range — never
-                            // mid-morsel, so sinks only ever see whole
-                            // morsels.
-                            if let Err(e) = cancel.check() {
-                                let mut slot = error.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                failed.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                            // Injectable fault site, once per claim round
-                            // (`AQE_FAULT="worker=..."`). An `err` action
-                            // surfaces as a typed internal error; a `panic`
-                            // action exercises the catch_unwind boundary.
-                            if let Err(m) = aqe_fault::failpoint("worker") {
-                                let mut slot = error.lock();
-                                if slot.is_none() {
-                                    *slot = Some(ExecError::Internal { site: m });
-                                }
-                                failed.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                            // Front of our own partition, or stolen loot once
-                            // it runs dry; `None` means the pipeline is done.
-                            let Some(m) = dispenser.claim(tid) else { return };
-                            let t_m0 = exec_start.elapsed().as_micros() as u64;
-                            let level = handle.level();
-                            if level != backend_level {
-                                backend = handle.load();
-                                backend_level = level;
-                            }
-                            let mut call = |begin, end| {
-                                let args = [wctx, state_ptr, begin, end];
-                                backend.call(&args, registry, frame).map(drop)
-                            };
-                            let called = match prefilter {
-                                None => call(m.begin, m.end),
-                                // SAFETY: the state slots hold this epoch's
-                                // column base pointers and the dispenser
-                                // hands out in-bounds row ranges — the
-                                // contract the worker function loads under.
-                                Some((kernel, conjuncts)) => unsafe {
-                                    let state = state_ptr as *const u64;
-                                    kernel.for_each_run(conjuncts, state, m.begin, m.end, call)
-                                }
-                                .map(|skipped| progress.record_skipped(tid, skipped)),
-                            };
-                            if let Err(e) = called {
-                                let mut slot = error.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                failed.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                            progress.record(tid, m.tuples());
-                            if opts.trace {
-                                ttrace.push(TraceEvent {
-                                    thread: tid as u16,
-                                    pipeline: pid as u16,
-                                    kind: backend.level() as u8,
-                                    start_us: t_m0,
-                                    end_us: exec_start.elapsed().as_micros() as u64,
-                                    tuples: m.tuples(),
-                                });
-                            }
-                            // ---- adaptive decision (Fig. 7) -------------------
-                            controller.maybe_decide();
-                        }
-                    }));
-                    if caught.is_err() {
-                        let mut slot = error.lock();
-                        if slot.is_none() {
-                            *slot = Some(ExecError::Internal {
-                                site: format!("morsel worker {tid} (pipeline {pid})"),
-                            });
-                        }
-                        failed.store(true, Ordering::Relaxed);
+        let worker = |tid, wrt: &mut WorkerRt, trace: &mut WorkerTrace, frame: &mut Frame| {
+            // Panic isolation at the worker boundary: a worker that panics
+            // (a backend bug, an injected `worker=panic` fault) must fail
+            // the *query* with a typed error, not unwind through the scope
+            // join or into the caller. The shared locks are non-poisoning
+            // (vendored parking_lot), so the other workers drain cleanly
+            // via the `failed` flag.
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let wctx = wrt.wctx_ptr();
+                // The Fig. 5 indirection, loaded once and then refreshed
+                // only when the handle's (atomic) level says a better
+                // backend was published: the `Arc` clone + lock of a full
+                // `load()` happens once per *switch*, not once per morsel —
+                // the controller can't swap more often than the level
+                // changes, so nothing newer can be missed.
+                let mut backend = handle.load();
+                let mut backend_level = backend.level();
+                loop {
+                    if failed.load(Ordering::Relaxed) {
+                        return;
                     }
-                });
+                    // The cooperative cancellation checkpoint: one atomic
+                    // load per claim on the live path. A poisoned token
+                    // (client cancel, expired deadline, dropped connection)
+                    // stops this worker before it claims another range —
+                    // never mid-morsel, so sinks only ever see whole
+                    // morsels.
+                    if let Err(e) = opts.cancel.check() {
+                        return fail(e);
+                    }
+                    // Injectable fault site, once per claim round
+                    // (`AQE_FAULT="worker=..."`). An `err` action surfaces
+                    // as a typed internal error; a `panic` action exercises
+                    // the catch_unwind boundary.
+                    if let Err(site) = aqe_fault::failpoint("worker") {
+                        return fail(ExecError::Internal { site });
+                    }
+                    // Front of our own partition, or stolen loot once it
+                    // runs dry; `None` means the pipeline is done.
+                    let Some(m) = dispenser.claim(tid) else { return };
+                    let t_m0 = trace.now_us();
+                    let level = handle.level();
+                    if level != backend_level {
+                        backend = handle.load();
+                        backend_level = level;
+                    }
+                    let mut call = |begin, end| {
+                        let args = [wctx, state_ptr, begin, end];
+                        backend.call(&args, self.registry, frame).map(drop)
+                    };
+                    let called = match &prefilter {
+                        None => call(m.begin, m.end),
+                        // SAFETY: the state slots hold this epoch's column
+                        // base pointers and the dispenser hands out
+                        // in-bounds row ranges — the contract the worker
+                        // function loads under.
+                        Some((kernel, conjuncts)) => unsafe {
+                            let state = state_ptr as *const u64;
+                            kernel.for_each_run(conjuncts, state, m.begin, m.end, call)
+                        }
+                        .map(|skipped| progress.record_skipped(tid, skipped)),
+                    };
+                    if let Err(e) = called {
+                        return fail(e);
+                    }
+                    progress.record(tid, m.tuples());
+                    trace.push(backend_level as u8, t_m0, m.tuples());
+                    // ---- adaptive decision (Fig. 7) -----------------------
+                    controller.maybe_decide(trace);
+                }
+            }));
+            if caught.is_err() {
+                let site = format!("morsel worker {tid} (pipeline {})", self.pid);
+                fail(ExecError::Internal { site });
+            }
+        };
+        std::thread::scope(|scope| {
+            let mut workers =
+                worker_rts.iter_mut().zip(&mut traces).zip(frames.iter_mut()).enumerate();
+            let caller = workers.next();
+            for (tid, ((wrt, trace), frame)) in workers {
+                let worker = &worker;
+                scope.spawn(move || worker(tid, wrt, trace, frame));
+            }
+            if let Some((tid, ((wrt, trace), frame))) = caller {
+                worker(tid, wrt, trace, frame);
             }
         });
 
-        // Joins in-flight compiles (no detached-thread leak: their trace
-        // events land before the report is read).
-        let mut sched = controller.finalize(&dispenser);
+        let (mut sched, installs) = controller.finalize(&dispenser);
         sched.compiles_started += start.compiles;
+        report.background_compiles += installs;
         report.degraded += sched.degraded;
         report.quarantine_skips += self.quarantine.skips();
         report.sched.push(sched);
@@ -722,23 +700,24 @@ impl PipelineRun<'_> {
         if let Some(e) = error.into_inner() {
             return Err(e);
         }
-        for t in thread_traces {
-            report.trace.extend(t);
+        for t in traces {
+            report.trace.extend(t.events);
         }
 
         self.finalize_sink(state, &mut worker_rts)
     }
 
-    /// A cold adaptive pipeline's first backend: the level
-    /// [`plan_pipeline_start`] picks for this run's row count, built
-    /// through the tier table like a static mode's pin
-    /// ([`build_backend`]), its compile timed in `Report::upfront_compile`,
-    /// counted and traced like a background one.
+    /// A cold adaptive pipeline's first backend, built by the caller (worker
+    /// 0) before the first morsel: the level [`plan_pipeline_start`] picks
+    /// for this run's row count, through [`build_backend`] like a static
+    /// mode's pin. The second value is the start winner the controller
+    /// compiles once the pipeline runs.
     fn cold_start(
         &self,
         threads: usize,
+        trace: &mut WorkerTrace,
         report: &mut Report,
-    ) -> (Arc<dyn PipelineBackend>, ColdStart) {
+    ) -> (Built, Option<ExecLevel>) {
         let opts = self.opts;
         let plan = plan_pipeline_start(
             &opts.model,
@@ -749,19 +728,7 @@ impl PipelineRun<'_> {
             self.tiers.ceiling(),
             |level| self.quarantine.blocked(level),
         );
-        let t_c0 = self.exec_start.elapsed().as_micros() as u64;
-        let built = build_backend(self.tiers, plan.level, self.quarantine, report);
-        if built.compiles > 0 && built.backend.level() > ExecLevel::Interpreted {
-            self.compile_events.lock().push(TraceEvent {
-                thread: u16::MAX,
-                pipeline: self.pid as u16,
-                kind: 255,
-                start_us: t_c0,
-                end_us: self.exec_start.elapsed().as_micros() as u64,
-                tuples: 0,
-            });
-        }
-        (built.backend, ColdStart { compile: plan.compile, compiles: built.compiles })
+        (build_backend(self.tiers, plan.level, self.quarantine, report, Some(trace)), plan.compile)
     }
 
     /// Pipeline finalize (the "queryStart" host side).
@@ -829,16 +796,6 @@ impl PipelineRun<'_> {
     }
 }
 
-/// What a cold adaptive start did besides picking its backend (nothing,
-/// by default: a static or warm start only installs what it was given).
-#[derive(Clone, Copy, Default)]
-struct ColdStart {
-    /// The level to compile in the background from t = 0.
-    compile: Option<ExecLevel>,
-    /// Machine-code compiles paid synchronously (see [`Built::compiles`]).
-    compiles: u64,
-}
-
 /// A pipeline's backend as [`build_backend`] hands it out.
 pub(crate) struct Built {
     pub backend: Arc<dyn PipelineBackend>,
@@ -850,12 +807,13 @@ pub(crate) struct Built {
 /// Pipeline backend at `level`, or the highest rung below it that builds:
 /// capped at what the pipeline can reach here ([`TierTable::ceiling`] —
 /// bytecode without an emitter, which does not count as a degradation),
-/// read from the tier table or compiled into it now (timed in
-/// `Report::upfront_compile`). A compile failure never surfaces: the level
-/// that failed is quarantined via this execution's view, `Report::degraded`
-/// counts it, and the pipeline takes the next rung down; a live quarantine
-/// skips the compile the same way. A backend some run already paid for is
-/// always reused — the quarantine only gates fresh compile attempts.
+/// read from the tier table or compiled into it now through
+/// [`compile_step`] (timed in `Report::upfront_compile`). A compile that
+/// fails or panics never surfaces: the level is quarantined,
+/// `Report::degraded` counts it, and the pipeline takes the next rung down;
+/// a live quarantine skips the compile the same way. A backend some run
+/// already paid for is always reused — the quarantine only gates fresh
+/// compile attempts.
 ///
 /// The floor is bytecode, translated once (timed in
 /// `Report::bc_translate`), degrading to the naive IR walker if
@@ -867,6 +825,7 @@ pub(crate) fn build_backend(
     level: ExecLevel,
     q: &PipelineQuarantine,
     report: &mut Report,
+    mut trace: Option<&mut WorkerTrace>,
 ) -> Built {
     let mut compiles = 0;
     let mut level = level.min(tiers.ceiling());
@@ -875,17 +834,15 @@ pub(crate) fn build_backend(
             return Built { backend, compiles };
         }
         if !q.blocked(level) {
-            match tiers.get_or_compile(level) {
-                Ok(claimed) => {
+            match compile_step(tiers, level, q, None, trace.as_deref_mut()) {
+                Some(claimed) => {
                     if let Some(t) = claimed.compiled_in {
                         report.upfront_compile += t;
                         compiles += 1;
                     }
-                    q.record_success(level);
                     return Built { backend: claimed.backend, compiles };
                 }
-                Err(_) => {
-                    q.record_failure(level);
+                None => {
                     report.degraded += 1;
                     compiles += 1;
                 }
@@ -893,17 +850,52 @@ pub(crate) fn build_backend(
         }
         level = level.below().unwrap_or(ExecLevel::Interpreted);
     }
-    let backend = match tiers.get_or_compile(ExecLevel::Interpreted) {
-        Ok(bc) => {
+    let backend = match compile_step(tiers, ExecLevel::Interpreted, q, None, None) {
+        Some(bc) => {
             report.bc_translate += bc.compiled_in.unwrap_or_default();
             bc.backend
         }
-        Err(_) => {
+        None => {
             report.degraded += 1;
             Arc::new(NaiveBackend::new(tiers.function().clone()))
         }
     };
     Built { backend, compiles }
+}
+
+/// The one step every build of a pipeline's backend goes through — a
+/// static mode's pin, a cold adaptive start, the controller's compile on a
+/// morsel worker: `level` read from the tier table or built into it, with
+/// the failpoint `fault_site` (if any) in front. The build runs under
+/// `catch_unwind`, so a panicking emitter is contained like a failed
+/// compile. Either outcome is recorded in the quarantine view; a failure
+/// returns `None`, and the caller counts it as a degradation. A
+/// machine-code compile this call paid for is traced on `trace`, the row
+/// of the worker that ran it.
+pub(crate) fn compile_step(
+    tiers: &TierTable,
+    level: ExecLevel,
+    q: &PipelineQuarantine,
+    fault_site: Option<&str>,
+    trace: Option<&mut WorkerTrace>,
+) -> Option<Claimed> {
+    let t0 = trace.as_ref().map_or(0, |t| t.now_us());
+    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if let Some(site) = fault_site {
+            aqe_fault::failpoint(site)?;
+        }
+        tiers.get_or_compile(level)
+    }));
+    let Ok(Ok(claimed)) = built else {
+        q.record_failure(level);
+        return None;
+    };
+    q.record_success(level);
+    let paid = level > ExecLevel::Interpreted && claimed.compiled_in.is_some();
+    if let Some(trace) = trace.filter(|_| paid) {
+        trace.push(255, t0, 0);
+    }
+    Some(claimed)
 }
 
 #[cfg(test)]
@@ -928,12 +920,6 @@ mod tests {
         let bc = translate(&f, &[], TranslateOptions::default()).unwrap();
         let h = FunctionHandle::new(Arc::new(bc));
         assert_eq!(h.level(), ExecLevel::Interpreted);
-        assert!(h.try_begin_compile());
-        assert!(!h.try_begin_compile(), "second compile attempt must be rejected");
-        // A failed compile releases the slot instead of leaking it.
-        h.end_compile();
-        assert!(h.try_begin_compile(), "releasing must re-open the compile slot");
-        h.end_compile();
 
         // The two interpreters are one level: neither replaces the other.
         assert!(!h.install(Arc::new(NaiveBackend::new(Arc::new(f.clone())))));
@@ -956,36 +942,6 @@ mod tests {
         let bc = translate(&f, &[], TranslateOptions::default()).unwrap();
         assert!(!h.install(Arc::new(bc)));
         assert_eq!(h.level(), ExecLevel::Optimized);
-    }
-
-    #[test]
-    fn installing_from_outside_does_not_release_a_compile_claim() {
-        // The controller's free-install path publishes a backend a
-        // concurrent execution compiled while this pipeline's own compile
-        // job may still be running: the job's claim must survive it, or the
-        // next poll starts a second compile thread.
-        // A stand-in backend one level up, so the test needs no emitter.
-        struct Unopt;
-        impl PipelineBackend for Unopt {
-            fn call(
-                &self,
-                _: &[u64],
-                _: &Registry,
-                _: &mut Frame,
-            ) -> Result<Option<u64>, ExecError> {
-                Ok(None)
-            }
-            fn level(&self) -> ExecLevel {
-                ExecLevel::Unoptimized
-            }
-        }
-        let f = identity_function();
-        let h = FunctionHandle::new(Arc::new(NaiveBackend::new(Arc::new(f))));
-        assert!(h.try_begin_compile(), "the claimant's compile is now in flight");
-        assert!(h.install(Arc::new(Unopt)), "a higher backend arrives from outside");
-        assert!(!h.try_begin_compile(), "the claim is the claimant's to release");
-        h.end_compile();
-        assert!(h.try_begin_compile());
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! [`AdaptiveController`] owns one pipeline run's decision loop: workers
 //! call [`maybe_decide`] after each morsel, the controller polls on a
-//! cadence, extrapolates from the lock-free progress window, claims the
-//! (single) compilation slot, spawns the compile on a *tracked* thread,
-//! and [`finalize`] joins every in-flight compile before the pipeline's
-//! results are read — no leaks, no lost trace events.
+//! cadence, and the one worker that holds the `deciding` flag
+//! extrapolates from the lock-free progress window and, if a compile
+//! pays, runs it itself (Fig. 7: "the thread compiles the worker function
+//! and resets all processing rates") while the other workers keep
+//! claiming morsels. So a compile is over when its worker's loop is, and
+//! [`finalize`] only summarises.
 //!
 //! The controller decides with exactly the [`CostModel`] it was given
 //! (`ExecOptions::model`). Its nine constants are fitted once from Fig. 6
@@ -19,16 +21,13 @@
 //! [`finalize`]: AdaptiveController::finalize
 
 use crate::cancel::CancelToken;
-use crate::exec::{FunctionHandle, TraceEvent};
+use crate::exec::{compile_step, FunctionHandle, WorkerTrace};
 use crate::sched::morsel::MorselDispenser;
 use crate::sched::progress::PipelineProgress;
 use crate::sched::quarantine::PipelineQuarantine;
 use crate::tiers::TierTable;
 use aqe_vm::backend::ExecLevel;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 /// The empirical model behind Fig. 7's `ctime(f)` and `speedup(f)`: the
@@ -170,8 +169,9 @@ pub fn extrapolate_pipeline_durations(
 pub struct PipelineStart {
     /// The level built synchronously before the first morsel.
     pub level: ExecLevel,
-    /// The frontier's winner, compiled in the background from t = 0
-    /// because it costs more to build than the pipeline should wait.
+    /// The frontier's winner, compiled by the first worker to finish a
+    /// morsel because it costs more to build than the pipeline should
+    /// wait.
     pub compile: Option<ExecLevel>,
 }
 
@@ -181,10 +181,10 @@ pub struct PipelineStart {
 /// A winner that `blocked` (the execution's quarantine view) refuses
 /// falls one rung at a time, bytecode last. A winner that builds in less
 /// than one `min_morsel` of bytecode work is built synchronously. A
-/// costlier one is compiled in the background from t = 0, and the
-/// pipeline starts on the cheapest run among the levels below it that do
-/// build that fast — bytecode at least. A pipeline with no rows starts
-/// on bytecode.
+/// costlier one is compiled by the first worker to finish a morsel while
+/// the others keep running, and the pipeline starts on the cheapest run
+/// among the levels below it that do build that fast — bytecode at least.
+/// A pipeline with no rows starts on bytecode.
 pub fn plan_pipeline_start(
     model: &CostModel,
     instrs: usize,
@@ -226,7 +226,7 @@ pub struct PipelineSchedReport {
     /// The [`ExecLevel`] the pipeline's first morsel ran at. A cold
     /// adaptive pipeline starts where the cost model puts it for its row
     /// count — [`Interpreted`](ExecLevel::Interpreted) for little
-    /// work, or while a costly winner compiles in the background; a warm
+    /// work, or while a costly winner compiles; a warm
     /// prepared-query re-execution starts at the highest level a prior run
     /// reached.
     pub start_level: ExecLevel,
@@ -238,7 +238,8 @@ pub struct PipelineSchedReport {
     /// Fig. 7 evaluations performed.
     pub decisions: u64,
     /// Machine-code compiles this run started: an adaptive pipeline's
-    /// synchronous start compile and its background compiles.
+    /// synchronous start compile and the compiles its controller ran on a
+    /// morsel worker.
     pub compiles_started: u64,
     /// Rows the scan's vectorized pre-filter proved failing (cleared mask
     /// bits, summed over every morsel). Zero on a pipeline without a scan
@@ -246,45 +247,38 @@ pub struct PipelineSchedReport {
     /// `total_rows` and the controller's rates count
     /// *scanned* rows and include these.
     pub rows_skipped: u64,
-    /// Background compiles that failed (or panicked) and were contained:
-    /// the pipeline kept running at its current level and the broken
-    /// tier was quarantined.
+    /// Compiles the controller ran on a morsel worker that failed (or
+    /// panicked) and were contained: the pipeline kept running at its
+    /// current level and the broken tier was quarantined.
     pub degraded: u64,
 }
 
-/// Everything a pipeline's controller needs that outlives the worker loop
-/// (shared query-level channels plus this pipeline's identity).
-pub struct ControllerCtx {
+/// What a pipeline's controller borrows from its pipeline run.
+pub struct ControllerCtx<'a> {
     /// The execution's cooperative cancellation token. The controller
-    /// checks it at poll cadence — a poisoned query stops *claiming*
-    /// compilations — and every tracked background `CompileJob`
-    /// re-checks it before compiling, so a cancelled query also stops
-    /// paying for compiles that have not started yet. (A compile that
-    /// already ran to completion stays in the tier table: it is paid
-    /// for, valid, and keeps the next execution warm.)
-    pub cancel: CancelToken,
+    /// checks it before every evaluation: a poisoned query compiles
+    /// nothing more. (A compile that already ran to completion stays in
+    /// the tier table: it is paid for, valid, and keeps the next execution
+    /// warm.)
+    pub cancel: &'a CancelToken,
     pub pid: usize,
-    pub handle: Arc<FunctionHandle>,
-    /// The prepared query's tier table for this pipeline. Background
-    /// compiles go through it, so a level another execution of the same
-    /// prepared query already compiled — or is compiling right now — is
-    /// never compiled a second time, and what this run compiles is there
-    /// for every concurrent and later execution the moment it finishes.
-    pub tiers: Arc<TierTable>,
-    pub progress: Arc<PipelineProgress>,
+    pub handle: &'a FunctionHandle,
+    /// The prepared query's tier table for this pipeline. Compiles go
+    /// through it, so a level another execution of the same prepared query
+    /// already compiled — or is compiling right now — is never compiled a
+    /// second time, and what this run compiles is there for every
+    /// concurrent and later execution the moment it finishes.
+    pub tiers: &'a TierTable,
+    pub progress: &'a PipelineProgress,
     /// The model every decision of this pipeline run is made with.
     pub model: CostModel,
-    pub compile_events: Arc<Mutex<Vec<TraceEvent>>>,
-    pub background_compiles: Arc<AtomicUsize>,
-    /// Query start (trace timestamps are relative to it).
-    pub exec_start: Instant,
     pub total_rows: u64,
     pub threads: usize,
     /// This execution's quarantine view of the pipeline: tiers whose
     /// compiles failed recently are skipped by `decide` (the ladder
     /// degrades one rung instead), and compile outcomes are recorded
     /// back into the engine-shared store.
-    pub quarantine: PipelineQuarantine,
+    pub quarantine: &'a PipelineQuarantine,
     /// `false` pins the initial backend (static modes): `maybe_decide`
     /// becomes a no-op and only the sched report is produced.
     pub adaptive: bool,
@@ -293,9 +287,12 @@ pub struct ControllerCtx {
     pub first_eval: Duration,
 }
 
+/// No start compile is pending (see [`AdaptiveController::start_compile`]).
+const NO_START_COMPILE: u8 = u8::MAX;
+
 /// One pipeline run's adaptive controller (Fig. 7).
-pub struct AdaptiveController {
-    ctx: ControllerCtx,
+pub struct AdaptiveController<'a> {
+    ctx: ControllerCtx<'a>,
     /// Backend level installed when the controller was constructed.
     start_level: ExecLevel,
     /// Highest level the pipeline can reach (snapshotted once: the
@@ -305,20 +302,27 @@ pub struct AdaptiveController {
     pipeline_start: Instant,
     poll_us: u64,
     next_eval_us: AtomicU64,
+    /// Held by the one worker evaluating or compiling; the others keep
+    /// claiming morsels.
     deciding: AtomicBool,
     decisions: AtomicU64,
     compiles_started: AtomicU64,
-    /// The start compile [`plan_pipeline_start`] handed over, as a level
-    /// index (`u8::MAX`: none), taken by the first worker to arrive.
+    /// Compiles this controller published into the handle.
+    installs: AtomicU64,
+    /// The start winner [`plan_pipeline_start`] handed over, as a level
+    /// index ([`NO_START_COMPILE`]: none), compiled by the first worker to
+    /// finish a morsel.
     start_compile: AtomicU8,
-    compile_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Failed/panicked background compiles, contained (see
-    /// [`PipelineSchedReport::degraded`]). Shared with the compile jobs.
-    degraded: Arc<AtomicU64>,
+    /// Failed/panicked compiles, contained (see
+    /// [`PipelineSchedReport::degraded`]).
+    degraded: AtomicU64,
 }
 
-impl AdaptiveController {
-    pub fn new(ctx: ControllerCtx) -> AdaptiveController {
+impl<'a> AdaptiveController<'a> {
+    /// A controller for one pipeline run; `start_compile` is the winner of
+    /// [`plan_pipeline_start`] that was too costly to build before the
+    /// first morsel.
+    pub fn new(ctx: ControllerCtx<'a>, start_compile: Option<ExecLevel>) -> AdaptiveController<'a> {
         let start_level = ctx.handle.level();
         let instrs = ctx.tiers.function().instruction_count();
         let first_us = ctx.first_eval.as_micros() as u64;
@@ -329,38 +333,24 @@ impl AdaptiveController {
             instrs,
             pipeline_start: Instant::now(),
             poll_us: first_us.max(50),
-            next_eval_us: AtomicU64::new(first_us),
+            // A pending start compile is due after the first morsel.
+            next_eval_us: AtomicU64::new(if start_compile.is_some() { 0 } else { first_us }),
             deciding: AtomicBool::new(false),
             decisions: AtomicU64::new(0),
             compiles_started: AtomicU64::new(0),
-            start_compile: AtomicU8::new(u8::MAX),
-            compile_threads: Mutex::new(Vec::new()),
-            degraded: Arc::new(AtomicU64::new(0)),
+            installs: AtomicU64::new(0),
+            start_compile: AtomicU8::new(start_compile.map_or(NO_START_COMPILE, |l| l as u8)),
+            degraded: AtomicU64::new(0),
             ctx,
         }
     }
 
-    /// Compile `level` in the background as soon as the pipeline's first
-    /// worker starts ([`worker_started`](Self::worker_started)).
-    pub fn compile_at_start(&self, level: ExecLevel) {
-        self.start_compile.store(level as u8, Ordering::Relaxed);
-    }
-
-    /// Called by each worker once, after it loaded the start backend and
-    /// before its first claim: the first one starts the compile handed to
-    /// [`compile_at_start`](Self::compile_at_start). Started from a running
-    /// worker, the compile cannot land before that worker's first morsel,
-    /// so the switch away from the start level is always observable.
-    pub fn worker_started(&self) {
-        let level = self.start_compile.swap(u8::MAX, Ordering::Relaxed);
-        if level != u8::MAX {
-            self.start_compile(ExecLevel::from_index(level));
-        }
-    }
-
-    /// Called by workers after every morsel: cheap cadence check, then at
-    /// most one worker at a time runs the Fig. 7 evaluation.
-    pub fn maybe_decide(&self) {
+    /// Called by each worker after every morsel, with that worker's trace:
+    /// a cheap cadence check, then at most one worker at a time either
+    /// compiles the pending start winner — after a morsel, so the switch
+    /// away from the start level is observable — or runs the Fig. 7
+    /// evaluation. A cancelled execution does neither.
+    pub fn maybe_decide(&self, trace: &mut WorkerTrace) {
         if !self.ctx.adaptive {
             return;
         }
@@ -371,21 +361,22 @@ impl AdaptiveController {
         if self.deciding.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.next_eval_us.store(now_us + self.poll_us, Ordering::Relaxed);
-        self.decide();
+        if !self.ctx.cancel.is_cancelled() {
+            match self.start_compile.swap(NO_START_COMPILE, Ordering::Relaxed) {
+                NO_START_COMPILE => self.decide(trace),
+                level => self.compile(ExecLevel::from_index(level), trace),
+            }
+        }
+        // The cadence restarts once this evaluation (and any compile it
+        // ran) is over.
+        let done_us = self.pipeline_start.elapsed().as_micros() as u64;
+        self.next_eval_us.store(done_us + self.poll_us, Ordering::Relaxed);
         self.deciding.store(false, Ordering::Release);
     }
 
-    fn decide(&self) {
-        // The controller-cadence cancellation check: a poisoned query
-        // must not claim the compile slot or burn a background thread —
-        // the workers are about to observe the poison on their next
-        // claim anyway.
-        if self.ctx.cancel.is_cancelled() {
-            return;
-        }
+    fn decide(&self, trace: &mut WorkerTrace) {
         self.decisions.fetch_add(1, Ordering::Relaxed);
-        let progress = &self.ctx.progress;
+        let progress = self.ctx.progress;
         let (win_tuples, win_secs) = progress.window();
         let w = self.ctx.threads as f64;
         let r0 = if win_secs > 0.0 { win_tuples as f64 / win_secs / w } else { 0.0 };
@@ -415,11 +406,9 @@ impl AdaptiveController {
         }
         // A concurrent execution of the same prepared query may already
         // have compiled this pipeline at (or above) the target level —
-        // install that for free instead of burning a background thread.
-        // Rate bookkeeping mirrors a compile install: reset the window so
-        // the next decision's `r0` is measured at the new level. (`install`
-        // only publishes: a compile of this pipeline's own that is still
-        // in flight keeps its claim.)
+        // install that for free instead of compiling. Rate bookkeeping
+        // mirrors a compile install: reset the window so the next
+        // decision's `r0` is measured at the new level.
         if self.ctx.tiers.best_level() >= level {
             if let Some(b) = self.ctx.tiers.best() {
                 if self.ctx.handle.install(b) {
@@ -428,61 +417,36 @@ impl AdaptiveController {
                 return;
             }
         }
-        self.start_compile(level);
+        self.compile(level, trace);
     }
 
-    /// Claim the pipeline's single compile slot and compile `level` on a
-    /// tracked background thread; a no-op while another compile of this
-    /// pipeline is in flight. Fig. 7 calls it mid-run, and a cold start
-    /// at t = 0 for a winner too costly to build before the first morsel.
-    fn start_compile(&self, level: ExecLevel) {
-        if !self.ctx.handle.try_begin_compile() {
-            return;
-        }
-        let progress = &self.ctx.progress;
-        // "the thread compiles the worker function and resets all
-        // processing rates" — we hand the compile to a background thread
-        // (§III: compilation is single-threaded, the other workers keep
-        // going) but keep its JoinHandle: `finalize` joins it, so a
-        // compile can never outlive the pipeline's bookkeeping.
-        let job = CompileJob {
-            cancel: self.ctx.cancel.clone(),
-            handle: self.ctx.handle.clone(),
-            tiers: self.ctx.tiers.clone(),
-            progress: progress.clone(),
-            events: self.ctx.compile_events.clone(),
-            counter: self.ctx.background_compiles.clone(),
-            exec_start: self.ctx.exec_start,
-            pid: self.ctx.pid,
-            level,
-            quarantine: self.ctx.quarantine.clone(),
-            degraded: self.degraded.clone(),
-        };
-        match std::thread::Builder::new()
-            .name(format!("aqe-compile-p{}", self.ctx.pid))
-            .spawn(move || job.run())
-        {
-            Ok(handle) => {
-                self.compiles_started.fetch_add(1, Ordering::Relaxed);
-                self.compile_threads.lock().push(handle);
-                progress.reset_window();
+    /// "The thread compiles the worker function and resets all processing
+    /// rates": `level` is compiled here, on the worker that decided, while
+    /// the other w−1 workers keep claiming morsels — and steal this one's
+    /// partition — as [`extrapolate_pipeline_durations`] prices it. The
+    /// backend is published into the handle, so every worker switches on
+    /// its next morsel. A failed or panicking compile is contained
+    /// ([`compile_step`]): the pipeline keeps its level.
+    fn compile(&self, level: ExecLevel, trace: &mut WorkerTrace) {
+        self.compiles_started.fetch_add(1, Ordering::Relaxed);
+        let (tiers, q) = (self.ctx.tiers, self.ctx.quarantine);
+        match compile_step(tiers, level, q, Some("compile_job"), Some(trace)) {
+            Some(claimed) => {
+                if self.ctx.handle.install(claimed.backend) {
+                    self.installs.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            Err(_) => {
-                // Thread exhaustion is a fault like any other: release
-                // the claim and keep running at the current level.
-                self.ctx.handle.end_compile();
+            None => {
+                self.degraded.fetch_add(1, Ordering::Relaxed);
             }
         }
+        self.ctx.progress.reset_window();
     }
 
-    /// End of the pipeline run: join every in-flight compile (their trace
-    /// events land before the report is read) and summarise.
-    pub fn finalize(self, dispenser: &MorselDispenser) -> PipelineSchedReport {
-        let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *self.compile_threads.lock());
-        for t in threads {
-            let _ = t.join();
-        }
-        PipelineSchedReport {
+    /// End of the pipeline run: its summary, and how many compiles it
+    /// published (`Report::background_compiles`).
+    pub fn finalize(self, dispenser: &MorselDispenser) -> (PipelineSchedReport, usize) {
+        let sched = PipelineSchedReport {
             pipeline: self.ctx.pid,
             start_level: self.start_level,
             total_rows: self.ctx.total_rows,
@@ -493,83 +457,8 @@ impl AdaptiveController {
             compiles_started: self.compiles_started.load(Ordering::Relaxed),
             rows_skipped: self.ctx.progress.skipped(),
             degraded: self.degraded.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The body of one tracked background-compile thread.
-struct CompileJob {
-    /// The owning execution's cancel token (see [`ControllerCtx::cancel`]):
-    /// checked once more on the compile thread before any work happens,
-    /// closing the race where the query is cancelled between the
-    /// controller's claim and the thread actually starting.
-    cancel: CancelToken,
-    handle: Arc<FunctionHandle>,
-    tiers: Arc<TierTable>,
-    progress: Arc<PipelineProgress>,
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-    counter: Arc<AtomicUsize>,
-    exec_start: Instant,
-    pid: usize,
-    level: ExecLevel,
-    /// Records compile success/failure into the per-fingerprint
-    /// quarantine so later executions skip a broken tier.
-    quarantine: PipelineQuarantine,
-    /// Controller-shared count of contained compile failures.
-    degraded: Arc<AtomicU64>,
-}
-
-impl CompileJob {
-    /// The claimant's side of the single compilation slot: whatever the
-    /// compile does — publish, fail, panic, or be abandoned because the
-    /// query was cancelled while this thread was being spawned — the claim
-    /// `decide` took is released here, once, after the outcome is recorded.
-    fn run(self) {
-        if !self.cancel.is_cancelled() {
-            self.compile_and_install();
-        }
-        self.handle.end_compile();
-    }
-
-    fn compile_and_install(&self) {
-        let t_c0 = self.exec_start.elapsed().as_micros() as u64;
-        // The compile runs under `catch_unwind`: a panicking emitter (or
-        // an injected `compile_job=panic` fault) is contained on this
-        // thread and handled exactly like a failed compile — the tier is
-        // quarantined, the query keeps running at its current level.
-        let compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            aqe_fault::failpoint("compile_job")?;
-            self.tiers.get_or_compile(self.level)
-        }));
-        match compiled {
-            Ok(Ok(claimed)) => {
-                let t_c1 = self.exec_start.elapsed().as_micros() as u64;
-                self.events.lock().push(TraceEvent {
-                    thread: u16::MAX,
-                    pipeline: self.pid as u16,
-                    kind: 255,
-                    start_us: t_c0,
-                    end_us: t_c1,
-                    tuples: 0,
-                });
-                // Publish into the handle: all workers switch on their next
-                // morsel. Reset the rate window so the next decision's `r0`
-                // is measured at the new level only.
-                if self.handle.install(claimed.backend) {
-                    self.counter.fetch_add(1, Ordering::Relaxed);
-                    self.progress.reset_window();
-                }
-                // A successful compile clears any quarantine on the tier
-                // (this is how a probe recovers it).
-                self.quarantine.record_success(self.level);
-            }
-            Ok(Err(_)) | Err(_) => {
-                // The failure degrades, never surfaces: quarantine the
-                // level that did not compile and count it.
-                self.degraded.fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure(self.level);
-            }
-        }
+        };
+        (sched, self.installs.load(Ordering::Relaxed) as usize)
     }
 }
 
@@ -578,45 +467,59 @@ mod tests {
     use super::*;
     use crate::cancel::CancelKind;
     use crate::sched::quarantine::QuarantineStore;
+    use std::sync::Arc;
 
     #[test]
-    fn cancelled_compile_job_publishes_nothing_and_reopens_the_slot() {
+    fn cancelled_execution_compiles_and_publishes_nothing() {
         use aqe_ir::{FunctionBuilder, Type};
 
-        let mut b = FunctionBuilder::new("f", &[Type::I64], Some(Type::I64));
-        let p = b.param(0);
-        b.ret(Some(p.into()));
-        let f = b.finish().unwrap();
-        let tiers = Arc::new(TierTable::new(Arc::new(f), Arc::new(Vec::new())));
-        let bc = tiers.get_or_compile(ExecLevel::Interpreted).unwrap().backend;
-        let handle = Arc::new(FunctionHandle::new(bc));
-        assert!(handle.try_begin_compile());
-
-        let cancel = CancelToken::new();
-        cancel.cancel(CancelKind::Client);
-        let job = CompileJob {
-            cancel,
-            handle: handle.clone(),
-            tiers: tiers.clone(),
-            progress: Arc::new(PipelineProgress::new(1)),
-            events: Arc::new(Mutex::new(Vec::new())),
-            counter: Arc::new(AtomicUsize::new(0)),
-            exec_start: Instant::now(),
-            pid: 0,
-            level: ExecLevel::Optimized,
-            quarantine: Arc::new(QuarantineStore::new()).pipeline(0, 0),
-            degraded: Arc::new(AtomicU64::new(0)),
+        // A single-worker pipeline of 2^40 rows that just ran a million of
+        // them through bytecode within a millisecond: both a pending start
+        // winner and a Fig. 7 climb would compile optimized code.
+        let run = |cancelled: bool, start_compile: Option<ExecLevel>| {
+            let mut b = FunctionBuilder::new("f", &[Type::I64], Some(Type::I64));
+            let p = b.param(0);
+            b.ret(Some(p.into()));
+            let f = b.finish().unwrap();
+            let tiers = TierTable::new(Arc::new(f), Arc::new(Vec::new()));
+            let handle =
+                FunctionHandle::new(tiers.get_or_compile(ExecLevel::Interpreted).unwrap().backend);
+            let progress = PipelineProgress::new(1);
+            progress.record(0, 1_000_000);
+            std::thread::sleep(Duration::from_millis(1));
+            let cancel = CancelToken::new();
+            if cancelled {
+                cancel.cancel(CancelKind::Client);
+            }
+            let quarantine = Arc::new(QuarantineStore::new()).pipeline(0, 0);
+            let ctx = ControllerCtx {
+                cancel: &cancel,
+                pid: 0,
+                handle: &handle,
+                tiers: &tiers,
+                progress: &progress,
+                model: CostModel::default(),
+                total_rows: 1 << 40,
+                threads: 1,
+                quarantine: &quarantine,
+                adaptive: true,
+                first_eval: Duration::ZERO,
+            };
+            let controller = AdaptiveController::new(ctx, start_compile);
+            controller.maybe_decide(&mut WorkerTrace::new(false, 0, 0, Instant::now()));
+            let (sched, installs) = controller.finalize(&MorselDispenser::new(0, 1, 1, 1));
+            (handle.level(), tiers.best_level(), sched.compiles_started, installs)
         };
-        job.run();
-        // Nothing published anywhere — the query stopped paying — and the
-        // compile claim is re-opened (same discipline as a failed compile).
-        assert_eq!(handle.level(), ExecLevel::Interpreted);
-        assert_eq!(
-            tiers.best_level(),
-            ExecLevel::Interpreted,
-            "a cancelled compile must not fill the tier table"
-        );
-        assert!(handle.try_begin_compile(), "cancelled job must re-open the compile slot");
+        // The start winner, then a climb; the same run live compiles and
+        // publishes wherever an emitter exists.
+        let nothing = (ExecLevel::Interpreted, ExecLevel::Interpreted, 0, 0);
+        let live = (ExecLevel::Optimized, ExecLevel::Optimized, 1, 1);
+        for start_compile in [Some(ExecLevel::Optimized), None] {
+            assert_eq!(run(true, start_compile), nothing, "cancelled, {start_compile:?}");
+            if aqe_jit::native::enabled() {
+                assert_eq!(run(false, start_compile), live, "live, {start_compile:?}");
+            }
+        }
     }
 
     #[test]
@@ -828,8 +731,8 @@ mod tests {
         // less than one morsel of bytecode work: synchronously.
         assert_eq!(plan(10_000, 1024, &open), start(Unoptimized, None));
         // Millions of rows: the optimized level wins but takes longer to
-        // build than a morsel — compiled from t = 0 while the pipeline
-        // runs unoptimized code, which does build that fast…
+        // build than a morsel — compiled by the first worker to finish a
+        // morsel of unoptimized code, which does build that fast…
         assert!(m.ctime(Optimized, 200) > 1024.0 * m.bc_row_s(200));
         assert_eq!(plan(50_000_000, 1024, &open), start(Unoptimized, Some(Optimized)));
         // …and on bytecode when morsels are too small for any compile.

@@ -7,10 +7,10 @@
 //!   aggregated into the pipeline rate the controller extrapolates from;
 //! * [`controller`] — the [`AdaptiveController`] owning the Fig. 7 loop
 //!   (poll cadence, [`extrapolate_pipeline_durations`] over the nine
-//!   fitted [`CostModel`] constants, compile claim, trace emission) and
-//!   the same frontier at pipeline start ([`plan_pipeline_start`]), with
-//!   background compiles tracked via `JoinHandle`s and joined before the
-//!   pipeline finalizes;
+//!   fitted [`CostModel`] constants, the compile itself on the worker that
+//!   decided) and the same frontier at pipeline start
+//!   ([`plan_pipeline_start`]); no compile outlives its worker's morsel
+//!   loop;
 //! * [`quarantine`] — the per-fingerprint [`QuarantineStore`] that lets a
 //!   broken tier degrade the ladder one rung instead of failing a query.
 //!
@@ -50,7 +50,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// Sorted morsels must tile `0..total` exactly: no gap, no overlap, no
     /// duplicate — the dispenser's core invariant.
@@ -99,13 +99,19 @@ mod tests {
         }
     }
 
-    /// A backend that simulates skewed per-morsel cost: morsels whose rows
-    /// lie in the hot region sleep, everything else is free. Implements the
-    /// real `PipelineBackend` seam so the test goes through
+    /// Morsels claimed so far, by worker, each recorded before it runs.
+    type Claims = Arc<Mutex<Vec<(usize, Morsel)>>>;
+
+    /// A backend that simulates skewed per-morsel cost: a morsel worker 0
+    /// claimed inside the hot region blocks until every other row of the
+    /// region has been claimed — by thieves, worker 0 being blocked —
+    /// bounded at 10 s, so a dispenser that never steals fails the test
+    /// instead of hanging it; everything else is free. Implements the real
+    /// `PipelineBackend` seam so the test goes through
     /// `FunctionHandle::load` exactly like the engine's worker loop.
     struct SkewedBackend {
         hot_end: u64,
-        delay: Duration,
+        claims: Claims,
     }
 
     impl PipelineBackend for SkewedBackend {
@@ -116,8 +122,15 @@ mod tests {
             _frame: &mut Frame,
         ) -> Result<Option<u64>, ExecError> {
             let begin = args[2];
-            if begin < self.hot_end {
-                std::thread::sleep(self.delay);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let blocked = || {
+                let claims = self.claims.lock();
+                let hot = claims.iter().filter(|(_, m)| m.begin < self.hot_end);
+                claims.iter().any(|&(w, m)| w == 0 && m.begin == begin)
+                    && hot.map(|(_, m)| m.tuples()).sum::<u64>() < self.hot_end
+            };
+            while begin < self.hot_end && blocked() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_micros(50));
             }
             Ok(None)
         }
@@ -136,11 +149,9 @@ mod tests {
         let d = MorselDispenser::new(TOTAL, WORKERS, 256, 1024);
         let first = d.claim(1).unwrap();
         assert_eq!(first.begin, hot_end, "worker 1's partition starts where the hot quarter ends");
-        let handle = FunctionHandle::new(Arc::new(SkewedBackend {
-            hot_end,
-            delay: Duration::from_micros(300),
-        }));
-        let claimed: Mutex<Vec<(usize, Morsel)>> = Mutex::new(vec![(1, first)]);
+        let claimed: Claims = Arc::new(Mutex::new(vec![(1, first)]));
+        let handle =
+            FunctionHandle::new(Arc::new(SkewedBackend { hot_end, claims: claimed.clone() }));
 
         std::thread::scope(|scope| {
             for tid in 0..WORKERS {
@@ -151,9 +162,9 @@ mod tests {
                     let rt = Registry::new();
                     let mut frame = Frame::new();
                     while let Some(m) = d.claim(tid) {
+                        claimed.lock().push((tid, m));
                         let backend = handle.load();
                         backend.call(&[0, 0, m.begin, m.end], &rt, &mut frame).unwrap();
-                        claimed.lock().push((tid, m));
                     }
                 });
             }
@@ -163,7 +174,7 @@ mod tests {
         // was redistributed: worker 0 did *not* have to grind through its
         // whole partition alone (the fast workers finished their cold
         // partitions and stole the hot tail long before worker 0 could).
-        let claimed = claimed.into_inner();
+        let claimed = std::mem::take(&mut *claimed.lock());
         let w0: u64 = claimed.iter().filter(|(w, _)| *w == 0).map(|(_, m)| m.tuples()).sum();
         assert_exact_coverage(claimed.into_iter().map(|(_, m)| m).collect(), TOTAL);
         assert!(d.steals() >= 1, "skewed pipeline must trigger at least one steal");

@@ -73,9 +73,9 @@ impl PipelineProgress {
         self.workers.iter().map(|w| w.morsels.load(Ordering::Relaxed)).sum()
     }
 
-    /// Start a new rate window (called when a compilation is claimed and
-    /// again when the compiled backend is installed, so post-switch rates
-    /// are measured at the new level only).
+    /// Start a new rate window (called when a compile is over and when a
+    /// backend is installed, so post-switch rates are measured at the new
+    /// level only).
     pub fn reset_window(&self) {
         self.window_base.store(self.total(), Ordering::Relaxed);
         self.window_start_us.store(self.start.elapsed().as_micros() as u64, Ordering::Relaxed);

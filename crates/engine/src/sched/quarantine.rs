@@ -43,12 +43,10 @@ impl QuarantineStore {
     /// A per-execution view for one pipeline of one plan.
     pub fn pipeline(self: &Arc<Self>, fingerprint: u64, pipeline: usize) -> PipelineQuarantine {
         PipelineQuarantine {
-            inner: Arc::new(PqInner {
-                store: Arc::clone(self),
-                fingerprint,
-                pipeline,
-                cached: Default::default(),
-            }),
+            store: Arc::clone(self),
+            fingerprint,
+            pipeline,
+            cached: Default::default(),
         }
     }
 
@@ -79,7 +77,8 @@ impl QuarantineStore {
     }
 }
 
-struct PqInner {
+/// One execution's quarantine view of one pipeline.
+pub struct PipelineQuarantine {
     store: Arc<QuarantineStore>,
     fingerprint: u64,
     pipeline: usize,
@@ -89,14 +88,6 @@ struct PqInner {
     cached: [OnceLock<bool>; ExecLevel::COMPILED.len()],
 }
 
-/// One execution's quarantine view of one pipeline. Cheap to clone
-/// (the clone shares the verdict cache) so it can ride into background
-/// compile jobs.
-#[derive(Clone)]
-pub struct PipelineQuarantine {
-    inner: Arc<PqInner>,
-}
-
 impl PipelineQuarantine {
     /// Position among the compiled levels; `Interpreted` has none.
     fn idx(level: ExecLevel) -> Option<usize> {
@@ -104,7 +95,7 @@ impl PipelineQuarantine {
     }
 
     fn key(&self, level: ExecLevel) -> (u64, usize, ExecLevel) {
-        (self.inner.fingerprint, self.inner.pipeline, level)
+        (self.fingerprint, self.pipeline, level)
     }
 
     /// Is compiling `level` off limits for this execution? The first
@@ -115,21 +106,19 @@ impl PipelineQuarantine {
         let Some(i) = Self::idx(level) else {
             return false;
         };
-        *self.inner.cached[i].get_or_init(|| self.inner.store.consult(self.key(level)))
+        *self.cached[i].get_or_init(|| self.store.consult(self.key(level)))
     }
 
     /// Distinct tiers this execution skipped because of quarantine.
-    /// Clones share the verdict cache, so one execution's skips are
-    /// counted once no matter which clone asked.
     pub fn skips(&self) -> u64 {
-        self.inner.cached.iter().filter(|c| c.get().copied().unwrap_or(false)).count() as u64
+        self.cached.iter().filter(|c| c.get().copied().unwrap_or(false)).count() as u64
     }
 
     /// Record that compiling to `level` failed: quarantine the tier for
     /// the next [`QUARANTINE_SKIPS`] executions.
     pub fn record_failure(&self, level: ExecLevel) {
         if Self::idx(level).is_some() {
-            self.inner.store.record_failure(self.key(level));
+            self.store.record_failure(self.key(level));
         }
     }
 
@@ -137,7 +126,7 @@ impl PipelineQuarantine {
     /// (a probe recovered the tier).
     pub fn record_success(&self, level: ExecLevel) {
         if Self::idx(level).is_some() {
-            self.inner.store.record_success(self.key(level));
+            self.store.record_success(self.key(level));
         }
     }
 }

@@ -834,7 +834,7 @@ impl PreparedState {
         self.tiers
             .iter()
             .zip(quarantine)
-            .map(|(tiers, q)| Some(build_backend(tiers, pin, q, report).backend))
+            .map(|(tiers, q)| Some(build_backend(tiers, pin, q, report, None).backend))
             .collect()
     }
 }

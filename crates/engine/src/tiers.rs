@@ -4,8 +4,8 @@
 //! An entry is the single place a level's backend is claimed, compiled and
 //! read: [`get_or_compile`](TierTable::get_or_compile) holds the entry's
 //! latch across the compile, so however many executions ask for a level —
-//! a static mode pinning it, a background compile job the adaptive
-//! controller started, a warm start reading [`best`](TierTable::best) —
+//! a static mode pinning it, the adaptive controller compiling on a
+//! morsel worker, a warm start reading [`best`](TierTable::best) —
 //! it compiles at most once per prepared state and every caller receives
 //! the same `Arc`. A filled entry is never replaced or cleared; the whole
 //! table dies with its prepared state when the catalog version changes.

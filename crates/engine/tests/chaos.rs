@@ -1,7 +1,7 @@
 //! Chaos suite: deterministic fault schedules driven through the
 //! differential harness. Whatever `aqe_fault` injects — failed compiles
-//! at any tier, bytecode translation errors, panicking background
-//! compile jobs, panicking morsel workers — an execution must end in
+//! at any tier, bytecode translation errors, panicking controller
+//! compiles, panicking morsel workers — an execution must end in
 //! exactly one of two ways: a result bit-identical to the Volcano oracle
 //! (`aqe_baselines::execute_volcano`, which no fault site reaches)
 //! produced by a degraded ladder, or a *typed* error
@@ -104,6 +104,38 @@ fn forced_compile_failures_degrade_not_error() {
             let compiled = matches!(mode, ExecMode::NativeUnopt | ExecMode::Native);
             if aqe_jit::native::enabled() && compiled {
                 assert!(report.degraded > 0, "{mode:?}/{threads} should count its degradation");
+            }
+        }
+    }
+}
+
+/// Every machine-code compile panics — the static pins and a cold
+/// adaptive start too, which compile on the calling thread: the panic is
+/// contained like a failed compile, so every mode answers with Volcano's
+/// rows, and a mode that compiles counts the fall and quarantines the
+/// level that broke.
+#[test]
+fn panicking_synchronous_compiles_are_contained() {
+    let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    quiet_injected_panics();
+    let cat = tpch::generate(0.01);
+    let plan = q6_plan();
+    let expect = oracle(&cat, &plan);
+
+    let _armed = aqe_fault::arm("native_compile=panic", 1).unwrap();
+    for mode in MODES {
+        for threads in [1, 4] {
+            let engine = Engine::new(cat.clone());
+            let session = engine.session();
+            let prepared = session.prepare(&plan, vec![]);
+            let opts = ExecOptions { mode, threads, cache_results: false, ..Default::default() };
+            let (res, report) = session
+                .execute_with(&prepared, &opts)
+                .unwrap_or_else(|e| panic!("{mode:?}/{threads} must degrade, got {e}"));
+            assert_eq!(res.rows, expect, "{mode:?}/{threads} degraded result mismatch");
+            if aqe_jit::native::enabled() && mode != ExecMode::Bytecode {
+                assert!(report.degraded >= 1, "{mode:?}/{threads} should count its fall");
+                assert!(engine.quarantine_active() >= 1, "{mode:?}/{threads}: no quarantine");
             }
         }
     }
@@ -304,7 +336,7 @@ fn worker_error_fails_one_query_then_session_recovers() {
 }
 
 /// Randomized composite schedules — failing compiles at every tier,
-/// panicking background compile jobs, rare worker panics — across every
+/// panicking controller compiles, rare worker panics — across every
 /// mode and several seeds. The contract: a correct result or a typed
 /// error. Nothing else.
 #[test]
@@ -335,9 +367,9 @@ fn randomized_fault_schedules_never_abort_or_corrupt() {
     }
 }
 
-/// Adaptive execution under panicking background compile jobs: the
-/// controller's upgrade attempts die in their threads, the query
-/// completes on whatever tier it holds, and the answer stays exact.
+/// Adaptive execution under panicking controller compiles: the upgrade
+/// attempts die on the morsel worker that ran them and are contained, the
+/// query completes on whatever tier it holds, and the answer stays exact.
 #[test]
 fn adaptive_survives_panicking_compile_jobs() {
     let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -350,8 +382,8 @@ fn adaptive_survives_panicking_compile_jobs() {
     // Large modelled speedups make upgrading irresistible, and a fixed
     // 1 ms compile outlasts a morsel of bytecode work: the scan starts on
     // bytecode and every compile — the start's and the controller's
-    // climbs — runs as a background job, which keeps launching (and
-    // losing) compile jobs all query.
+    // climbs — runs on a morsel worker, which keeps starting (and
+    // losing) compiles all query.
     let mut opts = ExecOptions {
         mode: ExecMode::Adaptive,
         threads: 2,

@@ -36,7 +36,7 @@
 //! | `wx_map`         | `ExecMem::map` (W^X mmap/mprotect)         |
 //! | `bc_translate`   | bytecode translation in the session        |
 //! | `worker`         | morsel-worker loop, once per claim round   |
-//! | `compile_job`    | background `CompileJob` thread entry       |
+//! | `compile_job`    | adaptive controller's compile on a worker  |
 //! | `server_accept`  | server accept path                         |
 //! | `server_read`    | per-connection read readiness              |
 //! | `server_write`   | per-connection flush                       |

@@ -1,7 +1,7 @@
 //! Watch adaptive execution switch modes mid-pipeline (paper Fig. 14):
 //! runs TPC-H Q11 with tracing enabled and prints every compile event (a
-//! pipeline's start compile or a background one) and a summary of which
-//! execution modes processed morsels.
+//! pipeline's start compile or one on a morsel worker mid-query) and a
+//! summary of which execution modes processed morsels.
 //!
 //! ```text
 //! cargo run --release --example adaptive_trace
@@ -43,11 +43,12 @@ fn main() {
         let how = if first_morsel.is_none_or(|t| e.end_us <= t) {
             "before its first morsel"
         } else {
-            "in background"
+            "mid-query"
         };
         println!(
-            "  pipeline p{} compiled {how}: {:.2} ms (at t={:.2} ms)",
+            "  pipeline p{} compiled {how} on worker {}: {:.2} ms (at t={:.2} ms)",
             e.pipeline,
+            e.thread,
             (e.end_us - e.start_us) as f64 / 1e3,
             e.start_us as f64 / 1e3
         );

@@ -39,7 +39,7 @@ fn main() {
             let (_, report) = session.execute_with(&prepared, &opts).expect("query ok");
             // A static compiled mode compiles every pipeline up front; an
             // adaptive pipeline counts its start compile and its
-            // background ones.
+            // mid-query ones.
             compiles += match mode {
                 ExecMode::Native | ExecMode::NativeUnopt if aqe::jit::native::enabled() => {
                     report.sched.len() as u64
@@ -58,7 +58,7 @@ fn main() {
     }
     println!(
         "\nAdaptive started {adaptive_compiles} compiles over {pipelines} pipelines \
-         ({background} installed in the background) and took {:.2} ms: {:.2}× bytecode, \
+         ({background} installed mid-query) and took {:.2} ms: {:.2}× bytecode, \
          {:.2}× up-front optimized compilation.",
         totals[3],
         totals[3] / totals[2],

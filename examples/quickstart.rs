@@ -30,7 +30,8 @@ fn main() {
     let stmt = prepare(&session, sql).expect("valid SQL");
 
     // 3. Execute. The first run starts in the bytecode interpreter and
-    //    compiles hot pipelines in the background (paper §III).
+    //    compiles hot pipelines on a morsel worker while the others keep
+    //    running (paper §III, Fig. 7).
     let (result, cold) = session.execute(&stmt.query).expect("query ok");
 
     // 4. Render.

@@ -2,8 +2,9 @@
 //!
 //! 1. a large synthetic query started in `ExecMode::Adaptive` must actually
 //!    *switch* backends mid-pipeline: its optimized compile outlasts a
-//!    morsel, so the scan starts on a cheaper level, a background
-//!    compilation appears in the trace and optimized morsels follow, and
+//!    morsel, so the scan starts on a cheaper level, a compilation
+//!    appears in the trace on the row of the worker that ran it, with no
+//!    morsel of that worker during it, and optimized morsels follow, and
 //! 2. every one of the four `ExecMode`s produces the `ResultRows` of the
 //!    Volcano engine on a TPC-H subset (without the emitter the compiled
 //!    modes run bytecode and must still agree), and
@@ -11,8 +12,8 @@
 //!    starts interpreted and climbs straight to optimized machine code
 //!    mid-query: the trace shows morsels on that backend (kind 2) after
 //!    interpreted ones and none on unoptimized code, and
-//! 4. an untraced adaptive run that compiled in the background returns an
-//!    empty trace.
+//! 4. an untraced adaptive run that compiled mid-query returns an empty
+//!    trace.
 //!
 //! Every result is checked against `aqe::baselines::execute_volcano`,
 //! which shares no code with the engine but storage and the plan tree.
@@ -29,7 +30,7 @@ use aqe::queries::{synthetic, tpch};
 use aqe::storage::tpch as tpch_data;
 
 /// Trace kinds (see `TraceEvent::kind`): a morsel's backend level, or a
-/// background compilation.
+/// compilation.
 const KIND_INTERPRETED: u8 = ExecLevel::Interpreted as u8;
 const KIND_OPTIMIZED: u8 = ExecLevel::Optimized as u8;
 const KIND_COMPILE: u8 = 255;
@@ -82,9 +83,9 @@ fn adaptive_mode_switches_backend_mid_query() {
     }
     // A wide synthetic aggregation: expensive enough per tuple that the
     // optimized level wins the start decision, and wide enough that its
-    // compile takes longer than a morsel of bytecode work — so it is
-    // compiled in the background while the scan runs on a cheaper level,
-    // and lands while morsels remain.
+    // compile takes longer than a morsel of bytecode work — so a worker
+    // compiles it mid-query while the other runs the scan on a cheaper
+    // level, and it lands while morsels remain.
     let cat = tpch_data::generate(0.02);
     let q = synthetic::wide_agg(120);
     let phys = decompose(&cat, &q.root, vec![]);
@@ -129,6 +130,24 @@ fn adaptive_mode_switches_backend_mid_query() {
         per_thread.iter().map(|k| k.windows(2).filter(|w| w[0] != w[1]).count()).sum();
     assert!(per_thread_switches >= 1, "at least one worker must switch backends");
 
+    // Fig. 7's placement: the worker that decided ran the compile. A
+    // mid-query compile (one that began once its pipeline's morsels had)
+    // sits on a worker's row, and that worker ran no morsel meanwhile.
+    let morsels = || report.trace.iter().filter(|e| e.kind != KIND_COMPILE);
+    let mut mid_query = 0;
+    for c in report.trace.iter().filter(|e| e.kind == KIND_COMPILE) {
+        let first = morsels().filter(|m| m.pipeline == c.pipeline).map(|m| m.start_us).min();
+        if first.is_none_or(|t| c.start_us < t) {
+            continue;
+        }
+        mid_query += 1;
+        assert!((c.thread as usize) < opts.threads, "compile on thread {}: {c:?}", c.thread);
+        let overlap = morsels()
+            .find(|m| m.thread == c.thread && m.start_us < c.end_us && m.end_us > c.start_us);
+        assert!(overlap.is_none(), "{overlap:?} ran on the worker compiling {c:?}");
+    }
+    assert!(mid_query >= 1, "the scan's climb must be a mid-query compile");
+
     // And the switch must not have changed the answer.
     assert_eq!(
         normalized(&rows.rows, phys.output_tys.len(), phys.sorted_output),
@@ -143,7 +162,7 @@ fn untraced_adaptive_runs_return_no_trace() {
         return;
     }
     // The setup of `adaptive_mode_switches_backend_mid_query`, without the
-    // trace: the background compile still happens, its event must not be
+    // trace: the mid-query compile still happens, its event must not be
     // kept.
     let cat = tpch_data::generate(0.02);
     let q = synthetic::wide_agg(120);
@@ -234,8 +253,8 @@ fn adaptive_controller_skips_straight_to_optimized_code() {
     // worthless: unoptimized code runs no faster than bytecode and costs
     // more to build, so the scan starts interpreted; a huge modelled
     // optimized speedup over a wide aggregation easily amortizes the
-    // optimized compile, which outlasts a morsel and so runs in the
-    // background from the start.
+    // optimized compile, which outlasts a morsel and so runs on a worker
+    // after the first morsel.
     let cat = tpch_data::generate(0.02);
     let q = synthetic::wide_agg(120);
     let phys = decompose(&cat, &q.root, vec![]);
